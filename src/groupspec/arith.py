@@ -16,6 +16,10 @@ class UsageError(ValueError):
     """Bad arguments at an API or CLI boundary."""
 
 
+class BoundError(RuntimeError):
+    """An enumeration would exceed the configured bound."""
+
+
 def lcm_list(values) -> int:
     """Least common multiple of a non-empty list of positive integers."""
     vals = list(values)
@@ -139,20 +143,17 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             return g
 
 
-_SMALL_PRIMES = None
+def _primes_below(limit: int) -> tuple:
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(sieve[i * i::i]))
+    return tuple(i for i in range(limit) if sieve[i])
 
 
-def _small_primes():
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        limit = 10 ** 6
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0] = sieve[1] = 0
-        for i in range(2, int(limit ** 0.5) + 1):
-            if sieve[i]:
-                sieve[i * i:: i] = bytearray(len(sieve[i * i:: i]))
-        _SMALL_PRIMES = [i for i in range(limit + 1) if sieve[i]]
-    return _SMALL_PRIMES
+# trial division stops here; larger factors are left to Miller-Rabin and rho
+_TRIAL_PRIMES = _primes_below(1000)
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ def factorize(n: int) -> Factorization:
         return hit
     m = n
     acc: dict = {}
-    for p in _small_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
@@ -233,25 +234,42 @@ def factorize(n: int) -> Factorization:
 
 
 def load_factor_cache(path: str) -> int:
-    """Load "n: p1^e1 p2 ..." lines; returns the number of entries loaded."""
+    """Load "n: p1^e1 p2 ..." lines; returns the number of entries loaded.
+
+    A file that cannot be read, or a line that does not parse, names a
+    non-prime factor or does not multiply back to n, raises UsageError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read factor cache {path}: {exc}")
     count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            left, _, right = line.partition(":")
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        left, _, right = line.partition(":")
+        try:
             n = int(left)
             pairs = []
             for tok in right.split():
                 p, _, e = tok.partition("^")
                 pairs.append((int(p), int(e) if e else 1))
-            fact = Factorization(tuple(sorted(pairs)))
-            if fact.value != n:
+        except ValueError:
+            raise UsageError(f"cache line does not parse: {line!r}")
+        for p, e in pairs:
+            if not is_prime(p):
+                raise UsageError(f"cache line for {n} has non-prime factor {p}")
+            if e > n.bit_length():
+                # p^e > n already; refuse before computing a huge power
                 raise UsageError(f"cache line does not multiply back to {n}")
-            with _factor_lock:
-                _factor_cache[n] = fact
-            count += 1
+        fact = Factorization(tuple(sorted(pairs)))
+        if fact.value != n:
+            raise UsageError(f"cache line does not multiply back to {n}")
+        with _factor_lock:
+            _factor_cache[n] = fact
+        count += 1
     return count
 
 

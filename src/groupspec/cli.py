@@ -22,8 +22,8 @@ import os
 import re
 import sys
 
-from .arith import (UsageError, load_factor_cache, prime_power_decompose,
-                    save_factor_cache)
+from .arith import (BoundError, UsageError, load_factor_cache,
+                    prime_power_decompose, save_factor_cache)
 from .coset import (UNSUPPORTED, extension_spectrum, field_coset_spectrum,
                     graph_coset, graph_coset_pgl_even, tau_criterion)
 from .outer import OutElement, admissible_generators
@@ -50,6 +50,16 @@ class ParseError(UsageError):
     def __init__(self, text: str, pos: int, msg: str):
         super().__init__(f"{msg} at position {pos}: {text!r}")
         self.pos = pos
+
+
+def odd_prime_power(q: int):
+    """(p, m) with q = p^m for an odd prime p; UsageError otherwise."""
+    if q % 2 == 0 or q < 3:
+        raise UsageError(f"q = {q}: only odd prime powers are covered")
+    pm = prime_power_decompose(q)
+    if pm is None:
+        raise UsageError(f"q = {q} is not a prime power")
+    return pm
 
 
 def parse_group(text: str):
@@ -99,12 +109,7 @@ def parse_group(text: str):
     if k != len(s):
         raise ParseError(text, k, "trailing input")
 
-    if q % 2 == 0 or q < 3:
-        raise UsageError(f"q = {q}: only odd prime powers are covered")
-    pm = prime_power_decompose(q)
-    if pm is None:
-        raise UsageError(f"q = {q} is not a prime power")
-    p, m = pm
+    p, m = odd_prime_power(q)
 
     if family in ("PSL", "PGL"):
         n = dim
@@ -359,12 +364,7 @@ def cmd_gamma_check(args, cfg):
     q = args.q
     if q is None:
         raise UsageError("gamma-check needs --q")
-    if q % 2 == 0 or q < 3:
-        raise UsageError(f"q = {q}: only odd prime powers are covered")
-    pm = prime_power_decompose(q)
-    if pm is None:
-        raise UsageError(f"q = {q} is not a prime power")
-    F = FiniteField(*pm)
+    F = FiniteField(*odd_prime_power(q))
     rows = []
     for chunk in args.matrix.split(";"):
         entries = [e for e in re.split(r"[,\s]+", chunk.strip()) if e]
@@ -460,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .oracle.groups import BoundError
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -57,11 +57,6 @@ def transpose(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A, -1, -2)
 
 
-def entrywise_power(F: FiniteField, A: np.ndarray, e: int) -> np.ndarray:
-    _require_tables(F)
-    return F.power_table(e)[A]
-
-
 def is_identity_batch(F: FiniteField, X: np.ndarray) -> np.ndarray:
     n = X.shape[-1]
     eye = np.zeros((n, n), np.int16)

@@ -123,7 +123,6 @@ class FiniteField:
         self.modulus = tuple(modulus)
         self.tables = (self.q <= TABLE_LIMIT_Q) if tables is None else tables
         self._primitive = None
-        self._power_tables: dict = {}
         if self.tables:
             self._build_tables()
 
@@ -248,20 +247,6 @@ class FiniteField:
         frob = np.zeros(q, np.int16)
         frob[1:] = exp[(log[1:] * p) % (q - 1)]
         self.FROB = frob
-
-    def power_table(self, e: int) -> np.ndarray:
-        """Entrywise x -> x^e as a length-q table."""
-        if not self.tables:
-            raise UsageError("power_table needs a table-backed field")
-        e %= self.q - 1
-        tab = self._power_tables.get(e)
-        if tab is None:
-            tab = np.zeros(self.q, np.int16)
-            tab[1:] = self.EXP[(self.LOG[1:] * e) % (self.q - 1)]
-            if e == 0:
-                tab[0] = 1
-            self._power_tables[e] = tab
-        return tab
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, m={self.m})"

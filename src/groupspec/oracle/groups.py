@@ -23,19 +23,15 @@ import threading
 
 import numpy as np
 
-from ..arith import UsageError, factorize
+from ..arith import BoundError, UsageError, factorize
 from .batch import (decode_batch, det_inv_batch, encode_batch, identity_batch,
-                    mat_mul, transpose)
+                    mat_mul)
 from .field import FiniteField
 
 KINDS = ("GL", "SL", "GU", "SU", "Sp")
 
 ENUM_DRAW_LIMIT = 120_000
 DEFAULT_ENUM_BOUND = 30_000_000
-
-
-class BoundError(RuntimeError):
-    """An enumeration would exceed the configured bound."""
 
 
 def group_order(kind: str, n: int, q: int) -> int:
@@ -74,25 +70,6 @@ def symplectic_form(F: FiniteField, n: int) -> np.ndarray:
         J[i, r + i] = 1
         J[r + i, i] = F.neg(1)
     return J
-
-
-def is_symplectic(F: FiniteField, g: np.ndarray, J: np.ndarray) -> np.ndarray:
-    prod = mat_mul(F, mat_mul(F, transpose(g), J[None] if g.ndim == 3 else J), g)
-    return (prod == J).all(axis=(-2, -1))
-
-
-def conj_entry_table(F: FiniteField, q0: int) -> np.ndarray:
-    return F.power_table(q0)
-
-
-def is_unitary(F: FiniteField, g: np.ndarray, q0: int) -> np.ndarray:
-    """Rows orthonormal for the standard hermitian form sum x_i y_i^q0."""
-    conj = F.power_table(q0)
-    prod = mat_mul(F, g, transpose(conj[g]))
-    n = g.shape[-1]
-    eye = np.zeros((n, n), np.int16)
-    eye[np.arange(n), np.arange(n)] = 1
-    return (prod == eye).all(axis=(-2, -1))
 
 
 # --- enumeration ------------------------------------------------------------

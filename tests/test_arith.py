@@ -97,6 +97,21 @@ def test_factorize_round_trip():
         assert prod == n == fact.value
 
 
+@pytest.mark.parametrize("n,expect", [
+    (999983 * 1000003, {999983: 1, 1000003: 1}),    # both factors above 1000
+    (1000003**2, {1000003: 2}),
+    (2**61 - 1, {2**61 - 1: 1}),                    # Mersenne prime
+    (3**39 - 1, {2: 1, 13: 2, 313: 1, 6553: 1, 7333: 1, 797161: 1}),
+    (3215031751, {151: 1, 751: 1, 28351: 1}),       # strong pseudoprime to 2, 3, 5, 7
+    (561, {3: 1, 11: 1, 17: 1}),                    # Carmichael
+    (41041, {7: 1, 11: 1, 13: 1, 41: 1}),           # Carmichael
+])
+def test_factorize_large_factors(n, expect):
+    fact = factorize(n)
+    assert dict(fact) == expect
+    assert factorize(n) is fact
+
+
 def test_factorization_str():
     # same shape as the cache file lines
     assert str(factorize(80)) == "2^4 5"

@@ -14,16 +14,17 @@ import groupspec.oracle.spectrum as oracle_spectrum
 from groupspec.spectra import Spectrum
 
 
+def clean_env(env=None):
+    """os.environ without GROUPSPEC_* settings, updated by env."""
+    full_env = {k: v for k, v in os.environ.items() if not k.startswith("GROUPSPEC_")}
+    full_env.update(env or {})
+    return full_env
+
+
 def run_cli(*args, env=None):
     """Run the CLI in a fresh process; returns (exit code, stdout bytes, stderr text)."""
-    full_env = dict(os.environ)
-    for key in list(full_env):
-        if key.startswith("GROUPSPEC_"):
-            del full_env[key]
-    if env:
-        full_env.update(env)
     proc = subprocess.run([sys.executable, "-m", "groupspec.cli", *args],
-                          capture_output=True, env=full_env)
+                          capture_output=True, env=clean_env(env))
     return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
@@ -196,6 +197,42 @@ def test_factor_cache_round_trip(tmp_path):
     code, second, _ = run_cli("spectrum", "PSL(3,49)", "--cache", str(cache))
     assert code == 0
     assert first == second
+
+
+@pytest.mark.parametrize("line,fragment", [
+    (b"abc: 2", "does not parse"),
+    (b"9: 9", "non-prime factor 9"),
+    (b"7: 7^99999999999999", "does not multiply back"),
+    (b"\xff\xfe: 3", "cannot read factor cache"),
+])
+def test_bad_factor_cache_line(tmp_path, line, fragment):
+    cache = tmp_path / "factors.txt"
+    cache.write_bytes(line + b"\n")
+    code, out, err = run_cli("spectrum", "PSL(3,9)", "--cache", str(cache))
+    assert code == 2
+    assert out == b""
+    assert fragment in err
+
+
+def test_closed_form_commands_skip_numpy():
+    # numpy is the oracle's dependency alone; the closed forms never load it
+    script = (
+        "import contextlib, io, sys\n"
+        "from groupspec.cli import main\n"
+        "calls = [['spectrum', 'PSL(3,3)'], ['coset-spectrum', 'PSL(4,3)'],\n"
+        "         ['coset-spectrum', 'PSU(3,9)', '--generator', 'f'],\n"
+        "         ['coset-spectrum', 'PSL(3,343)', '--field-k', '3'],\n"
+        "         ['tau-test', 'PSU(4,3)'], ['admissible', 'PSL(4,25)'],\n"
+        "         ['spectrum', 'PSL(3,12)']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in calls]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=clean_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"[0, 0, 0, 0, 0, 0, 2] False\n"
 
 
 # ---------------------------------------------------------------------------
