@@ -274,11 +274,15 @@ def load_factor_cache(path: str) -> int:
 
 
 def save_factor_cache(path: str) -> int:
+    """Write the memo in load_factor_cache's format; UsageError if it cannot."""
     with _factor_lock:
         items = sorted(_factor_cache.items())
-    with open(path, "w", encoding="utf-8") as fh:
-        for n, fact in items:
-            fh.write(f"{n}: {fact}\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for n, fact in items:
+                fh.write(f"{n}: {fact}\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write factor cache {path}: {exc}")
     return len(items)
 
 

@@ -464,8 +464,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_settings(args)
-        if cfg["cache"] and os.path.exists(cfg["cache"]):
-            load_factor_cache(cfg["cache"])
+        if cfg["cache"]:
+            folder = os.path.dirname(cfg["cache"]) or "."
+            if not os.path.isdir(folder):
+                raise UsageError(f"factor cache directory {folder} does not exist")
+            if os.path.exists(cfg["cache"]):
+                load_factor_cache(cfg["cache"])
         payload, lines, code = args.func(args, cfg)
         emit(payload, lines, args.pretty)
         if cfg["cache"]:

@@ -1,8 +1,10 @@
 """Vectorized matrix arithmetic over a table-backed finite field.
 
 Matrices are numpy int16 arrays of shape (..., n, n) whose entries are field
-encodings. Prime fields take the fast integer path through np.matmul; proper
-extensions go through the MUL/ADD lookup tables.
+encodings. Prime fields take the integer path: np.matmul for products, int32
+arithmetic mod p for elimination. Proper extensions go through the MUL/ADD/SUB
+lookup tables. Determinants alone use forward elimination below each pivot;
+inverses use the full Gauss-Jordan sweep.
 """
 
 from __future__ import annotations
@@ -40,17 +42,22 @@ def mat_mul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def mat_pow(F: FiniteField, A: np.ndarray, e: int) -> np.ndarray:
+    """A^e by square-and-multiply; always a fresh array, never A itself."""
     if e < 0:
         raise UsageError("negative matrix power")
-    out = identity_batch(F, A.shape[-1], A.shape[0]) if A.ndim == 3 else np.eye(A.shape[-1], dtype=np.int16)
+    if e == 0:
+        if A.ndim == 3:
+            return identity_batch(F, A.shape[-1], A.shape[0])
+        return np.eye(A.shape[-1], dtype=np.int16)
+    out = None
     base = A
-    while e:
+    while True:
         if e & 1:
-            out = mat_mul(F, out, base)
-        if e > 1:
-            base = mat_mul(F, base, base)
+            out = base if out is None else mat_mul(F, out, base)
         e >>= 1
-    return out
+        if not e:
+            return out.copy() if out is A else out
+        base = mat_mul(F, base, base)
 
 
 def transpose(A: np.ndarray) -> np.ndarray:
@@ -76,49 +83,57 @@ def is_scalar_batch(F: FiniteField, X: np.ndarray) -> np.ndarray:
             & (diag[..., 0] != 0))
 
 
-def det_inv_batch(F: FiniteField, A: np.ndarray, need_inv: bool = True):
-    """Determinants and inverses by batched Gauss-Jordan.
+def _field_ops(F: FiniteField):
+    """(add, mul, msub) on arrays of encodings, msub(a, f, b) = a - f b: int32
+    arithmetic mod p on prime fields, ADD/MUL/SUB table gathers otherwise."""
+    if F.m == 1:
+        p = F.p
+        return (lambda a, b: (a + b) % p, lambda a, b: a * b % p,
+                lambda a, f, b: (a - f * b) % p)
+    return (lambda a, b: F.ADD[a, b], lambda a, b: F.MUL[a, b],
+            lambda a, f, b: F.SUB[a, F.MUL[f, b]])
 
-    Returns (det, inv, ok). Singular lanes get det 0 and garbage in inv; ok
-    is the nonsingular mask.
+
+def det_inv_batch(F: FiniteField, A: np.ndarray, need_inv: bool = True):
+    """Determinants, and inverses when need_inv, by batched elimination.
+
+    Returns (det, inv, ok); inv is None unless need_inv. Determinants alone
+    need only forward elimination below each pivot; inverses need the full
+    Gauss-Jordan sweep. A zero pivot gets the first row below it with a
+    nonzero entry in that column added in, which changes neither det nor
+    inverse. Singular lanes get det 0 and garbage in inv; ok is the
+    nonsingular mask.
     """
     _require_tables(F)
-    M = np.array(A, np.int16, copy=True)
+    add, mul, msub = _field_ops(F)
+    M = np.array(A, np.int32 if F.m == 1 else np.int16, copy=True)
     B, n, _ = M.shape
-    lanes = np.arange(B)
-    inv = identity_batch(F, n, B) if need_inv else None
-    det = np.ones(B, np.int16)
+    inv = identity_batch(F, n, B).astype(M.dtype) if need_inv else None
+    det = np.ones(B, M.dtype)
     for col in range(n):
-        block = M[:, col:, col]
-        nz = block != 0
-        rel = np.argmax(nz, axis=1)
-        has = nz[lanes, rel]
-        det[~has] = 0
-        piv = col + rel
-        swap = has & (rel > 0)
-        if swap.any():
-            sw = lanes[swap]
-            pr = piv[swap]
-            tmp = M[sw, pr].copy()
-            M[sw, pr] = M[sw, col]
-            M[sw, col] = tmp
-            det[sw] = F.NEG[det[sw]]
+        rel = np.argmax(M[:, col:, col] != 0, axis=1)
+        fix = np.flatnonzero(rel)
+        if len(fix):
+            src = col + rel[fix]
+            M[fix, col, col:] = add(M[fix, col, col:], M[fix, src, col:])
             if need_inv:
-                tmp = inv[sw, pr].copy()
-                inv[sw, pr] = inv[sw, col]
-                inv[sw, col] = tmp
+                inv[fix, col] = add(inv[fix, col], inv[fix, src])
         pv = M[:, col, col]
-        det = F.MUL[det, pv]
+        det = mul(det, pv)                   # a lane with no pivot gets det 0
         ipv = F.INV[pv]                      # INV[0] = 0 keeps dead lanes typed
-        M[:, col, :] = F.MUL[ipv[:, None], M[:, col, :]]
-        if need_inv:
-            inv[:, col, :] = F.MUL[ipv[:, None], inv[:, col, :]]
+        if not need_inv:
+            fac = mul(M[:, col + 1:, col], ipv[:, None])
+            M[:, col + 1:, col + 1:] = msub(M[:, col + 1:, col + 1:], fac[:, :, None],
+                                            M[:, col:col + 1, col + 1:])
+            continue
+        M[:, col] = mul(ipv[:, None], M[:, col])
+        inv[:, col] = mul(ipv[:, None], inv[:, col])
         fac = M[:, :, col].copy()
         fac[:, col] = 0
-        M = F.SUB[M, F.MUL[fac[:, :, None], M[:, col:col + 1, :]]]
-        if need_inv:
-            inv = F.SUB[inv, F.MUL[fac[:, :, None], inv[:, col:col + 1, :]]]
-    return det, inv, det != 0
+        M = msub(M, fac[:, :, None], M[:, col:col + 1, :])
+        inv = msub(inv, fac[:, :, None], inv[:, col:col + 1, :])
+    det = det.astype(np.int16)
+    return det, inv.astype(np.int16) if need_inv else None, det != 0
 
 
 def det_batch(F: FiniteField, A: np.ndarray) -> np.ndarray:

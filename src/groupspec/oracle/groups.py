@@ -195,18 +195,18 @@ def sample_matrices(kind: str, n: int, q: int, count: int, rng,
 
 
 def _sample_linear(F: FiniteField, n: int, count: int, rng, kind: str) -> np.ndarray:
-    got = []
+    got, dets = [], []
     have = 0
     while have < count:
         draw = max(64, int((count - have) * 1.7) + 8)
         cand = rng.integers(0, F.q, size=(draw, n, n)).astype(np.int16)
-        det = det_inv_batch(F, cand, need_inv=False)[0]
-        good = cand[det != 0]
-        got.append(good)
-        have += len(good)
+        det, _, ok = det_inv_batch(F, cand, need_inv=False)
+        got.append(cand[ok])
+        dets.append(det[ok])
+        have += len(got[-1])
     out = np.concatenate(got)[:count]
     if kind == "SL":
-        det = det_inv_batch(F, out, need_inv=False)[0]
+        det = np.concatenate(dets)[:count]
         out[:, :, -1] = F.MUL[F.INV[det][:, None], out[:, :, -1]]
     return out
 

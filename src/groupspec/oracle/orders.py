@@ -1,12 +1,22 @@
 """Exact element orders of matrices over F_q, scalar and batched.
 
 Every order divides B = p^ceil(log_p n) * lcm(q^i - 1, i <= n), so orders are
-computed by peeling primes off B rather than by iterating powers: for each
-prime power r^e || B the matrix T = X^(B / r^e) has order r^j with j minimal
-such that T^(r^j) is trivial, and the order is the product of those r^j.
+computed from B rather than by iterating powers: for each prime power r^e || B
+the matrix T = X^(B / r^e) has order r^j with j minimal such that T^(r^j) is
+trivial, and the order is the product of those r^j.
+
+The T are reached down a product tree over the prime powers of B, so that
+they share their squarings. A node for a set S of primes holds
+Y = X^(B / prod_S r^e); it splits S into halves L and R, where prod_L r^e and
+prod_R r^e are closest in size, and hands Y^(prod_R r^e) to L and
+Y^(prod_L r^e) to R. A leaf is a single T, raised to the r-th power until it
+is trivial. Lanes whose Y is already trivial (the identity, or a scalar when
+projective) have order coprime to S and leave the tree there.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,21 +41,37 @@ def orders_batch(F: FiniteField, X: np.ndarray, bound: Factorization,
                  projective: bool = False) -> np.ndarray:
     """Orders of X in GL (projective=False) or PGL (projective=True)."""
     trivial = is_scalar_batch if projective else is_identity_batch
-    B = bound.value
     out = np.ones(X.shape[0], np.int64)
-    for r, e in bound:
-        cur = mat_pow(F, X, B // r ** e)
-        for _ in range(e):
-            notdone = ~trivial(F, cur)
-            if not notdone.any():
-                break
-            idx = np.nonzero(notdone)[0]
-            cur[idx] = mat_pow(F, cur[idx], r)
-            out[idx] *= r
-        else:
-            if not trivial(F, cur).all():
-                raise AssertionError("order exceeds its bound")  # unreachable
+    _order_tree(F, X, np.arange(X.shape[0]), list(bound), trivial, out)
     return out
+
+
+def _order_tree(F, Y, lanes, primes, trivial, out):
+    """Multiply into out[lanes] the orders' parts at primes, where
+    Y = X^(B / prod of r^e over primes). Lanes already trivial drop out."""
+    live = ~trivial(F, Y)
+    if not live.all():
+        Y, lanes = Y[live], lanes[live]
+    if not len(lanes):
+        return
+    if len(primes) > 1:
+        powers = [r ** e for r, e in primes]
+        total = math.prod(powers)
+        half = min(range(1, len(primes)),
+                   key=lambda h: abs(math.log(total / math.prod(powers[:h]) ** 2)))
+        left = math.prod(powers[:half])
+        _order_tree(F, mat_pow(F, Y, total // left), lanes, primes[:half], trivial, out)
+        _order_tree(F, mat_pow(F, Y, left), lanes, primes[half:], trivial, out)
+        return
+    (r, e), = primes
+    for _ in range(e):
+        Y = mat_pow(F, Y, r)
+        out[lanes] *= r
+        live = ~trivial(F, Y)
+        if not live.any():
+            return
+        Y, lanes = Y[live], lanes[live]
+    raise AssertionError("order exceeds its bound")  # unreachable
 
 
 def matrix_orders_batch(F, X, bound):

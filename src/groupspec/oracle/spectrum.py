@@ -23,7 +23,7 @@ import numpy as np
 
 from ..arith import UsageError
 from ..coset import CosetSpectrum, graph_coset
-from ..spectra import (GroupSpec, Spectrum, spectrum_linear,
+from ..spectra import (GroupSpec, Spectrum, divisors, spectrum_linear,
                        spectrum_symplectic)
 from .batch import det_batch
 from .groups import (DEFAULT_ENUM_BOUND, enumerate_matrices, group_order,
@@ -138,16 +138,6 @@ def brute_spectrum(kind: str, n: int, q: int, *,
     }
 
 
-def _closure(values) -> set:
-    out: set = set()
-    for v in values:
-        for d in range(1, int(math.isqrt(v)) + 1):
-            if v % d == 0:
-                out.add(d)
-                out.add(v // d)
-    return out
-
-
 def verify_group(spec: GroupSpec, *, mode: str = "full", samples: int = 100_000,
                  seed: int = 0, enum_bound: int = DEFAULT_ENUM_BOUND,
                  threads: int = 1, order_kind: str | None = None) -> dict:
@@ -178,7 +168,7 @@ def verify_group(spec: GroupSpec, *, mode: str = "full", samples: int = 100_000,
     attained = set(report["attained"])
     violations = sorted(v for v in attained if v not in formula)
     if mode == "full":
-        missing = sorted(formula.all_values() - _closure(attained))
+        missing = sorted(formula.all_values() - set().union(*map(divisors, attained)))
         verdict = "PASS" if not violations and not missing else "FAIL"
         report["missing"] = missing
     else:

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import groupspec.cli as cli
+from groupspec.arith import UsageError, save_factor_cache
 import groupspec.oracle.spectrum as oracle_spectrum
 from groupspec.spectra import Spectrum
 
@@ -197,6 +198,20 @@ def test_factor_cache_round_trip(tmp_path):
     code, second, _ = run_cli("spectrum", "PSL(3,49)", "--cache", str(cache))
     assert code == 0
     assert first == second
+
+
+def test_factor_cache_missing_directory(tmp_path):
+    cache = tmp_path / "missing_dir" / "f.txt"
+    code, out, err = run_cli("spectrum", "PSL(3,3)", "--cache", str(cache))
+    assert code == 2
+    assert out == b""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not cache.parent.exists()
+
+
+def test_factor_cache_write_error_is_a_usage_error(tmp_path):
+    with pytest.raises(UsageError, match="cannot write factor cache"):
+        save_factor_cache(str(tmp_path))       # a directory, not a file
 
 
 @pytest.mark.parametrize("line,fragment", [

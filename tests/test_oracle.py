@@ -3,6 +3,7 @@ enumeration, the conjugation criterion and witness construction."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -17,6 +18,7 @@ from groupspec.oracle.batch import (
     det_inv_batch,
     encode_batch,
     identity_batch,
+    is_identity_batch,
     is_scalar_batch,
     mat_mul,
     mat_pow,
@@ -209,6 +211,45 @@ def test_mat_pow_matches_iterated_mul():
     for e in range(6):
         assert (mat_pow(F, A, e) == cur).all()
         cur = mat_mul(F, cur, A)
+    assert (mat_pow(F, A[0], 0) == np.eye(3, dtype=np.int16)).all()
+    assert not np.shares_memory(mat_pow(F, A, 1), A)    # callers write into it
+
+
+FIELDS = [(3, 1), (5, 1), (13, 1), (23, 1), (3, 2), (5, 2)]
+
+
+def _leibniz_det(F, g):
+    n = len(g)
+    acc = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i in range(n):
+            term = F.mul(term, int(g[i][perm[i]]))
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        acc = F.sub(acc, term) if inversions % 2 else F.add(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("p,m", FIELDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_forward_elimination_matches_gauss_jordan(p, m, n):
+    F = FiniteField(p, m)
+    rng = np.random.default_rng(100 * p + 10 * m + n)
+    A = rng.integers(0, F.q, size=(300, n, n)).astype(np.int16)
+    A[0] = 0                                    # zero matrix
+    A[1, :, 0] = 0                              # zero column
+    A[2, -1] = A[2, 0]                          # repeated row
+    A[3] = np.eye(n, dtype=np.int16)[::-1]      # permutation: every pivot off the diagonal
+    A[4, 0, 0] = 0                              # zero leading pivot
+    det, _, ok = det_inv_batch(F, A, need_inv=False)
+    full, inv, ok_full = det_inv_batch(F, A)
+    assert det.dtype == full.dtype == np.int16
+    assert (det == full).all() and (ok == ok_full).all()
+    assert not ok[:2].any() and (n == 1 or not ok[2])
+    assert (mat_mul(F, A[ok], inv[ok]) == identity_batch(F, n, int(ok.sum()))).all()
+    if n <= 4:
+        for g, d in zip(A[:12], det[:12]):
+            assert int(d) == _leibniz_det(F, g)
 
 
 def test_encode_decode_round_trip():
@@ -234,22 +275,40 @@ def test_is_scalar_batch():
 # element orders
 
 
-def test_orders_batch_against_naive_powers():
-    F = FiniteField(5, 1)
-    rng = np.random.default_rng(5)
-    mats = sample_matrices("GL", 2, 5, 50, rng)
-    bound = order_bound_fact(2, 5, 5)
-    got = matrix_orders_batch(F, mats, bound)
-    eye = identity_batch(F, 2, 50)
-    cur = mats.copy()
-    naive = np.zeros(50, np.int64)
-    for k in range(1, bound.value + 1):
-        done = (cur == eye).all(axis=(1, 2)) & (naive == 0)
-        naive[done] = k
-        if naive.all():
-            break
-        cur = mat_mul(F, cur, mats)
-    assert (got == naive).all()
+def _naive_orders(F, X, trivial, limit):
+    out = np.zeros(len(X), np.int64)
+    cur = X.copy()
+    for k in range(1, limit + 1):
+        out[trivial(F, cur) & (out == 0)] = k
+        if out.all():
+            return out
+        cur = mat_mul(F, cur, X)
+    raise AssertionError("naive powering did not reach every order")
+
+
+def _special_mats(F, n):
+    """Identity, a scalar, a unipotent Jordan block and a scalar times it."""
+    eye = np.eye(n, dtype=np.int16)
+    c = F.primitive
+    jordan = eye.copy()
+    jordan[np.arange(n - 1), np.arange(1, n)] = 1
+    return np.stack([eye, c * eye, jordan,
+                     np.vectorize(lambda x: F.mul(c, int(x)))(jordan).astype(np.int16)])
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 5), (2, 9), (2, 13), (2, 23), (2, 25),
+                                 (4, 3), (3, 9), (4, 5), (5, 3)])
+@pytest.mark.parametrize("projective", [False, True])
+def test_orders_batch_against_naive_powers(n, q, projective):
+    F = make_field("GL", q)
+    bound = order_bound_fact(n, F.q, F.p)
+    mats = np.concatenate([_special_mats(F, n),
+                           sample_matrices("GL", n, q, 40, np.random.default_rng(n * q))])
+    trivial = is_scalar_batch if projective else is_identity_batch
+    got = (projective_orders_batch if projective else matrix_orders_batch)(F, mats, bound)
+    assert (got == _naive_orders(F, mats, trivial, bound.value)).all()
+    assert (bound.value % got == 0).all()
+    assert got[0] == 1 and got[1] == (1 if projective else F.q - 1)
 
 
 def test_projective_order_divides_matrix_order():
