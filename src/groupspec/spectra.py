@@ -103,14 +103,15 @@ class Spectrum:
 
     def __post_init__(self):
         gens = self.generators
-        if list(gens) != sorted(gens, reverse=True):
-            raise UsageError("generators must be strictly descending")
-        for i, a in enumerate(gens):
-            for b in gens[i + 1:]:
-                if b % a == 0 or a % b == 0:
-                    raise UsageError("generators must form an antichain")
         if any(g < 1 for g in gens):
             raise UsageError("generators must be positive")
+        if any(a <= b for a, b in zip(gens, gens[1:])):
+            raise UsageError("generators must be strictly descending")
+        # for 0 < b < a, b % a == 0 is impossible: test a % b only
+        for i, a in enumerate(gens):
+            for b in gens[i + 1:]:
+                if a % b == 0:
+                    raise UsageError("generators must form an antichain")
 
     def contains(self, a: int) -> bool:
         return any(g % a == 0 for g in self.generators)
@@ -145,13 +146,20 @@ class Spectrum:
 
 
 def normalize(values) -> Spectrum:
-    """Antichain of maximal elements of the input under divisibility."""
+    """Antichain of maximal elements of the input under divisibility.
+
+    Scans the distinct values in descending order and keeps each one that
+    divides no value kept so far: quadratic in the number of values.
+    """
     vals = sorted(set(int(v) for v in values), reverse=True)
     if any(v < 1 for v in vals):
         raise UsageError("spectrum values must be positive")
     kept = []
     for v in vals:
-        if not any(w % v == 0 for w in kept):
+        for w in kept:
+            if w % v == 0:
+                break
+        else:
             kept.append(v)
     return Spectrum(tuple(kept))
 
@@ -178,43 +186,49 @@ def _partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def _signed_lcms(parts, target_parity: int | None):
-    """All lcm values of {q-power +/- 1 terms} over sign assignments to parts.
+def _lcm_table(n: int, cap: int, choices) -> list:
+    """Sets of lcm values over all partitions of every m <= n, by class.
 
-    parts is a list of (term_minus, term_plus, multiplicity) per distinct part,
-    where term_minus stands for sign -1 (value base^k + 1) and term_plus for
-    sign +1 (value base^k - 1). target_parity, when given, constrains the
-    number of -1 signs mod 2. Returns a set of lcm values.
+    cells[m] maps (number of parts capped at cap, parity of the -1 signs) to the
+    set of lcm values over the partitions of m in that class. choices(j, c)
+    lists the (term, parities) a part j taken c times may contribute. The table
+    is filled layer by layer over the part size j; m runs downwards, so the
+    cells read at m - c*j still hold the partitions into parts below j.
     """
-    choices_per_part = []
-    for term_minus, term_plus, mult in parts:
-        opts = [((term_plus,), frozenset([0]))]          # all signs +1
-        opts.append(((term_minus,), frozenset([mult % 2])))  # all signs -1
-        if mult >= 2:
-            parities = frozenset([1]) if mult == 2 else frozenset([0, 1])
-            opts.append(((term_minus, term_plus), parities))
-        choices_per_part.append(opts)
-
-    out = set()
-
-    def walk(idx, acc_terms, acc_parities):
-        if idx == len(choices_per_part):
-            if target_parity is None or target_parity in acc_parities:
-                out.add(lcm_list(acc_terms))
-            return
-        for terms, parities in choices_per_part[idx]:
-            nxt = frozenset((a + b) % 2 for a in acc_parities for b in parities)
-            walk(idx + 1, acc_terms + list(terms), nxt)
-
-    walk(0, [], frozenset([0]))
-    return out
+    cells: list = [{} for _ in range(n + 1)]
+    cells[0][(0, 0)] = {1}
+    for j in range(1, n + 1):
+        for m in range(n, j - 1, -1):
+            cell = cells[m]
+            for c in range(1, m // j + 1):
+                opts = choices(j, c)
+                for (parts, parity), vals in cells[m - c * j].items():
+                    capped = min(parts + c, cap)
+                    for term, parities in opts:
+                        new = {math.lcm(v, term) for v in vals}
+                        for extra in parities:
+                            cell.setdefault((capped, parity ^ extra), set()).update(new)
+    return cells
 
 
-def _distinct_with_mult(partition):
-    seen = {}
-    for part in partition:
-        seen[part] = seen.get(part, 0) + 1
-    return sorted(seen.items(), reverse=True)
+def _signed_choices(q: int, track_parity: bool):
+    """Sign choices for a part j of multiplicity c, each term q^j - 1 or q^j + 1.
+
+    All c signs +1 give q^j - 1 (parity 0); all -1 give q^j + 1 (parity c mod 2);
+    both signs, when c >= 2, give their lcm with parity 1 if c = 2 and either
+    parity otherwise. Without track_parity every choice has parity 0.
+    """
+    def choices(j: int, c: int):
+        plus, minus = q ** j - 1, q ** j + 1
+        opts = [(plus, (0,)), (minus, (c % 2,))]
+        if c >= 2:
+            opts.append((math.lcm(plus, minus), (1,) if c == 2 else (0, 1)))
+        return opts if track_parity else [(term, (0,)) for term, _ in opts]
+    return choices
+
+
+def _sorted_items(items: dict) -> dict:
+    return {kind: sorted(set(vals)) for kind, vals in items.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +236,15 @@ def _distinct_with_mult(partition):
 
 
 def spectrum_linear_items(spec: GroupSpec) -> dict:
-    """Raw generator lists, keyed by construction kind. Debug/test accessor."""
+    """Generator candidates of spectrum_linear, keyed by construction kind.
+
+    Each kind's list is sorted and duplicate-free. The torus kinds are lcms of
+    q^k - eps^k over the parts of a partition of n (one part, two parts, three
+    or more); the unipotent kinds are p^t times such an lcm over a partition of
+    n1 = n - p^(t-1) - 1 (one part, two or more), or a bare p-power. One lcm
+    table over 0..n serves many_part_torus and every unipotent level t.
+    Debug/test accessor.
+    """
     if spec.family not in ("PSL", "PGL"):
         raise UsageError("spectrum_linear covers PSL and PGL only")
     n, p, q, eps = spec.n, spec.p, spec.q, spec.eps
@@ -238,16 +260,14 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
         n2 = n - n1
         div = math.gcd(n // math.gcd(n1, n2), d)
         items["two_part_torus"].append(lcm_list([term(n1), term(n2)]) // div)
-    for part in _partitions(n):
-        if len(part) >= 3:
-            items["many_part_torus"].append(lcm_list([term(k) for k in part]))
+    cells = _lcm_table(n, 3, lambda j, c: ((term(j), (0,)),))
+    items["many_part_torus"] += cells[n].get((3, 0), ())
     pt, t = 1, 1  # pt = p^(t-1)
     while pt + 2 <= n:
         n1 = n - pt - 1
         items["unipotent_torus"].append(p ** t * term(n1) // d)
-        for part in _partitions(n1):
-            if len(part) >= 2:
-                items["unipotent_many"].append(p ** t * lcm_list([term(k) for k in part]))
+        for parts in (2, 3):
+            items["unipotent_many"] += [p ** t * v for v in cells[n1].get((parts, 0), ())]
         pt *= p
         t += 1
     # p^t occurs exactly when the dimension is p^(t-1) + 1
@@ -260,7 +280,7 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
             e += 1
         if x == 1 and e >= 1:
             items["unipotent"].append(p ** (e + 1))
-    return items
+    return _sorted_items(items)
 
 
 @lru_cache(maxsize=4096)
@@ -285,16 +305,23 @@ def _symplectic_constants(spec: GroupSpec):
 
 
 def spectrum_symplectic_items(spec: GroupSpec) -> dict:
+    """Generator candidates of spectrum_symplectic, keyed by construction kind.
+
+    Each kind's list is sorted and duplicate-free. The torus kinds are lcms of
+    q^k - 1 or q^k + 1 over the parts of a partition of n, each part taking
+    either term or, when repeated, both (one part, two or more); the unipotent
+    kinds are p^t times such an lcm over a partition of n1 = n - (p^(t-1) + 1)/2,
+    or 2 p^t. One lcm table over 0..n serves many_part_torus and every
+    unipotent level t.
+    """
     n, p, q = spec.n, spec.p, spec.q
     d, c = _symplectic_constants(spec)
 
     items: dict = {k: [] for k in ("torus", "many_part_torus",
                                    "unipotent_torus", "unipotent_many", "unipotent")}
     items["torus"] += [(q ** n - 1) // d, (q ** n + 1) // d]
-    for part in _partitions(n):
-        if len(part) >= 2:
-            dist = [(q ** k + 1, q ** k - 1, mult) for k, mult in _distinct_with_mult(part)]
-            items["many_part_torus"] += sorted(_signed_lcms(dist, None))
+    cells = _lcm_table(n, 2, _signed_choices(q, track_parity=False))
+    items["many_part_torus"] += cells[n].get((2, 0), ())
     pt, t = 1, 1
     while True:
         n1 = n - (pt + 1) // 2
@@ -302,10 +329,7 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
             break
         items["unipotent_torus"] += [p ** t * (q ** n1 - 1) // c,
                                      p ** t * (q ** n1 + 1) // c]
-        for part in _partitions(n1):
-            if len(part) >= 2:
-                dist = [(q ** k + 1, q ** k - 1, mult) for k, mult in _distinct_with_mult(part)]
-                items["unipotent_many"] += [p ** t * v for v in sorted(_signed_lcms(dist, None))]
+        items["unipotent_many"] += [p ** t * v for v in cells[n1].get((2, 0), ())]
         pt *= p
         t += 1
     # 2 p^t present exactly when the dimension 2n is p^(t-1) + 1
@@ -315,7 +339,7 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
         e += 1
     if x == 1:
         items["unipotent"].append(2 * p ** (e + 1) // d)
-    return items
+    return _sorted_items(items)
 
 
 @lru_cache(maxsize=4096)
@@ -330,6 +354,14 @@ def spectrum_symplectic(spec: GroupSpec) -> Spectrum:
 
 
 def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
+    """Generator candidates of spectrum_orthogonal_semisimple, keyed by kind.
+
+    Each kind's list is sorted and duplicate-free. many_part_torus holds the
+    lcms of q^k - 1 or q^k + 1 over partitions of n into two or more parts
+    (OmegaEven) or three or more (POmegaEven), each part taking either term or,
+    when repeated, both, with the number of -1 signs even for eps = +1 and odd
+    for eps = -1.
+    """
     if spec.family not in ("OmegaEven", "POmegaEven"):
         raise UsageError("spectrum_orthogonal_semisimple covers OmegaEven and POmegaEven")
     n, q, eps = spec.n, spec.q, spec.eps
@@ -338,10 +370,7 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
     items: dict = {k: [] for k in ("torus", "two_part_torus", "many_part_torus")}
     if spec.family == "OmegaEven":
         items["torus"].append((q ** n - eps) // 2)
-        for part in _partitions(n):
-            if len(part) >= 2:
-                dist = [(q ** k + 1, q ** k - 1, mult) for k, mult in _distinct_with_mult(part)]
-                items["many_part_torus"] += sorted(_signed_lcms(dist, target))
+        min_parts = 2
     else:
         items["torus"].append((q ** n - eps) // math.gcd(4, q ** n - eps))
         for n1 in range(1, n):
@@ -351,11 +380,10 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
                 b = q ** n2 - eps * kappa
                 e = 2 if two_part(a) == two_part(b) else 1
                 items["two_part_torus"].append(lcm_list([a, b]) // e)
-        for part in _partitions(n):
-            if len(part) >= 3:
-                dist = [(q ** k + 1, q ** k - 1, mult) for k, mult in _distinct_with_mult(part)]
-                items["many_part_torus"] += sorted(_signed_lcms(dist, target))
-    return items
+        min_parts = 3
+    cells = _lcm_table(n, min_parts, _signed_choices(q, track_parity=True))
+    items["many_part_torus"] += cells[n].get((min_parts, target), ())
+    return _sorted_items(items)
 
 
 @lru_cache(maxsize=4096)

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from groupspec.arith import UsageError
+from groupspec.arith import UsageError, lcm_list, two_part
 from groupspec.spectra import (
     GroupSpec,
     Spectrum,
+    _partitions,
+    _symplectic_constants,
     check_2adj,
     divisors,
     normalize,
     spectrum_linear,
     spectrum_linear_items,
     spectrum_orthogonal_semisimple,
+    spectrum_orthogonal_semisimple_items,
     spectrum_symplectic,
+    spectrum_symplectic_items,
 )
 
 S = GroupSpec.from_q
@@ -67,11 +73,26 @@ def test_psl_inside_pgl():
             assert pgl.contains(g)
 
 
+ITEMS_CASES = [
+    (spectrum_linear_items, spectrum_linear, S("PSL", 4, 3)),
+    (spectrum_linear_items, spectrum_linear, S("PGL", 9, 5, -1)),
+    (spectrum_symplectic_items, spectrum_symplectic, S("Sp", 6, 3)),
+    (spectrum_symplectic_items, spectrum_symplectic, S("OmegaOdd", 5, 9)),
+    (spectrum_orthogonal_semisimple_items, spectrum_orthogonal_semisimple,
+     S("OmegaEven", 6, 5, -1)),
+    (spectrum_orthogonal_semisimple_items, spectrum_orthogonal_semisimple,
+     S("POmegaEven", 7, 3, 1)),
+]
+
+
 def test_linear_items_cover_spectrum():
-    spec = S("PSL", 4, 3)
-    items = spectrum_linear_items(spec)
-    pooled = [v for values in items.values() for v in values]
-    assert normalize(pooled).generators == spectrum_linear(spec).generators
+    # all three item accessors, not only the linear one
+    for items_fn, spectrum_fn, spec in ITEMS_CASES:
+        items = items_fn(spec)
+        for values in items.values():
+            assert values == sorted(set(values)), (spec, values)
+        pooled = [v for values in items.values() for v in values]
+        assert normalize(pooled).generators == spectrum_fn(spec).generators, spec
 
 
 def test_unitary_differs_from_linear():
@@ -130,8 +151,11 @@ def test_spectrum_rejects_non_antichain():
         Spectrum((12, 6))
     with pytest.raises(UsageError):
         Spectrum((6, 12))
-    with pytest.raises(UsageError):
-        Spectrum((4, 0))
+    for gens in ((4, 0), (6, 6), (6, 0), (0,), (-3,)):
+        with pytest.raises(UsageError):
+            Spectrum(gens)
+    assert Spectrum((12, 9, 8)).generators == (12, 9, 8)
+    assert Spectrum(()).generators == ()
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +193,164 @@ def test_group_spec_rejects_bad_input():
         S("PSL", 1, 3, 1)            # rank below the supported range
     with pytest.raises(UsageError):
         S("PXL", 3, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# equivalence sweep: the lcm table against per-partition enumeration
+#
+# The reference below lists the construction of every spectrum_*_items kind
+# partition by partition, as the closed forms were first written; the table in
+# groupspec.spectra must give the same value set for every kind.
+
+
+def _reference_signed_lcms(part, q, target_parity):
+    """lcm values over the sign assignments to the parts of one partition.
+
+    A part k of multiplicity c takes q^k - 1 (parity 0), q^k + 1 (parity
+    c mod 2), or both when c >= 2 (parity 1 if c == 2, else either).
+    target_parity, when given, constrains the number of -1 signs mod 2.
+    """
+    choices_per_part = []
+    for k in sorted(set(part), reverse=True):
+        mult = part.count(k)
+        opts = [((q ** k - 1,), frozenset([0])),
+                ((q ** k + 1,), frozenset([mult % 2]))]
+        if mult >= 2:
+            parities = frozenset([1]) if mult == 2 else frozenset([0, 1])
+            opts.append(((q ** k + 1, q ** k - 1), parities))
+        choices_per_part.append(opts)
+
+    out = set()
+
+    def walk(idx, acc_terms, acc_parities):
+        if idx == len(choices_per_part):
+            if target_parity is None or target_parity in acc_parities:
+                out.add(lcm_list(acc_terms))
+            return
+        for terms, parities in choices_per_part[idx]:
+            nxt = frozenset((a + b) % 2 for a in acc_parities for b in parities)
+            walk(idx + 1, acc_terms + list(terms), nxt)
+
+    walk(0, [], frozenset([0]))
+    return out
+
+
+def _reference_linear_items(spec):
+    n, p, q, eps = spec.n, spec.p, spec.q, spec.eps
+    d = math.gcd(n, q - eps) if spec.family == "PSL" else 1
+
+    def term(k):
+        return q ** k - eps ** k
+
+    items = {k: [] for k in ("torus", "two_part_torus", "many_part_torus",
+                             "unipotent_torus", "unipotent_many", "unipotent")}
+    items["torus"].append(term(n) // ((q - eps) * d))
+    for n1 in range(1, n // 2 + 1):
+        n2 = n - n1
+        div = math.gcd(n // math.gcd(n1, n2), d)
+        items["two_part_torus"].append(lcm_list([term(n1), term(n2)]) // div)
+    for part in _partitions(n):
+        if len(part) >= 3:
+            items["many_part_torus"].append(lcm_list([term(k) for k in part]))
+    pt, t = 1, 1
+    while pt + 2 <= n:
+        n1 = n - pt - 1
+        items["unipotent_torus"].append(p ** t * term(n1) // d)
+        for part in _partitions(n1):
+            if len(part) >= 2:
+                items["unipotent_many"].append(p ** t * lcm_list([term(k) for k in part]))
+        pt *= p
+        t += 1
+    if n - 1 == 1:
+        items["unipotent"].append(p)
+    else:
+        e, x = 0, n - 1
+        while x % p == 0:
+            x //= p
+            e += 1
+        if x == 1 and e >= 1:
+            items["unipotent"].append(p ** (e + 1))
+    return items
+
+
+def _reference_symplectic_items(spec):
+    n, p, q = spec.n, spec.p, spec.q
+    d, c = _symplectic_constants(spec)
+    items = {k: [] for k in ("torus", "many_part_torus",
+                             "unipotent_torus", "unipotent_many", "unipotent")}
+    items["torus"] += [(q ** n - 1) // d, (q ** n + 1) // d]
+    for part in _partitions(n):
+        if len(part) >= 2:
+            items["many_part_torus"] += _reference_signed_lcms(part, q, None)
+    pt, t = 1, 1
+    while n - (pt + 1) // 2 >= 1:
+        n1 = n - (pt + 1) // 2
+        items["unipotent_torus"] += [p ** t * (q ** n1 - 1) // c,
+                                     p ** t * (q ** n1 + 1) // c]
+        for part in _partitions(n1):
+            if len(part) >= 2:
+                items["unipotent_many"] += [p ** t * v
+                                            for v in _reference_signed_lcms(part, q, None)]
+        pt *= p
+        t += 1
+    e, x = 0, 2 * n - 1
+    while x % p == 0:
+        x //= p
+        e += 1
+    if x == 1:
+        items["unipotent"].append(2 * p ** (e + 1) // d)
+    return items
+
+
+def _reference_orthogonal_items(spec):
+    n, q, eps = spec.n, spec.q, spec.eps
+    target = 0 if eps == 1 else 1
+    items = {k: [] for k in ("torus", "two_part_torus", "many_part_torus")}
+    if spec.family == "OmegaEven":
+        items["torus"].append((q ** n - eps) // 2)
+        min_parts = 2
+    else:
+        items["torus"].append((q ** n - eps) // math.gcd(4, q ** n - eps))
+        for n1 in range(1, n):
+            n2 = n - n1
+            for kappa in (1, -1):
+                a = q ** n1 - kappa
+                b = q ** n2 - eps * kappa
+                e = 2 if two_part(a) == two_part(b) else 1
+                items["two_part_torus"].append(lcm_list([a, b]) // e)
+        min_parts = 3
+    for part in _partitions(n):
+        if len(part) >= min_parts:
+            items["many_part_torus"] += _reference_signed_lcms(part, q, target)
+    return items
+
+
+SWEEP_Q = (3, 5, 7, 9, 25)
+SWEEP = {
+    "PSL": (spectrum_linear_items, spectrum_linear, _reference_linear_items, 2),
+    "PGL": (spectrum_linear_items, spectrum_linear, _reference_linear_items, 2),
+    "Sp": (spectrum_symplectic_items, spectrum_symplectic, _reference_symplectic_items, 1),
+    "PSp": (spectrum_symplectic_items, spectrum_symplectic, _reference_symplectic_items, 1),
+    "OmegaOdd": (spectrum_symplectic_items, spectrum_symplectic,
+                 _reference_symplectic_items, 1),
+    "OmegaEven": (spectrum_orthogonal_semisimple_items, spectrum_orthogonal_semisimple,
+                  _reference_orthogonal_items, 2),
+    "POmegaEven": (spectrum_orthogonal_semisimple_items, spectrum_orthogonal_semisimple,
+                   _reference_orthogonal_items, 2),
+}
+
+
+@pytest.mark.parametrize("family", list(SWEEP))
+def test_lcm_table_matches_partition_enumeration(family):
+    items_fn, spectrum_fn, reference_fn, min_n = SWEEP[family]
+    signs = (1, -1) if family in ("PSL", "PGL", "OmegaEven", "POmegaEven") else (1,)
+    for n in range(min_n, 15):
+        for q in SWEEP_Q:
+            for eps in signs:
+                spec = S(family, n, q, eps)
+                items, ref = items_fn(spec), reference_fn(spec)
+                assert list(items) == list(ref), spec
+                for kind in ref:
+                    assert set(items[kind]) == set(ref[kind]), (spec, kind)
+                pooled = [v for values in ref.values() for v in values]
+                assert spectrum_fn(spec).generators == normalize(pooled).generators, spec
