@@ -61,6 +61,17 @@ def r_part(a: int, r: int) -> int:
     return out
 
 
+def p_power_exponent(x: int, p: int):
+    """s >= 0 with x = p^s, else None."""
+    if x < 1:
+        return None
+    s = 0
+    while x % p == 0:
+        x //= p
+        s += 1
+    return s if x == 1 else None
+
+
 def pi_part(a: int, b: int) -> int:
     """(a)_b: the largest divisor of a all of whose prime divisors divide b.
 

@@ -7,6 +7,14 @@ A coset spectrum is not divisor closed, so it is kept as a list of pieces
 
 where the constraint is "none", "p_divisible" (p | x) or "p_prime_only"
 (p does not divide x). Membership and maximal elements are computed piecewise.
+
+Every field, graph-field and extension coset goes through one dispatcher,
+_coset. A coset wL and w^j L share their orders when gcd(j, |w|) = 1, and for
+w = phi^a tau^c delta^i they are read off the cyclic subgroup <phi^a tau^c>:
+it fixes a subfield F_q0 and has order k on F_q, and the coset orders are k
+times those of PSL_n(q0) or PSU_n(q0), or, when tau survives in the k-th
+power, k times those of the graph coset of PSL_n(q0). delta^i decides only
+whether a closed form applies.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import UsageError, odd_part, r_part, two_part
+from .arith import UsageError, odd_part, p_power_exponent, r_part, two_part
 from .spectra import (GroupSpec, Spectrum, normalize,
                       spectrum_linear, spectrum_orthogonal_semisimple,
                       spectrum_symplectic)
@@ -124,10 +132,6 @@ class CosetSpectrum:
                 for pc in self.pieces]
 
 
-def _linear_spec(n: int, q: int, eps: int, family: str = "PSL") -> GroupSpec:
-    return GroupSpec.from_q(family, n, q, eps)
-
-
 def _check_coset_args(n: int, q: int):
     spec = GroupSpec.from_q("PSL", max(n, 2), q)  # validates q odd prime power
     if n < 3:
@@ -202,18 +206,6 @@ class TauCriterionResult:
         return self.verdict == "equal"
 
 
-def _p_power_plus(n: int, p: int, offset: int):
-    """t >= 1 with n = p^(t-1) + offset, or None."""
-    x = n - offset
-    if x < 1:
-        return None
-    t = 1
-    while x % p == 0:
-        x //= p
-        t += 1
-    return t if x == 1 else None
-
-
 def tau_criterion(n: int, q: int, eps: int) -> TauCriterionResult:
     """Compare the spectrum of the graph extension of PSL_n^eps(q) with the socle.
 
@@ -225,15 +217,15 @@ def tau_criterion(n: int, q: int, eps: int) -> TauCriterionResult:
         raise UsageError("eps must be +1 or -1")
     triggered = []
 
-    t = _p_power_plus(n, p, 2)
-    if t is not None and (q + eps) % 4 == 0:
-        triggered.append((1, 4 * p ** t))
+    s = p_power_exponent(n - 2, p)
+    if s is not None and (q + eps) % 4 == 0:
+        triggered.append((1, 4 * p ** (s + 1)))
     if n >= 3 and n - 1 == two_part(n - 1) and math.gcd(n, q - eps) > 1:
         half = (n - 1) // 2
         triggered.append((2, 2 * (q ** half - eps ** half)))
-    t = _p_power_plus(n, p, 1)
-    if t is not None:
-        triggered.append((3, 2 * p ** t))
+    s = p_power_exponent(n - 1, p)
+    if s is not None:
+        triggered.append((3, 2 * p ** (s + 1)))
     if n % 2 == 0 and two_part(n) <= two_part(q - eps) and (q - eps) % 4 == 0:
         half = n // 2
         triggered.append((4, q ** half + eps ** half))
@@ -250,29 +242,48 @@ def tau_criterion(n: int, q: int, eps: int) -> TauCriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# field and graph-field cosets
+# field, graph-field and extension cosets
 
 
-def _psl(n: int, q: int) -> Spectrum:
-    return spectrum_linear(_linear_spec(n, q, 1))
+def _coset(w) -> CosetSpectrum:
+    """Spectrum of the coset w L for an OutElement w = phi^a tau^c delta^i.
 
-
-def _psu(n: int, q: int) -> Spectrum:
-    return spectrum_linear(_linear_spec(n, q, -1))
-
-
-def _sp_coset(n: int, q0: int, k: int, p: int) -> CosetSpectrum:
-    sp = spectrum_symplectic(GroupSpec.from_q("Sp", (n - 1) // 2, q0))
-    return CosetSpectrum((Piece(2 * k, sp),), p)
+    The answer depends only on the cyclic subgroup generated by x = phi^a tau^c:
+    it fixes the field of q0 = p^g, g = gcd(a, m), and has order k = m / g on
+    F_q. If tau survives in x^k, the coset orders are k times those of the
+    graph coset of PSL_n(q0); otherwise they are k times those of PSL_n^s(q0),
+    where the sign s is eps, flipped when c = 1 (on the unitary side tau is a
+    power of phi, so c = 0 there). The diagonal twist
+    delta^i is absorbed exactly when gcd(n, q0 - s) | i (odd n graph cosets
+    absorb every twist, even n ones the even twists). Returns UNSUPPORTED when
+    no closed form applies.
+    """
+    n, p, eps = w.n, w.p, w.eps
+    g = math.gcd(w.a, w.m)
+    k, q0 = w.m // g, p ** g
+    # x^k is tau^(ck) on the linear side, phi^(ak) = tau^(a/g) on the unitary side
+    if (w.a // g if eps == -1 else w.c * k) % 2:
+        if n % 2:
+            return graph_coset_psl_odd(n, q0).scaled(k)
+        return graph_coset_psl_even(n, q0).scaled(k) if w.i % 2 == 0 else UNSUPPORTED
+    s = -eps if w.c else eps
+    if w.i % math.gcd(n, q0 - s):
+        return UNSUPPORTED
+    base = spectrum_linear(GroupSpec("PSL", n, p, g, s))
+    return CosetSpectrum((Piece(k, base),), p)
 
 
 def field_coset_spectrum(n: int, q: int, eps: int, i: int, k: int, variant: str):
     """Spectrum of one coset of the simple group inside a field-type extension.
 
-    The coset is beta * delta^i * L with beta the canonical power of the field
-    automorphism of index k ("plain") or its product with the graph
-    automorphism ("graph"). Returns UNSUPPORTED when no closed form applies.
+    The coset is beta * delta^i * L with beta the canonical power phi^(m/k) of
+    the field automorphism ("plain") or its product with the graph automorphism
+    ("graph"); on the unitary side tau = phi^m, so for even k the two variants
+    generate the same cyclic subgroup and share their orders. Returns
+    UNSUPPORTED when no closed form applies.
     """
+    from .outer import OutElement  # outer imports this module
+
     p, m = _check_coset_args(n, q)
     if eps not in (1, -1):
         raise UsageError("eps must be +1 or -1")
@@ -280,45 +291,7 @@ def field_coset_spectrum(n: int, q: int, eps: int, i: int, k: int, variant: str)
         raise UsageError("variant must be 'plain' or 'graph'")
     if k < 1 or m % k != 0:
         raise UsageError("k must divide the field exponent")
-    q0 = p ** (m // k)
-
-    if eps == 1:
-        if variant == "plain":
-            if i % math.gcd(n, q0 - 1) == 0:
-                return CosetSpectrum((Piece(k, _psl(n, q0)),), p)
-            return UNSUPPORTED
-        if k % 2 == 0:
-            if i % math.gcd(n, q0 + 1) == 0:
-                return CosetSpectrum((Piece(k, _psu(n, q0)),), p)
-            return UNSUPPORTED
-        if n % 2 == 1:
-            return _sp_coset(n, q0, k, p)
-        if i % 2 == 0:
-            return graph_coset_psl_even(n, q0).scaled(k)
-        return UNSUPPORTED
-
-    # unitary socle
-    if variant == "plain":
-        if n % 2 == 1:
-            return _sp_coset(n, q0, k, p)
-        if i % 2 == 0:
-            return graph_coset_psl_even(n, q0).scaled(k)
-        return UNSUPPORTED
-    if k % 2 == 0:
-        return UNSUPPORTED
-    if i % math.gcd(n, q0 + 1) == 0:
-        return CosetSpectrum((Piece(k, _psu(n, q0)),), p)
-    return UNSUPPORTED
-
-
-def _merge_pieces(piece_lists, p: int) -> CosetSpectrum:
-    seen = {}
-    for pieces in piece_lists:
-        for pc in pieces:
-            seen[(pc.multiplier, pc.base.generators, pc.constraint)] = pc
-    ordered = sorted(seen.values(), key=lambda pc: (pc.multiplier, pc.constraint,
-                                                    pc.base.generators), reverse=True)
-    return CosetSpectrum(tuple(ordered), p)
+    return _coset(OutElement(eps, n, p, m, m // k, variant == "graph", i))
 
 
 def extension_spectrum(generator):
@@ -328,61 +301,13 @@ def extension_spectrum(generator):
     generator is an OutElement carrying the socle parameters. Returns
     UNSUPPORTED as soon as one coset has no closed form.
     """
-    n = generator.n
-    p, m, d, eps = generator.p, generator.m, generator.d, generator.eps
-    q = p ** m
-    order = generator.order()
-    piece_lists = []
-    for j in range(order):
-        w = generator.power(j)
-        res = _coset_pieces(n, q, p, m, d, eps, w.a, w.c, w.i)
+    seen = {}
+    for j in range(generator.order()):
+        res = _coset(generator.power(j))
         if is_unsupported(res):
             return UNSUPPORTED
-        piece_lists.append(res)
-    return _merge_pieces(piece_lists, p)
-
-
-def _coset_pieces(n, q, p, m, d, eps, a, c, i):
-    """Pieces for the single coset phi^a tau^c delta^i L, or UNSUPPORTED."""
-    if eps == 1:
-        if a % m == 0 and c == 0:
-            if i % d == 0:
-                return (Piece(1, _psl(n, q)),)
-            return UNSUPPORTED
-        if c == 0:
-            g = math.gcd(a, m)
-            q0 = p ** g
-            # delta part absorbs into the coset exactly when (n, q0-1) | i
-            if i % math.gcd(n, q0 - 1) == 0:
-                return (Piece(m // g, _psl(n, q0)),)
-            return UNSUPPORTED
-        g = math.gcd(a, m) if a % m else m
-        q0, k = p ** g, m // g
-        if k % 2 == 0:
-            if i % math.gcd(n, q0 + 1) == 0:
-                return (Piece(k, _psu(n, q0)),)
-            return UNSUPPORTED
-        if n % 2 == 1:
-            return _sp_coset(n, q0, k, p).pieces
-        if i % 2 == 0:
-            return graph_coset_psl_even(n, q0).scaled(k).pieces
-        return UNSUPPORTED
-
-    # unitary: a runs mod 2m, tau = phi^m
-    if a % (2 * m) == 0:
-        if i % d == 0:
-            return (Piece(1, _psu(n, q)),)
-        return UNSUPPORTED
-    o = 2 * m // math.gcd(a, 2 * m)
-    if o % 2 == 0:
-        k = o // 2
-        q0 = p ** (m // k)
-        if n % 2 == 1:
-            return _sp_coset(n, q0, k, p).pieces
-        if i % 2 == 0:
-            return graph_coset_psl_even(n, q0).scaled(k).pieces
-        return UNSUPPORTED
-    q0 = p ** (m // o)
-    if i % math.gcd(n, q0 + 1) == 0:
-        return (Piece(o, _psu(n, q0)),)
-    return UNSUPPORTED
+        for pc in res.pieces:
+            seen[(pc.multiplier, pc.base.generators, pc.constraint)] = pc
+    ordered = sorted(seen.values(), key=lambda pc: (pc.multiplier, pc.constraint,
+                                                    pc.base.generators), reverse=True)
+    return CosetSpectrum(tuple(ordered), generator.p)

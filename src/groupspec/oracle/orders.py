@@ -99,27 +99,3 @@ def tau_coset_orders_batch(F: FiniteField, X: np.ndarray,
     Y = mat_mul(F, X, transpose(inv))
     return 2 * projective_orders_batch(F, Y, bound)
 
-
-def frob_mat(F: FiniteField, g: np.ndarray, times: int = 1) -> np.ndarray:
-    out = g
-    for _ in range(times % F.m if F.m > 1 else 1):
-        out = F.FROB[out]
-    return out
-
-
-def twisted_field_coset_order(F: FiniteField, g: np.ndarray, k: int,
-                              bound: Factorization) -> int:
-    """Order of (beta g) Z for a field automorphism beta of order k: it equals
-    k * |N(g) Z| with N(g) = g^(sigma^(k-1)) ... g^sigma g, provided sigma^k
-    fixes g (sigma = entrywise Frobenius x -> x^p ... applied m/k times)."""
-    if F.m % k != 0:
-        raise ValueError("k must divide the field degree")
-    step = F.m // k
-    if not np.array_equal(frob_mat(F, g, step * k), g):
-        raise ValueError("matrix not fixed by sigma^k")
-    N = g
-    acc = g
-    for _ in range(k - 1):
-        acc = frob_mat(F, acc, step)
-        N = mat_mul(F, acc, N)
-    return k * projective_order(F, N, bound)

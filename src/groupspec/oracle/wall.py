@@ -74,23 +74,12 @@ def poly_divmod(F: FiniteField, a, b) -> tuple:
     return poly_trim(quo), poly_trim(a)
 
 
-def poly_mod(F, a, b):
-    return poly_divmod(F, a, b)[1]
-
-
 def poly_monic(F: FiniteField, a) -> tuple:
     a = poly_trim(a)
     if not a or a[-1] == 1:
         return a
     inv = F.inv(a[-1])
     return tuple(F.mul(inv, x) for x in a)
-
-
-def poly_gcd(F: FiniteField, a, b) -> tuple:
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_mod(F, a, b)
-    return poly_monic(F, a)
 
 
 def poly_eval(F: FiniteField, a, x: int) -> int:

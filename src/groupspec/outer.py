@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import UsageError, co_pi_part, odd_part, pi_part, two_part
+from .arith import (UsageError, co_pi_part, odd_part, p_power_exponent, pi_part,
+                    two_part)
 from .coset import TauCriterionResult, tau_criterion
 from .spectra import GroupSpec
 
@@ -126,14 +127,6 @@ def out_delta(eps: int, n: int, p: int, m: int) -> OutElement:
     return OutElement(eps, n, p, m, 0, 0, 1)
 
 
-def out_mul(x: OutElement, y: OutElement) -> OutElement:
-    return x.mul(y)
-
-
-def out_order(x: OutElement) -> int:
-    return x.order()
-
-
 def out_elements(eps: int, n: int, p: int, m: int, bound: int = OUT_ENUM_BOUND) -> list:
     template = out_identity(eps, n, p, m)
     d = template.d
@@ -213,22 +206,11 @@ class AdmissibilityReport:
     class_nontrivial: int | None
 
 
-def _p_power_exponent(x: int, p: int):
-    """s >= 0 with x = p^s, else None."""
-    if x < 1:
-        return None
-    s = 0
-    while x % p == 0:
-        x //= p
-        s += 1
-    return s if x == 1 else None
-
-
 def _two_power_split(n: int, p: int) -> bool:
     """n = p^s + 2^u + 1 with s >= 0, u >= 1."""
     u = 2
     while u <= n - 2:
-        if _p_power_exponent(n - 1 - u, p) is not None:
+        if p_power_exponent(n - 1 - u, p) is not None:
             return True
         u *= 2
     return False
@@ -274,7 +256,7 @@ def admissible_generators(spec: GroupSpec,
     kappa = 1 if p % 4 == 1 else -1
 
     if eps == 1:
-        t_exp = _p_power_exponent(n - 1, p)
+        t_exp = p_power_exponent(n - 1, p)
         if t_exp is not None and t_exp >= 1:
             # n - 1 is a positive power of p
             if n - 2 >= 2 and n - 2 == two_part(n - 2):
@@ -323,7 +305,7 @@ def admissible_generators(spec: GroupSpec,
                         gens.append(psi.mul(phi_hat).mul(eta))
                         rows.append("C-kappa-")
     else:
-        t_exp = _p_power_exponent(n - 1, p)
+        t_exp = p_power_exponent(n - 1, p)
         if t_exp is not None and t_exp >= 1:
             rows.append("U-empty")
         elif not tau_res.tau_admissible:

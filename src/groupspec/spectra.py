@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import UsageError, factorize, is_prime, lcm_list, two_part
+from .arith import (UsageError, factorize, is_prime, lcm_list, p_power_exponent,
+                    r_part, two_part)
 
 FAMILIES = (
     "PSL", "PGL", "SL",
@@ -131,12 +132,7 @@ class Spectrum:
 
     def restrict_coprime_to(self, p: int) -> "Spectrum":
         """Sub-spectrum of values coprime to p."""
-        gens = []
-        for g in self.generators:
-            while g % p == 0:
-                g //= p
-            gens.append(g)
-        return normalize(gens)
+        return normalize([g // r_part(g, p) for g in self.generators])
 
     def __iter__(self):
         return iter(self.generators)
@@ -162,10 +158,6 @@ def normalize(values) -> Spectrum:
         else:
             kept.append(v)
     return Spectrum(tuple(kept))
-
-
-def contains(spectrum: Spectrum, a: int) -> bool:
-    return spectrum.contains(a)
 
 
 def divisors(n: int) -> set:
@@ -271,15 +263,9 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
         pt *= p
         t += 1
     # p^t occurs exactly when the dimension is p^(t-1) + 1
-    if n - 1 == 1:
-        items["unipotent"].append(p)
-    else:
-        e, x = 0, n - 1
-        while x % p == 0:
-            x //= p
-            e += 1
-        if x == 1 and e >= 1:
-            items["unipotent"].append(p ** (e + 1))
+    s = p_power_exponent(n - 1, p)
+    if s is not None:
+        items["unipotent"].append(p ** (s + 1))
     return _sorted_items(items)
 
 
@@ -333,12 +319,9 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
         pt *= p
         t += 1
     # 2 p^t present exactly when the dimension 2n is p^(t-1) + 1
-    e, x = 0, 2 * n - 1
-    while x % p == 0:
-        x //= p
-        e += 1
-    if x == 1:
-        items["unipotent"].append(2 * p ** (e + 1) // d)
+    s = p_power_exponent(2 * n - 1, p)
+    if s is not None:
+        items["unipotent"].append(2 * p ** (s + 1) // d)
     return _sorted_items(items)
 
 

@@ -19,6 +19,7 @@ from groupspec.arith import (
     lcm_list,
     load_factor_cache,
     odd_part,
+    p_power_exponent,
     pi_part,
     prime_power_decompose,
     primitive_prime_divisors,
@@ -44,6 +45,19 @@ def test_part_edge_cases():
     assert co_pi_part(7, 1) == 7
     assert pi_part(1, 12) == 1
     assert two_part(1) == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_p_power_exponent_matches_brute_force(p):
+    powers = {}
+    s = 0
+    while p ** s <= 3000:
+        powers[p ** s] = s
+        s += 1
+    for x in range(3001):
+        assert p_power_exponent(x, p) == powers.get(x)
+    assert p_power_exponent(0, p) is None
+    assert p_power_exponent(1, p) == 0
 
 
 def test_part_product_invariant():

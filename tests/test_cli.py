@@ -55,6 +55,9 @@ GOLDEN = [
     (("coset-spectrum", "PSL(3,343)", "--field-k", "3"),
      b'{"diag":0,"field_k":3,"pieces":[{"constraint":"none","generators":[19,16,14,6],'
      b'"multiplier":3}],"spec":"PSL(3,343)","variant":"plain"}\n'),
+    (("coset-spectrum", "PSU(3,9)", "--field-k", "2", "--variant", "graph"),
+     b'{"diag":0,"field_k":2,"pieces":[{"constraint":"none","generators":[6,4],'
+     b'"multiplier":4}],"spec":"PSU(3,9)","variant":"graph"}\n'),
     (("coset-spectrum", "PSU(3,9)", "--generator", "f"),
      b'{"generator":"f","generator_order":4,"maxima":[80,73,30,24],"pieces":'
      b'[{"constraint":"none","generators":[6,4],"multiplier":4},{"constraint":"none",'

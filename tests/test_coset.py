@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from groupspec.arith import UsageError
+from groupspec.arith import UsageError, factorize
 from groupspec.coset import (
     UNSUPPORTED,
     CosetSpectrum,
     Piece,
+    _coset,
     extension_spectrum,
     field_coset_spectrum,
     graph_coset,
@@ -16,10 +19,12 @@ from groupspec.coset import (
     is_unsupported,
     tau_criterion,
 )
-from groupspec.outer import out_delta, out_phi, out_tau
+from groupspec.outer import out_delta, out_elements, out_phi, out_tau
 from groupspec.spectra import GroupSpec, normalize, spectrum_linear, spectrum_symplectic
 
 S = GroupSpec.from_q
+
+SWEEP_Q = (3, 5, 7, 9, 25, 27, 49, 81, 121, 125, 243, 343, 625, 729)
 
 
 # verdicts pinned after sampling the actual cosets; (case, witness) pairs are
@@ -112,6 +117,63 @@ def test_field_coset_graph_variant_even_k():
     sub = spectrum_linear(S("PSL", 3, 3, -1))
     assert cos.to_jsonable() == [
         {"multiplier": 2, "generators": list(sub.generators), "constraint": "none"}]
+
+
+def test_field_coset_unitary_graph_variant_even_k():
+    # on the unitary side tau = phi^m, so for even k phi^(m/k) tau generates
+    # the same cyclic subgroup as phi^(m/k) and the two cosets share their orders
+    graph = field_coset_spectrum(3, 9, -1, 0, 2, "graph")
+    assert graph.to_jsonable() == field_coset_spectrum(3, 9, -1, 0, 2, "plain").to_jsonable()
+    assert graph.to_jsonable() == [{"multiplier": 4, "generators": [6, 4], "constraint": "none"}]
+    assert field_coset_spectrum(4, 9, -1, 0, 2, "graph").maximal_elements() == (36, 24, 20, 16)
+    # an odd diagonal twist of the even-n graph coset still has no closed form
+    assert is_unsupported(field_coset_spectrum(4, 9, -1, 1, 2, "graph"))
+
+
+def _sweep_groups():
+    for n in range(3, 9):
+        for q in SWEEP_Q:
+            (p, m), = factorize(q).pairs
+            for eps in (1, -1):
+                yield n, q, eps, p, m
+
+
+def test_unitary_graph_variant_equals_plain_for_even_k():
+    cases = 0
+    for n, q, eps, p, m in _sweep_groups():
+        if eps == 1:
+            continue
+        for k in range(2, m + 1, 2):
+            if m % k:
+                continue
+            for i in range(-1, math.gcd(n, q + 1) + 1):
+                graph = field_coset_spectrum(n, q, -1, i, k, "graph")
+                plain = field_coset_spectrum(n, q, -1, i, k, "plain")
+                if is_unsupported(plain):
+                    assert is_unsupported(graph)
+                else:
+                    assert graph.to_jsonable() == plain.to_jsonable()
+                cases += 1
+    assert cases == 226
+
+
+def test_coset_orders_depend_only_on_the_cyclic_subgroup():
+    # x L and x^j L share their orders when gcd(j, |x|) = 1
+    pairs = 0
+    for n, q, eps, p, m in _sweep_groups():
+        for x in out_elements(eps, n, p, m):
+            base = _coset(x)
+            order = x.order()
+            for j in range(2, order):
+                if math.gcd(j, order) != 1:
+                    continue
+                other = _coset(x.power(j))
+                if is_unsupported(base):
+                    assert is_unsupported(other)
+                else:
+                    assert other.maximal_elements() == base.maximal_elements()
+                pairs += 1
+    assert pairs == 2814
 
 
 def test_field_coset_rejects_bad_k():
