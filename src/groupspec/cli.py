@@ -24,9 +24,6 @@ import sys
 
 from .arith import (BoundError, UsageError, load_factor_cache,
                     prime_power_decompose, save_factor_cache)
-from .coset import (UNSUPPORTED, extension_spectrum, field_coset_spectrum,
-                    graph_coset, graph_coset_pgl_even, tau_criterion)
-from .outer import OutElement, admissible_generators
 from .spectra import (GroupSpec, spectrum_linear,
                       spectrum_orthogonal_semisimple, spectrum_symplectic)
 
@@ -124,8 +121,10 @@ def parse_group(text: str):
     return GroupSpec(family, n, p, m, eps), f"{token}({dim},{q})"
 
 
-def parse_out_word(word: str, spec: GroupSpec) -> OutElement:
-    """Outer element word "d^i f^a t^c" (letters at most once, any order)."""
+def parse_out_word(word: str, spec: GroupSpec):
+    """Outer element word "d^i f^a t^c" (letters at most once, any order),
+    as an OutElement."""
+    from .outer import OutElement
     base = dict(eps=spec.eps, n=spec.n, p=spec.p, m=spec.m)
     w = word.strip()
     if w == "1":
@@ -220,6 +219,8 @@ def cmd_spectrum(args, cfg):
 
 
 def cmd_coset_spectrum(args, cfg):
+    from .coset import (UNSUPPORTED, extension_spectrum, field_coset_spectrum,
+                        graph_coset, graph_coset_pgl_even)
     spec, shown = parse_group(args.group)
     if spec.family not in ("PSL", "PGL"):
         raise UsageError("coset spectra are defined for PSL/PGL/PSU/PGU")
@@ -279,6 +280,7 @@ def cmd_coset_spectrum(args, cfg):
 
 
 def cmd_tau_test(args, cfg):
+    from .coset import tau_criterion
     spec, shown = parse_group(args.group)
     if spec.family != "PSL":
         raise UsageError("the tau test covers PSL/PSU only")
@@ -297,6 +299,7 @@ def cmd_tau_test(args, cfg):
 
 
 def cmd_admissible(args, cfg):
+    from .outer import admissible_generators
     spec, shown = parse_group(args.group)
     if spec.family != "PSL":
         raise UsageError("admissibility reports cover PSL/PSU only")

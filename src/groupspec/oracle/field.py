@@ -1,9 +1,15 @@
 """Finite fields F_{p^m} with exact integer encodings.
 
 An element is encoded as an integer in [0, q): the value sum c_j p^j stands
-for the polynomial sum c_j x^j over the modulus. Small fields additionally
-build full numpy lookup tables (ADD, MUL, INV, ...) so matrix arithmetic can
-be vectorized; large fields fall back to scalar polynomial arithmetic.
+for the polynomial sum c_j x^j over the modulus. Small fields (q <= 2048)
+additionally build full numpy lookup tables (ADD, MUL, INV, ...) so matrix
+arithmetic can be vectorized, and do their scalar arithmetic through O(q)
+Python lists taken from them: mul, inv and pow through exp/log, and add in a
+proper extension through Zech logarithms, 1 + g^k = g^Z(k) (Huber, "Some
+comments on Zech's logarithms", IEEE Trans. Inf. Theory, 1990). Only large
+fields, and fields built with tables=False, do scalar polynomial arithmetic;
+so does the table set-up itself, which needs mul and pow before the tables
+exist.
 
 The default modulus is the first monic irreducible found when the non-leading
 coefficients (c_0, ..., c_{m-1}) are enumerated lexicographically, so F_9 is
@@ -123,6 +129,7 @@ class FiniteField:
         self.modulus = tuple(modulus)
         self.tables = (self.q <= TABLE_LIMIT_Q) if tables is None else tables
         self._primitive = None
+        self._log = None                 # set once the tables exist
         if self.tables:
             self._build_tables()
 
@@ -146,29 +153,50 @@ class FiniteField:
         p = self.p
         if self.m == 1:
             return (a + b) % p
-        return self.encode((x + y) % p for x, y in zip(self.digits(a), self.digits(b)))
+        log = self._log
+        if log is None:
+            return self.encode((x + y) % p for x, y in zip(self.digits(a), self.digits(b)))
+        if not a:
+            return b
+        if not b:
+            return a
+        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
+        if self._log is not None:
+            return self._neg[a]
         return self.encode((-x) % self.p for x in self.digits(a))
 
     def sub(self, a: int, b: int) -> int:
+        if self.m == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         p = self.p
         if self.m == 1:
             return (a * b) % p
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + log[b]] if a and b else 0
         prod = _pmod(_pmul(tuple(self.digits(a)), tuple(self.digits(b)), p),
                      self.modulus, p)
         return self.encode(prod + (0,) * (self.m - len(prod)))
 
     def pow(self, a: int, e: int) -> int:
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 has no inverse")
+            return 1 if e == 0 else 0
+        if self._log is not None:
+            return self._exp[self._log[a] * e % (self.q - 1)]
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if a == 0:
-            return 1 if e == 0 else 0
         e %= self.q - 1
         out, cur = 1, a
         while e:
@@ -181,9 +209,13 @@ class FiniteField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
+        if self._log is not None:
+            return self._inv[a]
         return self.pow(a, self.q - 2)
 
     def frob(self, a: int) -> int:
+        if self._log is not None:
+            return self._frob[a]
         return self.pow(a, self.p)
 
     @property
@@ -247,6 +279,15 @@ class FiniteField:
         frob = np.zeros(q, np.int16)
         frob[1:] = exp[(log[1:] * p) % (q - 1)]
         self.FROB = frob
+
+        # the scalar ops read these lists; doubling exp lets mul skip the
+        # reduction of log a + log b, and zech[k] = log(1 + g^k), -1 if zero
+        self._exp = exp.tolist() * 2
+        self._zech = log[self.ADD[1, exp]].tolist()
+        self._neg = self.NEG.tolist()
+        self._inv = inv.tolist()
+        self._frob = frob.tolist()
+        self._log = log.tolist()
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, m={self.m})"

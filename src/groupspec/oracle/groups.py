@@ -63,15 +63,6 @@ def make_field(kind: str, q: int) -> FiniteField:
     return FiniteField(p, 2 * m if kind in ("GU", "SU") else m)
 
 
-def symplectic_form(F: FiniteField, n: int) -> np.ndarray:
-    r = n // 2
-    J = np.zeros((n, n), np.int16)
-    for i in range(r):
-        J[i, r + i] = 1
-        J[r + i, i] = F.neg(1)
-    return J
-
-
 # --- enumeration ------------------------------------------------------------
 
 
@@ -213,6 +204,7 @@ def _sample_linear(F: FiniteField, n: int, count: int, rng, kind: str) -> np.nda
 
 def _nullspace(F: FiniteField, rows: list, n: int) -> list:
     """Basis of the solution space of <row, v> = 0 (plain dot, no twisting)."""
+    mul, sub = F.mul, F.sub
     M = [list(r) for r in rows]
     pivots = {}
     r = 0
@@ -226,11 +218,11 @@ def _nullspace(F: FiniteField, rows: list, n: int) -> list:
             continue
         M[r], M[pr] = M[pr], M[r]
         ipv = F.inv(M[r][c])
-        M[r] = [F.mul(ipv, x) for x in M[r]]
+        M[r] = [mul(ipv, x) if x else 0 for x in M[r]]
         for i in range(len(M)):
             if i != r and M[i][c]:
                 f = M[i][c]
-                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
+                M[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(M[i], M[r])]
         pivots[c] = r
         r += 1
     basis = []
@@ -245,27 +237,27 @@ def _nullspace(F: FiniteField, rows: list, n: int) -> list:
 
 
 def _random_combo(F: FiniteField, basis: list, rng) -> list:
-    n = len(basis[0])
+    add, mul = F.add, F.mul
     coeffs = rng.integers(0, F.q, size=len(basis))
-    v = [0] * n
+    v = [0] * len(basis[0])
     for c, vec in zip(coeffs.tolist(), basis):
         if c:
-            for j in range(n):
-                v[j] = F.add(v[j], F.mul(c, vec[j]))
+            v = [add(x, mul(c, y)) if y else x for x, y in zip(v, vec)]
     return v
 
 
 def _sample_gu_one(F: FiniteField, n: int, q0: int, rng) -> np.ndarray:
-    conj = lambda x: F.pow(x, q0)
+    add, pow_ = F.add, F.pow
     rows: list = []
     for _ in range(n):
-        cond = [[conj(x) for x in r] for r in rows]
+        cond = [[pow_(x, q0) for x in r] for r in rows]      # conjugate rows
         basis = _nullspace(F, cond, n)
         while True:
             v = _random_combo(F, basis, rng)
             norm = 0
             for x in v:
-                norm = F.add(norm, F.mul(x, conj(x)))
+                if x:
+                    norm = add(norm, pow_(x, q0 + 1))       # x * conj(x)
             if norm == 1:
                 rows.append(v)
                 break
@@ -273,25 +265,16 @@ def _sample_gu_one(F: FiniteField, n: int, q0: int, rng) -> np.ndarray:
 
 
 def _sample_sp_one(F: FiniteField, n: int, rng) -> np.ndarray:
-    J = symplectic_form(F, n)
-    Jl = J.tolist()
-
-    def pair_with(u, v):
-        acc = 0
-        for i in range(n):
-            if u[i]:
-                for j in range(n):
-                    if Jl[i][j] and v[j]:
-                        acc = F.add(acc, F.mul(u[i], F.mul(Jl[i][j], v[j])))
-        return acc
+    r = n // 2
+    add, mul, neg = F.add, F.mul, F.neg
 
     def functional(u):
-        # coefficient vector of w -> <u, w>
-        return [pair_with(u, [1 if j == c else 0 for j in range(n)]) for c in range(n)]
+        # coefficient vector of w -> <u, w> = u^T J w, J = [[0, I], [-I, 0]]
+        return [neg(x) for x in u[r:]] + u[:r]
 
     vs, ws = [], []
     conds: list = []
-    for _ in range(n // 2):
+    for _ in range(r):
         basis = _nullspace(F, conds, n)
         while True:
             v = _random_combo(F, basis, rng)
@@ -302,8 +285,8 @@ def _sample_sp_one(F: FiniteField, n: int, rng) -> np.ndarray:
         j0 = next(i for i, x in enumerate(vals) if x)
         c0 = F.inv(vals[j0])
         u = _random_combo(F, basis, rng)
-        gap = F.sub(1, sum_dot(F, fv, u))
-        w = [F.add(x, F.mul(F.mul(gap, c0), y)) for x, y in zip(u, basis[j0])]
+        s = mul(F.sub(1, sum_dot(F, fv, u)), c0)
+        w = [add(x, mul(s, y)) if y else x for x, y in zip(u, basis[j0])]
         vs.append(v)
         ws.append(w)
         conds.append(fv)
@@ -313,8 +296,9 @@ def _sample_sp_one(F: FiniteField, n: int, rng) -> np.ndarray:
 
 
 def sum_dot(F: FiniteField, a, b) -> int:
+    add, mul = F.add, F.mul
     acc = 0
     for x, y in zip(a, b):
         if x and y:
-            acc = F.add(acc, F.mul(x, y))
+            acc = add(acc, mul(x, y))
     return acc

@@ -22,12 +22,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..arith import UsageError
-from ..coset import CosetSpectrum, graph_coset
-from ..spectra import (GroupSpec, Spectrum, divisors, spectrum_linear,
-                       spectrum_symplectic)
+from ..coset import graph_coset
+from ..spectra import GroupSpec, divisors, spectrum_linear, spectrum_symplectic
 from .batch import det_batch
-from .groups import (DEFAULT_ENUM_BOUND, enumerate_matrices, group_order,
-                     make_field, sample_matrices, sampler_name)
+from .groups import (DEFAULT_ENUM_BOUND, enumerate_matrices, make_field,
+                     sample_matrices, sampler_name)
 from .orders import (order_bound_fact, orders_batch, tau_coset_orders_batch)
 
 ORDER_KINDS = ("plain", "projective", "tau_coset", "tau_delta_coset")

@@ -253,6 +253,21 @@ def test_closed_form_commands_skip_numpy():
     assert proc.stdout == b"[0, 0, 0, 0, 0, 0, 2] False\n"
 
 
+def test_spectrum_skips_coset_and_outer():
+    # only the coset, tau and admissibility commands need those modules
+    script = (
+        "import contextlib, io, sys\n"
+        "from groupspec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['spectrum', 'PSU(4,3)'])\n"
+        "print(code, 'groupspec.coset' in sys.modules, 'groupspec.outer' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=clean_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"0 False False\n"
+
+
 # ---------------------------------------------------------------------------
 # in-process odds and ends
 

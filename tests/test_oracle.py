@@ -3,14 +3,14 @@ enumeration, the conjugation criterion and witness construction."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-import math
 import random
 
 import numpy as np
 import pytest
 
-from groupspec.arith import UsageError, factorize
+from groupspec.arith import UsageError
 from groupspec.coset import graph_coset
 from groupspec.oracle.batch import (
     decode_batch,
@@ -84,15 +84,33 @@ def _mult_order(F, a):
 
 
 def test_field_tables_match_scalar_ops():
-    F = FiniteField(3, 2)
-    for a in range(9):
-        for b in range(9):
-            assert F.add(a, b) == F.ADD[a, b]
-            assert F.mul(a, b) == F.MUL[a, b]
-            assert F.sub(a, b) == F.SUB[a, b]
+    # the polynomial kit is the reference for both the scalar ops and the
+    # numpy tables of a table field: F_9, F_25, F_27 and F_81
+    for p, m in ((3, 2), (5, 2), (3, 3), (3, 4)):
+        _check_table_field(FiniteField(p, m), FiniteField(p, m, tables=False))
+
+
+def _check_table_field(F, ref):
+    p, q = F.p, F.q
+    for a in range(q):
+        for b in range(q):
+            want = ref.add(a, b), ref.sub(a, b), ref.mul(a, b)
+            assert (F.add(a, b), F.sub(a, b), F.mul(a, b)) == want
+            assert (F.ADD[a, b], F.SUB[a, b], F.MUL[a, b]) == want
+        assert F.neg(a) == ref.neg(a) == F.NEG[a]
+        assert F.frob(a) == ref.frob(a) == F.FROB[a]
+        for e in (-q, -2, -1, 0, 1, 2, p, q - 2, q - 1, q, 3 * q + 5):
+            if a or e >= 0:
+                assert F.pow(a, e) == ref.pow(a, e)
         if a:
-            assert F.inv(a) == F.INV[a]
-        assert F.frob(a) == F.FROB[a]
+            assert F.inv(a) == ref.inv(a) == F.INV[a]
+    assert F.pow(0, 0) == ref.pow(0, 0) == 1
+    assert F.pow(0, 7) == ref.pow(0, 7) == 0
+    for field in (F, ref):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            field.pow(0, -1)
 
 
 def test_field_inverse_and_pow():
@@ -371,24 +389,51 @@ def test_make_field_matches_kind():
         make_field("GL", 8)
 
 
+def _is_symplectic(F, mats):
+    count, n = mats.shape[0], mats.shape[-1]
+    r = n // 2
+    J = np.zeros((count, n, n), np.int16)
+    for i in range(r):
+        J[:, i, r + i], J[:, r + i, i] = 1, F.neg(1)
+    return (mat_mul(F, mats, mat_mul(F, J, transpose(mats))) == J).all()
+
+
 def test_samplers_land_in_their_groups():
     rng = np.random.default_rng(8)
     sl = sample_matrices("SL", 3, 9, 40, rng)
     F9 = make_field("SL", 9)
     assert (det_batch(F9, sl) == 1).all()
 
-    gu = sample_matrices("GU", 3, 5, 40, rng)
-    FU = make_field("GU", 5)
-    conj = FU.FROB[gu]
-    prod = mat_mul(FU, gu, transpose(conj))
-    assert (prod == identity_batch(FU, 3, 40)).all()
+    for n, q in ((3, 5), (4, 3)):
+        gu = sample_matrices("GU", n, q, 40, rng)
+        FU = make_field("GU", q)
+        conj = FU.FROB[gu]                  # x -> x^q, as q is prime here
+        prod = mat_mul(FU, gu, transpose(conj))
+        assert (prod == identity_batch(FU, n, 40)).all()
 
-    sp = sample_matrices("Sp", 2, 7, 40, rng)
-    F7 = make_field("Sp", 7)
-    J = np.zeros((40, 2, 2), np.int16)
-    J[:, 0, 1], J[:, 1, 0] = 1, 7 - 1
-    left = mat_mul(F7, sp, mat_mul(F7, J, transpose(sp)))
-    assert (left == J).all()
+    for n, q in ((2, 7), (4, 9), (6, 3)):
+        sp = sample_matrices("Sp", n, q, 40, rng)
+        assert _is_symplectic(make_field("Sp", q), sp)
+
+
+# sha256 of sample_matrices(kind, n, q, 8, default_rng(20160905)).tobytes(),
+# recorded before the scalar field ops moved to exp/log lists: the samplers
+# must draw from the generator exactly as they did then
+SAMPLER_DIGESTS = {
+    ("GU", 3, 5): "d71697cfb915e2fe57d713f96c7bdec57e84c6a96c969a3dbedeef7505e89392",
+    ("GU", 4, 3): "5ccb6348f221ea9fd16568c3ac0449468779fde47870813fbed22fd9b3db81a5",
+    ("Sp", 4, 5): "cb978b7ce301448e99ff7e7185ab73be8490218bc920346d6adb535015e7924d",
+    ("Sp", 6, 3): "6c1bf9545fa3815d5461d98cdde8e635d42f0936f3921668679adac8e9cf5071",
+    ("Sp", 4, 9): "e001e057e794c8a47f2f0420494e0c681c736c89ffdeae529d4761edc7e3970b",
+}
+
+
+@pytest.mark.parametrize("kind, n, q", sorted(SAMPLER_DIGESTS))
+def test_sampler_draws_are_pinned(kind, n, q):
+    assert sampler_name(kind, n, q) != "enumeration-draw"
+    out = sample_matrices(kind, n, q, 8, np.random.default_rng(20160905))
+    assert out.shape == (8, n, n) and out.dtype == np.int16
+    assert hashlib.sha256(out.tobytes()).hexdigest() == SAMPLER_DIGESTS[kind, n, q]
 
 
 def test_sampler_names():
