@@ -7,17 +7,26 @@ arithmetic can be vectorized, and do their scalar arithmetic through O(q)
 Python lists taken from them: mul, inv and pow through exp/log, and add in a
 proper extension through Zech logarithms, 1 + g^k = g^Z(k) (Huber, "Some
 comments on Zech's logarithms", IEEE Trans. Inf. Theory, 1990). Only large
-fields, and fields built with tables=False, do scalar polynomial arithmetic;
-so does the table set-up itself, which needs mul and pow before the tables
-exist.
+fields, and fields built with tables=False, multiply as polynomials over the
+prime field; so does the table set-up itself, which needs mul and pow before
+the tables exist.
+
+This module also holds the package's one polynomial kit: poly_trim, poly_add,
+poly_neg, poly_mul, poly_divmod, poly_monic, poly_eval, poly_gcd and
+poly_powmod act on little-endian tuples of encodings over any field object
+F. The extension multiply and the irreducibility test run it over the prime
+field; oracle.wall runs it over F_q for the Smith form, and oracle.witness
+over a big extension for minimal polynomials.
 
 The default modulus is the first monic irreducible found when the non-leading
 coefficients (c_0, ..., c_{m-1}) are enumerated lexicographically, so F_9 is
-built over x^2 + 1. An explicit modulus can be passed for cross checks.
+built over x^2 + 1; the search runs once per (p, m). An explicit modulus can
+be passed for cross checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -27,84 +36,118 @@ from ..arith import UsageError, factorize, is_prime
 TABLE_LIMIT_Q = 2048
 
 
-# --- dense polynomial helpers over Z/p, little-endian coefficient tuples ----
+# --- polynomials over a field F: little-endian tuples of F's encodings ------
 
 
-def _ptrim(c):
+def poly_trim(c) -> tuple:
     c = list(c)
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
 
 
-def _pmul(a, b, p):
+def poly_add(F, a, b) -> tuple:
+    out = []
+    for i in range(max(len(a), len(b))):
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
+        out.append(F.add(x, y))
+    return poly_trim(out)
+
+
+def poly_neg(F, a) -> tuple:
+    return tuple(F.neg(x) for x in a)
+
+
+def poly_mul(F, a, b) -> tuple:
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
+                if y:
+                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return poly_trim(out)
 
 
-def _pmod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - df
-            for j in range(df + 1):
-                a[shift + j] = (a[shift + j] - lead * f[j]) % p
-        a.pop()
-    return _ptrim(a)
+def poly_divmod(F, a, b) -> tuple:
+    b = poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(poly_trim(a))
+    db = len(b) - 1
+    ilead = F.inv(b[-1])
+    quo = [0] * max(0, len(a) - db)
+    while len(a) - 1 >= db and a:
+        c = F.mul(a[-1], ilead)
+        shift = len(a) - 1 - db
+        quo[shift] = c
+        for j in range(db + 1):
+            a[shift + j] = F.sub(a[shift + j], F.mul(c, b[j]))
+        while a and a[-1] == 0:
+            a.pop()
+    return poly_trim(quo), poly_trim(a)
 
 
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
+def poly_monic(F, a) -> tuple:
+    a = poly_trim(a)
+    if not a or a[-1] == 1:
+        return a
+    inv = F.inv(a[-1])
+    return tuple(F.mul(inv, x) for x in a)
+
+
+def poly_eval(F, a, x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def poly_gcd(F, a, b) -> tuple:
+    """Monic gcd; () when both are zero."""
+    a, b = poly_trim(a), poly_trim(b)
     while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = tuple(c * inv % p for c in b)
-        a, b = b, _pmod(a, bm, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple(c * inv % p for c in a)
-    return a
+        a, b = b, poly_divmod(F, a, b)[1]
+    return poly_monic(F, a)
 
 
-def _ppowmod(base, e, f, p):
+def poly_powmod(F, base, e: int, f) -> tuple:
+    """base^e mod f, square and multiply."""
     result = (1,)
-    cur = _pmod(base, f, p)
+    cur = poly_divmod(F, base, f)[1]
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, cur, p), f, p)
-        cur = _pmod(_pmul(cur, cur, p), f, p)
+            result = poly_divmod(F, poly_mul(F, result, cur), f)[1]
+        cur = poly_divmod(F, poly_mul(F, cur, cur), f)[1]
         e >>= 1
     return result
 
 
-def _is_irreducible(f, p):
-    m = len(f) - 1
-    x = (0, 1)
-    if _ppowmod(x, p ** m, f, p) != _pmod(x, f, p):
-        return False
-    for r in factorize(m).primes():
-        xq = _ppowmod(x, p ** (m // r), f, p)
-        diff = _ptrim([(a - b) % p for a, b in
-                       itertools.zip_longest(xq, x, fillvalue=0)])
-        if len(_pgcd(diff, f, p)) > 1:
+# --- the default modulus ----------------------------------------------------
+
+
+def _is_irreducible(Fp, f):
+    """Ben-Or's test over the prime field Fp: f of degree m is irreducible
+    iff gcd(x^(p^k) - x, f) = 1 for k = 1, ..., m // 2. A factor of degree k
+    shows at step k, so most reducible candidates of the search stop early."""
+    x = xk = (0, 1)
+    for _ in range((len(f) - 1) // 2):
+        xk = poly_powmod(Fp, xk, Fp.p, f)
+        if len(poly_gcd(Fp, poly_add(Fp, xk, poly_neg(Fp, x)), f)) > 1:
             return False
     return True
 
 
+@functools.cache
 def _find_modulus(p, m):
     if m == 1:
         return (0, 1)
+    Fp = FiniteField(p, tables=False)
     for tail in itertools.product(range(p), repeat=m):
         f = tail + (1,)
-        if _is_irreducible(f, p):
+        if _is_irreducible(Fp, f):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -118,13 +161,15 @@ class FiniteField:
         if m < 1:
             raise UsageError("m must be positive")
         self.p, self.m, self.q = p, m, p ** m
+        # the coefficient field of the polynomial arithmetic
+        self._prime = FiniteField(p, tables=False) if m > 1 else self
         if modulus is None:
             modulus = _find_modulus(p, m)
         else:
-            modulus = _ptrim(modulus)
+            modulus = poly_trim(modulus)
             if len(modulus) - 1 != m or modulus[-1] != 1:
                 raise UsageError("modulus must be monic of degree m")
-            if m > 1 and not _is_irreducible(modulus, p):
+            if m > 1 and not _is_irreducible(self._prime, modulus):
                 raise UsageError("modulus is reducible")
         self.modulus = tuple(modulus)
         self.tables = (self.q <= TABLE_LIMIT_Q) if tables is None else tables
@@ -184,9 +229,10 @@ class FiniteField:
         log = self._log
         if log is not None:
             return self._exp[log[a] + log[b]] if a and b else 0
-        prod = _pmod(_pmul(tuple(self.digits(a)), tuple(self.digits(b)), p),
-                     self.modulus, p)
-        return self.encode(prod + (0,) * (self.m - len(prod)))
+        Fp = self._prime
+        prod = poly_divmod(Fp, poly_mul(Fp, self.digits(a), self.digits(b)),
+                           self.modulus)[1]
+        return self.encode(prod)
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -223,7 +269,7 @@ class FiniteField:
         """Smallest encoding generating the multiplicative group."""
         if self._primitive is None:
             fact = factorize(self.q - 1)
-            g = 2
+            g = 1                        # primitive only in F_2
             while g < self.q:
                 if all(self.pow(g, (self.q - 1) // r) != 1 for r in fact.primes()):
                     break
@@ -313,20 +359,12 @@ def embed_subfield(small: FiniteField, big: FiniteField):
     root = None
     for k in range(small.q - 1):
         cand = big.pow(lam, k * span)
-        acc = 0
-        for c in reversed(small.modulus):
-            acc = big.add(big.mul(acc, cand), c % big.p)
-        if acc == 0:
+        if poly_eval(big, small.modulus, cand) == 0:
             root = cand
             break
     if root is None:
         raise AssertionError("no root of the subfield modulus")  # unreachable
 
-    fwd = []
-    for e in range(small.q):
-        acc = 0
-        for c in reversed(small.digits(e)):
-            acc = big.add(big.mul(acc, root), c)
-        fwd.append(acc)
+    fwd = [poly_eval(big, small.digits(e), root) for e in range(small.q)]
     rev = {be: se for se, be in enumerate(fwd)}
     return fwd, rev

@@ -1,14 +1,21 @@
 """Conjugacy invariants over F_q and membership in the transpose-inverse image.
 
 The set Gamma = {g g^-T : g in GL_n(q)} is characterized by three conditions
-on h: h must be conjugate to h^-1 (equal invariant factors of zE - h and
-zE - h^-1), the even Jordan block sizes at eigenvalue 1 must occur with even
+on h (Wall, "On the conjugacy classes in the unitary, symplectic and
+orthogonal groups", J. Austral. Math. Soc., 1963): h must be conjugate to
+h^-1, the even Jordan block sizes at eigenvalue 1 must occur with even
 multiplicity, and the odd block sizes at eigenvalue -1 must occur with even
 multiplicity. det takes square values on the tau wing of the coset and
 nonsquare values on the tau-delta wing, which is what det_square_class
 reports.
 
-Polynomials are little-endian tuples of field encodings.
+The invariant factors of zE - h^-1 are the monic reciprocals
+d*(z) = z^deg d d(1/z) / d(0) of those of zE - h, so h ~ h^-1 exactly when
+every invariant factor of zE - h is its own monic reciprocal: one Smith
+form decides it.
+
+Polynomials are little-endian tuples of field encodings, handled by the
+kit in oracle.field (poly_* are re-exported here).
 """
 
 from __future__ import annotations
@@ -17,76 +24,11 @@ import numpy as np
 
 from ..arith import UsageError
 from .batch import det_inv_batch, mat_mul, rank_batch
-from .field import FiniteField
+from .field import (FiniteField, poly_add, poly_divmod, poly_eval, poly_monic,
+                    poly_mul, poly_neg, poly_trim)
 
 
-# --- polynomial arithmetic over the field encodings -------------------------
-
-
-def poly_trim(c) -> tuple:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_add(F: FiniteField, a, b) -> tuple:
-    out = []
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(F.add(x, y))
-    return poly_trim(out)
-
-
-def poly_neg(F: FiniteField, a) -> tuple:
-    return tuple(F.neg(x) for x in a)
-
-
-def poly_mul(F: FiniteField, a, b) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return poly_trim(out)
-
-
-def poly_divmod(F: FiniteField, a, b) -> tuple:
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(poly_trim(a))
-    db = len(b) - 1
-    ilead = F.inv(b[-1])
-    quo = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = F.mul(a[-1], ilead)
-        shift = len(a) - 1 - db
-        quo[shift] = c
-        for j in range(db + 1):
-            a[shift + j] = F.sub(a[shift + j], F.mul(c, b[j]))
-        while a and a[-1] == 0:
-            a.pop()
-    return poly_trim(quo), poly_trim(a)
-
-
-def poly_monic(F: FiniteField, a) -> tuple:
-    a = poly_trim(a)
-    if not a or a[-1] == 1:
-        return a
-    inv = F.inv(a[-1])
-    return tuple(F.mul(inv, x) for x in a)
-
-
-def poly_eval(F: FiniteField, a, x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
+# --- polynomials of matrices ------------------------------------------------
 
 
 def poly_eval_mat(F: FiniteField, a, H: np.ndarray) -> np.ndarray:
@@ -270,10 +212,12 @@ def partition_at(F: FiniteField, H: np.ndarray, lam: int) -> dict:
 
 
 def conjugate_to_inverse(F: FiniteField, H: np.ndarray) -> bool:
-    det, inv, ok = det_inv_batch(F, H[None])
-    if not ok[0]:
+    """Whether H ~ H^-1: each invariant factor equals its monic reciprocal."""
+    facs = invariant_factors(F, H)
+    # z divides det(zE - H), hence the last invariant factor, iff H is singular
+    if facs and facs[-1][0] == 0:
         raise UsageError("matrix is singular")
-    return invariant_factors(F, H) == invariant_factors(F, inv[0])
+    return all(d == poly_monic(F, d[::-1]) for d in facs)
 
 
 def gamma_membership(F: FiniteField, H: np.ndarray) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 from ..arith import r_part
 from ..coset import UNSUPPORTED
 from ..spectra import GroupSpec, _partitions
-from .field import FiniteField, embed_subfield
+from .field import FiniteField, embed_subfield, poly_mul
 from .orders import order_bound_fact, projective_order
 
 BIG_FIELD_LIMIT = 1 << 22
@@ -44,16 +44,14 @@ class Witness:
 
 
 def _min_poly_coeffs(big: FiniteField, alpha: int, degree: int, q: int, rev: dict):
-    """Minimal polynomial of alpha over F_q, coefficients as F_q encodings."""
-    poly = [1]                  # little-endian, in the big field
+    """Minimal polynomial of alpha over F_q, coefficients as F_q encodings.
+
+    It is the product of z - alpha^(q^i), i < degree, over the big field.
+    """
+    poly = (1,)
     conj = alpha
     for _ in range(degree):
-        # poly *= (z - conj)
-        nxt = [0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] = big.add(nxt[i + 1], c)
-            nxt[i] = big.sub(nxt[i], big.mul(c, conj))
-        poly = nxt
+        poly = poly_mul(big, poly, (big.neg(conj), 1))
         conj = big.pow(conj, q)
     return [rev[c] for c in poly]
 

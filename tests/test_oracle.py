@@ -25,7 +25,7 @@ from groupspec.oracle.batch import (
     rank_batch,
     transpose,
 )
-from groupspec.oracle.field import FiniteField, embed_subfield
+from groupspec.oracle.field import FiniteField, _is_irreducible, embed_subfield
 from groupspec.oracle.groups import (
     BoundError,
     enumerate_matrices,
@@ -85,8 +85,8 @@ def _mult_order(F, a):
 
 def test_field_tables_match_scalar_ops():
     # the polynomial kit is the reference for both the scalar ops and the
-    # numpy tables of a table field: F_9, F_25, F_27 and F_81
-    for p, m in ((3, 2), (5, 2), (3, 3), (3, 4)):
+    # numpy tables of a table field: F_9, F_25, F_27, F_81, F_2 and F_8
+    for p, m in ((3, 2), (5, 2), (3, 3), (3, 4), (2, 1), (2, 3)):
         _check_table_field(FiniteField(p, m), FiniteField(p, m, tables=False))
 
 
@@ -113,6 +113,39 @@ def _check_table_field(F, ref):
             field.pow(0, -1)
 
 
+def _mobius(d):
+    out, r = 1, 2
+    while d > 1:
+        if d % r == 0:
+            d //= r
+            if d % r == 0:
+                return 0
+            out = -out
+        r += 1
+    return out
+
+
+@pytest.mark.parametrize("p, m", [(p, m) for p in (3, 5) for m in (1, 2, 3, 4)]
+                         + [(7, m) for m in (1, 2, 3)])
+def test_irreducible_count_matches_gauss(p, m):
+    # monic irreducibles of degree m over F_p: (1/m) sum_{d | m} mu(d) p^(m/d)
+    Fp = FiniteField(p, tables=False)
+    got = sum(_is_irreducible(Fp, tail + (1,))
+              for tail in itertools.product(range(p), repeat=m))
+    want = sum(_mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
+    assert got * m == want
+
+
+def test_default_moduli_are_pinned():
+    # the first irreducible in lexicographic order of (c_0, ..., c_{m-1});
+    # every default primitive element, embedding and witness depends on it
+    pinned = {(3, 2): (1, 0, 1), (3, 3): (1, 0, 2, 1), (5, 2): (1, 1, 1),
+              (5, 4): (1, 0, 1, 1, 1), (7, 3): (1, 0, 1, 1)}
+    for (p, m), f in pinned.items():
+        assert FiniteField(p, m).modulus == f
+        assert FiniteField(p, m, tables=False).modulus == f
+
+
 def test_field_inverse_and_pow():
     F = FiniteField(3, 2)
     for a in range(1, 9):
@@ -126,6 +159,7 @@ def test_field_primitive_element():
     orders = {_mult_order(F, a) for a in range(1, 25)}
     assert max(orders) == 24
     assert _mult_order(F, F.primitive) == 24
+    assert FiniteField(2).primitive == 1
 
 
 def test_field_alternate_modulus_is_isomorphic():
@@ -496,6 +530,36 @@ def test_conjugate_to_inverse_is_a_class_function():
     moved = mat_mul(F, conj, mat_mul(F, mats, inv))
     for a, b in zip(mats, moved):
         assert conjugate_to_inverse(F, a) == conjugate_to_inverse(F, b)
+
+
+def _conjugate_to_inverse_two_smith_forms(F, H):
+    # the definition: zE - H and zE - H^-1 have the same invariant factors
+    _, inv, ok = det_inv_batch(F, H[None])
+    assert ok[0]
+    return invariant_factors(F, H) == invariant_factors(F, inv[0])
+
+
+def test_conjugate_to_inverse_matches_two_smith_forms():
+    rng = np.random.default_rng(12)
+    cases = [enumerate_matrices("GL", 2, 3), enumerate_matrices("GL", 2, 5)]
+    for n, q, count in ((3, 3, 120), (4, 3, 40), (3, 9, 40)):
+        F = make_field("GL", q)
+        g = sample_matrices("GL", n, q, count, rng, field=F)
+        # g g^-T is conjugate to its inverse: every sample case holds both answers
+        _, inv, _ = det_inv_batch(F, g[: count // 4])
+        cases.append((F, np.concatenate([g, mat_mul(F, g[: count // 4], transpose(inv))])))
+    for F, mats in cases:
+        answers = [conjugate_to_inverse(F, H) for H in mats]
+        assert answers == [_conjugate_to_inverse_two_smith_forms(F, H) for H in mats]
+        assert set(answers) == {True, False}
+
+
+def test_conjugate_to_inverse_rejects_singular():
+    for q, H in ((3, [[1, 1], [1, 1]]), (3, [[0, 1], [0, 0]]),
+                 (5, [[1, 0, 0], [0, 2, 0], [0, 0, 0]]), (9, [[2, 7], [2, 7]])):
+        F = make_field("GL", q)
+        with pytest.raises(UsageError):
+            conjugate_to_inverse(F, np.array(H, np.int16))
 
 
 def test_gamma_membership_matches_brute_force():
