@@ -381,9 +381,6 @@ def cmd_gamma_check(args, cfg):
     if any(not 0 <= e < q for r in rows for e in r):
         raise UsageError(f"matrix entries must lie in [0, {q})")
     h = np.array(rows, np.int16)
-    from .oracle.batch import det_batch
-    if int(det_batch(F, h[None])[0]) == 0:
-        raise UsageError("matrix is singular")
     in_gamma = gamma_membership(F, h)
     cti = conjugate_to_inverse(F, h)
     sq = det_square_class(F, h)

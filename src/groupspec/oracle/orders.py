@@ -74,22 +74,6 @@ def _order_tree(F, Y, lanes, primes, trivial, out):
     raise AssertionError("order exceeds its bound")  # unreachable
 
 
-def matrix_orders_batch(F, X, bound):
-    return orders_batch(F, X, bound, projective=False)
-
-
-def projective_orders_batch(F, X, bound):
-    return orders_batch(F, X, bound, projective=True)
-
-
-def matrix_order(F: FiniteField, g: np.ndarray, bound: Factorization) -> int:
-    return int(orders_batch(F, g[None], bound)[0])
-
-
-def projective_order(F: FiniteField, g: np.ndarray, bound: Factorization) -> int:
-    return int(orders_batch(F, g[None], bound, projective=True)[0])
-
-
 def tau_coset_orders_batch(F: FiniteField, X: np.ndarray,
                            bound: Factorization) -> np.ndarray:
     """Orders 2 * |g g^-T| of the graph-coset elements g tau, projectively."""
@@ -97,5 +81,5 @@ def tau_coset_orders_batch(F: FiniteField, X: np.ndarray,
     if not ok.all():
         raise ValueError("tau coset orders need invertible matrices")
     Y = mat_mul(F, X, transpose(inv))
-    return 2 * projective_orders_batch(F, Y, bound)
+    return 2 * orders_batch(F, Y, bound, projective=True)
 

@@ -29,7 +29,7 @@ from ..arith import r_part
 from ..coset import UNSUPPORTED
 from ..spectra import GroupSpec, _partitions
 from .field import FiniteField, embed_subfield, poly_mul
-from .orders import order_bound_fact, projective_order
+from .orders import order_bound_fact, orders_batch
 
 BIG_FIELD_LIMIT = 1 << 22
 DEFAULT_TRIES = 2000
@@ -236,7 +236,7 @@ def verify_witness(spec: GroupSpec, wit: Witness) -> int:
         det = int(det_batch(F, wit.matrix[None])[0])
         if det != 1:
             raise AssertionError(f"witness determinant {det} != 1")
-    return projective_order(F, wit.matrix, bound)
+    return int(orders_batch(F, wit.matrix[None], bound, projective=True)[0])
 
 
 def witness_report(spec: GroupSpec, seed: int = 0) -> list:

@@ -278,7 +278,11 @@ def test_main_returns_zero_in_process(capsys):
 
 
 def test_gamma_check_rejects_singular(capsys):
-    assert cli.main(["gamma-check", "--q", "3", "1,1;1,1"]) == 2
+    for q, matrix in (("3", "1,1;1,1"), ("3", "1,2,0;0,1,1;1,0,1"), ("9", "2,7;2,7")):
+        assert cli.main(["gamma-check", "--q", q, matrix]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: matrix is singular\n"
 
 
 def test_gamma_check_nonsquare_class(capsys):

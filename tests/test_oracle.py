@@ -35,11 +35,8 @@ from groupspec.oracle.groups import (
     sampler_name,
 )
 from groupspec.oracle.orders import (
-    matrix_order,
-    matrix_orders_batch,
     order_bound_fact,
-    projective_order,
-    projective_orders_batch,
+    orders_batch,
     tau_coset_orders_batch,
 )
 from groupspec.oracle.spectrum import (
@@ -49,14 +46,13 @@ from groupspec.oracle.spectrum import (
     verify_tau_coset,
 )
 from groupspec.oracle.wall import (
-    charpoly,
-    conjugacy_fingerprints,
     conjugate_to_inverse,
     det_square_class,
     gamma_membership,
     invariant_factors,
     partition_at,
-    poly_eval_mat,
+    poly_divmod,
+    poly_eval,
     poly_mul,
     poly_trim,
 )
@@ -357,7 +353,7 @@ def test_orders_batch_against_naive_powers(n, q, projective):
     mats = np.concatenate([_special_mats(F, n),
                            sample_matrices("GL", n, q, 40, np.random.default_rng(n * q))])
     trivial = is_scalar_batch if projective else is_identity_batch
-    got = (projective_orders_batch if projective else matrix_orders_batch)(F, mats, bound)
+    got = orders_batch(F, mats, bound, projective=projective)
     assert (got == _naive_orders(F, mats, trivial, bound.value)).all()
     assert (bound.value % got == 0).all()
     assert got[0] == 1 and got[1] == (1 if projective else F.q - 1)
@@ -368,8 +364,8 @@ def test_projective_order_divides_matrix_order():
     rng = np.random.default_rng(6)
     mats = sample_matrices("GL", 3, 3, 40, rng)
     bound = order_bound_fact(3, 3, 3)
-    full = matrix_orders_batch(F, mats, bound)
-    proj = projective_orders_batch(F, mats, bound)
+    full = orders_batch(F, mats, bound)
+    proj = orders_batch(F, mats, bound, projective=True)
     assert (full % proj == 0).all()
 
 
@@ -377,8 +373,8 @@ def test_projective_order_spot_value():
     F = FiniteField(3, 1)
     h = np.array([[0, 1], [2, 0]], np.int16)    # h^2 = 2E
     bound = order_bound_fact(2, 3, 3)
-    assert matrix_order(F, h, bound) == 4
-    assert projective_order(F, h, bound) == 2
+    assert orders_batch(F, h[None], bound).tolist() == [4]
+    assert orders_batch(F, h[None], bound, projective=True).tolist() == [2]
 
 
 def test_tau_coset_orders_are_even():
@@ -481,36 +477,40 @@ def test_sampler_names():
 # the conjugation criterion
 
 
-def test_charpoly_matches_determinant_eval():
-    F = FiniteField(5, 1)
-    rng = random.Random(9)
-    mats = _random_mats(F, 15, 3, rng)
-    for H in mats:
-        f = charpoly(F, H)
-        assert len(f) == 4 and f[-1] == 1
-        for x in range(5):
-            shifted = np.array([[F.sub(x if i == j else 0, int(H[i, j]))
-                                 for j in range(3)] for i in range(3)], np.int16)
-            want = int(det_batch(F, shifted[None])[0])
-            from groupspec.oracle.wall import poly_eval
-            assert poly_eval(F, f, x) == want
+def _poly_at_matrix(F, a, H):
+    """a(H), Horner."""
+    n = H.shape[0]
+    acc = np.zeros((n, n), np.int16)
+    for c in reversed(a):
+        acc = mat_mul(F, acc[None], H[None])[0]
+        for i in range(n):
+            acc[i, i] = F.add(int(acc[i, i]), c)
+    return acc
 
 
 def test_invariant_factors_structure():
-    F = FiniteField(3, 1)
     rng = np.random.default_rng(10)
-    mats = sample_matrices("GL", 3, 3, 25, rng)
-    for H in mats:
-        facs = invariant_factors(F, H)
-        # successive divisibility, product = charpoly, last one annihilates H
-        prod = (1,)
-        for f in facs:
-            prod = poly_mul(F, prod, f)
-        assert poly_trim(prod) == charpoly(F, H)
-        assert not poly_eval_mat(F, facs[-1], H).any()
-        from groupspec.oracle.wall import poly_divmod
-        for a, b in zip(facs, facs[1:]):
-            assert poly_divmod(F, b, a)[1] == ()
+    for q in (3, 5, 9):
+        F = make_field("GL", q)
+        for n in (3, 4):
+            mats = sample_matrices("GL", n, q, 12, rng, field=F)
+            for H in mats:
+                facs = invariant_factors(F, H)
+                # successive divisibility, last one annihilates H
+                for a, b in zip(facs, facs[1:]):
+                    assert poly_divmod(F, b, a)[1] == ()
+                assert not _poly_at_matrix(F, facs[-1], H).any()
+                # product = det(xE - H): monic of degree n, equal at every x in F_q
+                prod = (1,)
+                for f in facs:
+                    prod = poly_mul(F, prod, f)
+                prod = poly_trim(prod)
+                assert len(prod) == n + 1 and prod[-1] == 1
+                shifted = np.array([[[F.sub(x if i == j else 0, int(H[i, j]))
+                                      for j in range(n)] for i in range(n)]
+                                    for x in range(q)], np.int16)
+                assert det_batch(F, shifted).tolist() == [poly_eval(F, prod, x)
+                                                          for x in range(q)]
 
 
 def test_partition_at_jordan_blocks():
@@ -519,6 +519,38 @@ def test_partition_at_jordan_blocks():
     assert partition_at(F, H, 1) == {2: 1, 1: 1}
     assert partition_at(F, identity_batch(F, 3, 1)[0], 1) == {1: 3}
     assert partition_at(F, H, 2) == {}
+
+
+def _partitions_by_kernel_ranks(F, mats, lam):
+    # the definition: d_j = dim ker (H - lam)^j, m_j = 2 d_j - d_(j-1) - d_(j+1)
+    B, n, _ = mats.shape
+    shifted = mats.copy()
+    diag = np.arange(n)
+    shifted[:, diag, diag] = F.SUB[shifted[:, diag, diag], np.int16(lam)]
+    d = [np.zeros(B, np.int64)]
+    power = identity_batch(F, n, B)
+    for _ in range(n + 1):
+        power = mat_mul(F, power, shifted)
+        d.append(n - rank_batch(F, power))
+    return [{j: m for j in range(1, n + 1)
+             if (m := int(2 * d[j][i] - d[j - 1][i] - d[j + 1][i]))}
+            for i in range(B)]
+
+
+def test_partition_at_matches_kernel_ranks():
+    rng = np.random.default_rng(13)
+    cases = [enumerate_matrices("GL", 2, 3), enumerate_matrices("GL", 2, 5)]
+    for n, q, count in ((3, 3, 120), (4, 3, 40), (3, 9, 40)):
+        F = make_field("GL", q)
+        cases.append((F, np.concatenate([_special_mats(F, n),
+                                         sample_matrices("GL", n, q, count, rng, field=F)])))
+    for F, mats in cases:
+        blocks = set()
+        for lam in (1, F.neg(1), F.primitive):
+            want = _partitions_by_kernel_ranks(F, mats, lam)
+            assert [partition_at(F, H, lam) for H in mats] == want
+            blocks |= {size for part in want for size in part}
+        assert max(blocks) >= 2
 
 
 def test_conjugate_to_inverse_is_a_class_function():
@@ -558,19 +590,21 @@ def test_conjugate_to_inverse_rejects_singular():
     for q, H in ((3, [[1, 1], [1, 1]]), (3, [[0, 1], [0, 0]]),
                  (5, [[1, 0, 0], [0, 2, 0], [0, 0, 0]]), (9, [[2, 7], [2, 7]])):
         F = make_field("GL", q)
-        with pytest.raises(UsageError):
-            conjugate_to_inverse(F, np.array(H, np.int16))
+        for check in (conjugate_to_inverse, gamma_membership):
+            with pytest.raises(UsageError, match="matrix is singular"):
+                check(F, np.array(H, np.int16))
 
 
 def test_gamma_membership_matches_brute_force():
-    # both directions over the whole of GL_2(3)
-    F, mats = enumerate_matrices("GL", 2, 3)
-    _, inv, _ = det_inv_batch(F, mats)
-    prods = mat_mul(F, mats, transpose(inv))
-    truth = set(encode_batch(prods, 3).tolist())
-    keys = encode_batch(mats, 3)
-    claimed = {int(k) for k, H in zip(keys, mats) if gamma_membership(F, H)}
-    assert claimed == truth
+    # both directions over the whole of GL_2(q)
+    for q in (3, 5, 7, 9):
+        F, mats = enumerate_matrices("GL", 2, q)
+        _, inv, _ = det_inv_batch(F, mats)
+        prods = mat_mul(F, mats, transpose(inv))
+        truth = set(encode_batch(prods, q).tolist())
+        keys = encode_batch(mats, q)
+        claimed = {int(k) for k, H in zip(keys, mats) if gamma_membership(F, H)}
+        assert claimed == truth
 
 
 def test_gamma_membership_is_a_class_function():
@@ -592,9 +626,9 @@ def test_det_square_class():
     assert det_square_class(F, nonsq) == -1
 
 
-def test_fingerprints_refine_to_conjugacy_classes():
+def test_invariant_factors_separate_conjugacy_classes():
     F, mats = enumerate_matrices("GL", 2, 3)
-    prints = conjugacy_fingerprints(F, mats)
+    prints = [invariant_factors(F, H) for H in mats]
     # honest conjugacy classes, by orbit under the whole group
     _, inv, _ = det_inv_batch(F, mats)
     keys = encode_batch(mats, 3)
@@ -743,7 +777,7 @@ def test_field_modulus_independence():
         dets = det_batch(field, mats)
         inv = mats[dets != 0]
         bound = order_bound_fact(2, field.q, field.p)
-        return sorted(matrix_orders_batch(field, inv, bound).tolist())
+        return sorted(orders_batch(field, inv, bound).tolist())
 
     assert order_multiset(FiniteField(3, 2)) == order_multiset(
         FiniteField(3, 2, modulus=(2, 1, 1)))
