@@ -362,8 +362,8 @@ def cmd_verify(args, cfg):
 def cmd_gamma_check(args, cfg):
     import numpy as np
     from .oracle.field import FiniteField
-    from .oracle.wall import (conjugate_to_inverse, det_square_class,
-                              gamma_membership, partition_at)
+    from .oracle.wall import (_jordan_partition, _self_reciprocal, _wall_parities,
+                              det_square_class, invariant_factors)
     q = args.q
     if q is None:
         raise UsageError("gamma-check needs --q")
@@ -381,11 +381,13 @@ def cmd_gamma_check(args, cfg):
     if any(not 0 <= e < q for r in rows for e in r):
         raise UsageError(f"matrix entries must lie in [0, {q})")
     h = np.array(rows, np.int16)
-    in_gamma = gamma_membership(F, h)
-    cti = conjugate_to_inverse(F, h)
+    # one Smith form answers every question but the determinant class
+    facs = invariant_factors(F, h)
+    cti = _self_reciprocal(F, facs)
+    plus = _jordan_partition(F, facs, 1)
+    minus = _jordan_partition(F, facs, F.neg(1))
+    in_gamma = cti and _wall_parities(plus, minus)
     sq = det_square_class(F, h)
-    plus = partition_at(F, h, 1)
-    minus = partition_at(F, h, F.neg(1))
     payload = {
         "q": q, "n": n,
         "in_gamma": bool(in_gamma),

@@ -133,15 +133,19 @@ def conjugate_to_inverse(F: FiniteField, H: np.ndarray) -> bool:
     return _self_reciprocal(F, invariant_factors(F, H))
 
 
+def _wall_parities(plus: dict, minus: dict) -> bool:
+    """Wall's parity conditions on the Jordan partitions at 1 and at -1."""
+    return (all(mult % 2 == 0 for size, mult in plus.items() if size % 2 == 0)
+            and all(mult % 2 == 0 for size, mult in minus.items() if size % 2))
+
+
 def gamma_membership(F: FiniteField, H: np.ndarray) -> bool:
     """Whether H = g g^-T for some g in GL_n(q)."""
     facs = invariant_factors(F, H)
     if not _self_reciprocal(F, facs):
         return False
-    plus = _jordan_partition(F, facs, 1)
-    minus = _jordan_partition(F, facs, F.neg(1))
-    return (all(mult % 2 == 0 for size, mult in plus.items() if size % 2 == 0)
-            and all(mult % 2 == 0 for size, mult in minus.items() if size % 2))
+    return _wall_parities(_jordan_partition(F, facs, 1),
+                          _jordan_partition(F, facs, F.neg(1)))
 
 
 def det_square_class(F: FiniteField, g: np.ndarray) -> int:

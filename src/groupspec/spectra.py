@@ -141,23 +141,116 @@ class Spectrum:
         return "{" + ", ".join(str(g) for g in self.generators) + "}"
 
 
+class _Supported(int):
+    """A spectrum candidate that carries its support: the bitmask of the
+    elements of a base (see _coprime_base) it shares a factor with.
+
+    Compares, hashes and sorts as the plain int. int subclasses cannot take
+    __slots__, so the mask sits in the instance dict.
+    """
+
+
+def _supported(value: int, support: int) -> _Supported:
+    out = _Supported(value)
+    out.support = support
+    return out
+
+
 def normalize(values) -> Spectrum:
     """Antichain of maximal elements of the input under divisibility.
 
     Scans the distinct values in descending order and keeps each one that
-    divides no value kept so far: quadratic in the number of values.
+    divides no value kept so far. When every value carries its support (a
+    _Supported), v is tested only against the kept values whose support
+    holds all of v's: if v | w, each base element sharing a factor with v
+    shares one with w. Plain values are tested against every kept value.
+    Either way the smallest kept values are tried first.
     """
-    vals = sorted(set(int(v) for v in values), reverse=True)
-    if any(v < 1 for v in vals):
+    vals = sorted(set(values), reverse=True)
+    if vals and vals[-1] < 1:
         raise UsageError("spectrum values must be positive")
+    if vals and type(vals[0]) is _Supported and all(type(v) is _Supported for v in vals):
+        return Spectrum(tuple(int(v) for v in _indexed_scan(vals)))
     kept = []
-    for v in vals:
-        for w in kept:
+    for v in map(int, vals):
+        # the likeliest multiples of v
+        for w in reversed(kept):
             if w % v == 0:
                 break
         else:
             kept.append(v)
     return Spectrum(tuple(kept))
+
+
+def _indexed_scan(vals: list) -> list:
+    """The values of vals (descending, each a _Supported) that divide no
+    larger one. buckets maps each support bit i to the bitset of the indices
+    in kept of the kept values that have bit i.
+
+    Both loops start from the top bit. The high support bits stand for the
+    primes of high order, which few values have, so the candidate set is
+    small after the first AND and often empty before the last. The high
+    candidate bits are the smallest kept values, the likeliest multiples.
+    """
+    kept: list = []
+    buckets: dict = {}
+    for v in vals:
+        s = v.support
+        cand = (1 << len(kept)) - 1
+        while s and cand:
+            i = s.bit_length() - 1
+            cand &= buckets.get(i, 0)
+            s ^= 1 << i
+        while cand:
+            i = cand.bit_length() - 1
+            if kept[i] % v == 0:
+                break
+            cand ^= 1 << i
+        else:
+            bit = 1 << len(kept)
+            kept.append(v)
+            s = v.support
+            while s:
+                i = s.bit_length() - 1
+                buckets[i] = buckets.get(i, 0) | bit
+                s ^= 1 << i
+    return kept
+
+
+def _coprime_base(p: int, q: int, top: int) -> tuple:
+    """p, then for each e <= top the part of Phi_e(q) prime to e, where that
+    part is not 1. The elements are pairwise coprime; building them factors
+    nothing.
+
+    A prime r != p of multiplicative order e modulo q divides Phi_e(q) and
+    not e, since e | r - 1; a prime of Phi_e(q) that does not divide e has
+    order exactly e. So the part of Phi_e(q) prime to e holds exactly the
+    primes of order e (Zsigmondy's primitive prime divisors), and every
+    prime of p^t (q^j - 1) with j <= top lies in exactly one base element.
+    """
+    base, phi = [p], [0]
+    for e in range(1, top + 1):
+        x = q ** e - 1
+        for d in range(1, e // 2 + 1):
+            if e % d == 0:
+                x //= phi[d]
+        phi.append(x)
+        g = math.gcd(x, e)
+        while g > 1:
+            x //= g
+            g = math.gcd(x, g)
+        if x > 1:
+            base.append(x)
+    return tuple(base)
+
+
+def _support(x: int, base: tuple) -> int:
+    """Bitmask of the elements of base that share a factor with x."""
+    out = 0
+    for i, b in enumerate(base):
+        if math.gcd(x, b) > 1:
+            out |= 1 << i
+    return out
 
 
 def divisors(n: int) -> set:
@@ -178,49 +271,94 @@ def _partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def _lcm_table(n: int, cap: int, choices) -> list:
+def _lcm_table(n: int, cap: int, choices, supports: dict | None = None) -> list:
     """Sets of lcm values over all partitions of every m <= n, by class.
 
     cells[m] maps (number of parts capped at cap, parity of the -1 signs) to the
     set of lcm values over the partitions of m in that class. choices(j, c)
-    lists the (term, parities) a part j taken c times may contribute. The table
-    is filled layer by layer over the part size j; m runs downwards, so the
-    cells read at m - c*j still hold the partitions into parts below j.
+    lists the (term, support, parities) a part j taken c times may contribute.
+    The table is filled layer by layer over the part size j; m runs
+    downwards, so the cells read at m - c*j still hold the partitions into
+    parts below j. Given supports, a dict from value to support that starts
+    as {1: 0}, the table enters the support of every value it makes: the
+    support of lcm(v, term) is the union of theirs, so no gcd is needed.
     """
     cells: list = [{} for _ in range(n + 1)]
     cells[0][(0, 0)] = {1}
     for j in range(1, n + 1):
+        opts = [choices(j, c) for c in range(1, n // j + 1)]
         for m in range(n, j - 1, -1):
             cell = cells[m]
             for c in range(1, m // j + 1):
-                opts = choices(j, c)
+                choice = opts[c - 1]
                 for (parts, parity), vals in cells[m - c * j].items():
-                    capped = min(parts + c, cap)
-                    for term, parities in opts:
-                        new = {math.lcm(v, term) for v in vals}
+                    capped = parts + c if parts + c < cap else cap
+                    for term, support, parities in choice:
+                        if supports is None:
+                            new = {math.lcm(v, term) for v in vals}
+                        else:
+                            new = {math.lcm(v, term): supports[v] | support for v in vals}
+                            supports.update(new)
                         for extra in parities:
                             cell.setdefault((capped, parity ^ extra), set()).update(new)
     return cells
 
 
-def _signed_choices(q: int, track_parity: bool):
+def _signed_choices(q: int, base: tuple, track_parity: bool):
     """Sign choices for a part j of multiplicity c, each term q^j - 1 or q^j + 1.
 
     All c signs +1 give q^j - 1 (parity 0); all -1 give q^j + 1 (parity c mod 2);
     both signs, when c >= 2, give their lcm with parity 1 if c = 2 and either
-    parity otherwise. Without track_parity every choice has parity 0.
+    parity otherwise. Without track_parity every choice has parity 0. The
+    supports of the two terms are found once per j.
     """
+    supports: dict = {}
+
     def choices(j: int, c: int):
         plus, minus = q ** j - 1, q ** j + 1
-        opts = [(plus, (0,)), (minus, (c % 2,))]
+        if j not in supports:
+            supports[j] = (_support(plus, base), _support(minus, base)) if base else (0, 0)
+        sp, sm = supports[j]
+        opts = [(plus, sp, (0,)), (minus, sm, (c % 2,))]
         if c >= 2:
-            opts.append((math.lcm(plus, minus), (1,) if c == 2 else (0, 1)))
-        return opts if track_parity else [(term, (0,)) for term, _ in opts]
+            opts.append((math.lcm(plus, minus), sp | sm, (1,) if c == 2 else (0, 1)))
+        return opts if track_parity else [(term, sup, (0,)) for term, sup, _ in opts]
     return choices
 
 
-def _sorted_items(items: dict) -> dict:
-    return {kind: sorted(set(vals)) for kind, vals in items.items()}
+# The n from which the index of normalize saves more than the base and the
+# supports cost, by table. Measured against the plain scan for q in {3, 7, 25}
+# on a 2-core 2.0 GHz VM: the signed symplectic table grows fastest with n,
+# the linear one slowest.
+_INDEX_FROM_N = {"linear": 24, "symplectic": 13, "orthogonal": 17}
+
+
+def _index_base(spec: GroupSpec, table: str) -> tuple:
+    """The coprime base that indexes spec's candidates, or () below the
+    table's _INDEX_FROM_N.
+
+    Every candidate divides p^t times an lcm of terms q^j -+ 1 with j <= n,
+    so its primes other than p have order at most 2n modulo q.
+    """
+    if spec.n < _INDEX_FROM_N[table]:
+        return ()
+    return _coprime_base(spec.p, spec.q, 2 * spec.n)
+
+
+def _sorted_items(items: dict, base: tuple, supports: dict | None) -> dict:
+    """Each kind's values as a sorted, duplicate-free list. With a base they
+    are _Supported, their supports read from supports or, for the few values
+    built with a division, found by gcd."""
+    if not base:
+        return {kind: sorted(set(vals)) for kind, vals in items.items()}
+    out = {}
+    for kind, vals in items.items():
+        vals = sorted(set(vals))
+        for v in vals:
+            if v not in supports:
+                supports[v] = _support(v, base)
+        out[kind] = [_supported(v, supports[v]) for v in vals]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +372,21 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
     q^k - eps^k over the parts of a partition of n (one part, two parts, three
     or more); the unipotent kinds are p^t times such an lcm over a partition of
     n1 = n - p^(t-1) - 1 (one part, two or more), or a bare p-power. One lcm
-    table over 0..n serves many_part_torus and every unipotent level t.
+    table over 0..n serves many_part_torus and every unipotent level t. From
+    n = _INDEX_FROM_N on, every value carries its support (a _Supported).
     Debug/test accessor.
     """
     if spec.family not in ("PSL", "PGL"):
         raise UsageError("spectrum_linear covers PSL and PGL only")
     n, p, q, eps = spec.n, spec.p, spec.q, spec.eps
     d = math.gcd(n, q - eps) if spec.family == "PSL" else 1
+    base = _index_base(spec, "linear")
+    supports = {1: 0} if base else None
 
     def term(k: int) -> int:
         return q ** k - eps ** k
 
+    opts = {j: ((term(j), _support(term(j), base), (0,)),) for j in range(1, n + 1)}
     items: dict = {k: [] for k in ("torus", "two_part_torus", "many_part_torus",
                                    "unipotent_torus", "unipotent_many", "unipotent")}
     items["torus"].append(term(n) // ((q - eps) * d))
@@ -252,21 +394,25 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
         n2 = n - n1
         div = math.gcd(n // math.gcd(n1, n2), d)
         items["two_part_torus"].append(lcm_list([term(n1), term(n2)]) // div)
-    cells = _lcm_table(n, 3, lambda j, c: ((term(j), (0,)),))
+    cells = _lcm_table(n, 3, lambda j, c: opts[j], supports)
     items["many_part_torus"] += cells[n].get((3, 0), ())
     pt, t = 1, 1  # pt = p^(t-1)
     while pt + 2 <= n:
         n1 = n - pt - 1
         items["unipotent_torus"].append(p ** t * term(n1) // d)
         for parts in (2, 3):
-            items["unipotent_many"] += [p ** t * v for v in cells[n1].get((parts, 0), ())]
+            many = cells[n1].get((parts, 0), ())
+            items["unipotent_many"] += [p ** t * v for v in many]
+            if supports is not None:
+                # bit 0 is p
+                supports.update({p ** t * v: supports[v] | 1 for v in many})
         pt *= p
         t += 1
     # p^t occurs exactly when the dimension is p^(t-1) + 1
     s = p_power_exponent(n - 1, p)
     if s is not None:
         items["unipotent"].append(p ** (s + 1))
-    return _sorted_items(items)
+    return _sorted_items(items, base, supports)
 
 
 @lru_cache(maxsize=4096)
@@ -298,15 +444,18 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
     either term or, when repeated, both (one part, two or more); the unipotent
     kinds are p^t times such an lcm over a partition of n1 = n - (p^(t-1) + 1)/2,
     or 2 p^t. One lcm table over 0..n serves many_part_torus and every
-    unipotent level t.
+    unipotent level t. From n = _INDEX_FROM_N on, every value carries its
+    support (a _Supported).
     """
     n, p, q = spec.n, spec.p, spec.q
     d, c = _symplectic_constants(spec)
+    base = _index_base(spec, "symplectic")
+    supports = {1: 0} if base else None
 
     items: dict = {k: [] for k in ("torus", "many_part_torus",
                                    "unipotent_torus", "unipotent_many", "unipotent")}
     items["torus"] += [(q ** n - 1) // d, (q ** n + 1) // d]
-    cells = _lcm_table(n, 2, _signed_choices(q, track_parity=False))
+    cells = _lcm_table(n, 2, _signed_choices(q, base, track_parity=False), supports)
     items["many_part_torus"] += cells[n].get((2, 0), ())
     pt, t = 1, 1
     while True:
@@ -315,14 +464,18 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
             break
         items["unipotent_torus"] += [p ** t * (q ** n1 - 1) // c,
                                      p ** t * (q ** n1 + 1) // c]
-        items["unipotent_many"] += [p ** t * v for v in cells[n1].get((2, 0), ())]
+        many = cells[n1].get((2, 0), ())
+        items["unipotent_many"] += [p ** t * v for v in many]
+        if supports is not None:
+            # bit 0 is p
+            supports.update({p ** t * v: supports[v] | 1 for v in many})
         pt *= p
         t += 1
     # 2 p^t present exactly when the dimension 2n is p^(t-1) + 1
     s = p_power_exponent(2 * n - 1, p)
     if s is not None:
         items["unipotent"].append(2 * p ** (s + 1) // d)
-    return _sorted_items(items)
+    return _sorted_items(items, base, supports)
 
 
 @lru_cache(maxsize=4096)
@@ -343,12 +496,15 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
     lcms of q^k - 1 or q^k + 1 over partitions of n into two or more parts
     (OmegaEven) or three or more (POmegaEven), each part taking either term or,
     when repeated, both, with the number of -1 signs even for eps = +1 and odd
-    for eps = -1.
+    for eps = -1. From n = _INDEX_FROM_N on, every value carries its support
+    (a _Supported).
     """
     if spec.family not in ("OmegaEven", "POmegaEven"):
         raise UsageError("spectrum_orthogonal_semisimple covers OmegaEven and POmegaEven")
     n, q, eps = spec.n, spec.q, spec.eps
     target = 0 if eps == 1 else 1
+    base = _index_base(spec, "orthogonal")
+    supports = {1: 0} if base else None
 
     items: dict = {k: [] for k in ("torus", "two_part_torus", "many_part_torus")}
     if spec.family == "OmegaEven":
@@ -364,9 +520,9 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
                 e = 2 if two_part(a) == two_part(b) else 1
                 items["two_part_torus"].append(lcm_list([a, b]) // e)
         min_parts = 3
-    cells = _lcm_table(n, min_parts, _signed_choices(q, track_parity=True))
+    cells = _lcm_table(n, min_parts, _signed_choices(q, base, track_parity=True), supports)
     items["many_part_torus"] += cells[n].get((min_parts, target), ())
-    return _sorted_items(items)
+    return _sorted_items(items, base, supports)
 
 
 @lru_cache(maxsize=4096)

@@ -292,6 +292,34 @@ def test_gamma_check_nonsquare_class(capsys):
     assert report["in_gamma"] is False
 
 
+def test_gamma_check_computes_one_smith_form(monkeypatch, capsys):
+    import numpy as np
+
+    import groupspec.oracle.wall as wall
+    from groupspec.oracle.field import FiniteField
+    real, calls = wall.invariant_factors, []
+
+    def counted(F, H):
+        calls.append(H)
+        return real(F, H)
+    monkeypatch.setattr(wall, "invariant_factors", counted)
+    for q, matrix in (("3", "1,1;0,1"), ("3", "2,0;0,2"), ("3", "1,1,0;0,1,0;0,0,2"),
+                      ("5", "0,1;1,0"), ("5", "2,0;0,1"), ("9", "1,3;0,1")):
+        calls.clear()
+        assert cli.main(["gamma-check", "--q", q, matrix]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1, matrix
+        F = FiniteField(*{"3": (3, 1), "5": (5, 1), "9": (3, 2)}[q])
+        h = np.array([[int(e) for e in row.split(",")] for row in matrix.split(";")], np.int16)
+        monkeypatch.setattr(wall, "invariant_factors", real)
+        assert report["in_gamma"] == wall.gamma_membership(F, h), matrix
+        assert report["conjugate_to_inverse"] == wall.conjugate_to_inverse(F, h), matrix
+        for key, lam in (("partition_plus", 1), ("partition_minus", F.neg(1))):
+            want = sorted(([k, v] for k, v in wall.partition_at(F, h, lam).items()), reverse=True)
+            assert report[key] == want, (matrix, key)
+        monkeypatch.setattr(wall, "invariant_factors", counted)
+
+
 def test_parse_out_word_forms(capsys):
     assert cli.main(["coset-spectrum", "PSL(3,343)", "--generator", "1"]) == 0
     report = json.loads(capsys.readouterr().out)

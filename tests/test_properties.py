@@ -10,7 +10,7 @@ from groupspec.arith import (SignedBase, co_pi_part, factorize, pi_part, r_part,
                              two_part)
 from groupspec.coset import CosetSpectrum, Piece
 from groupspec.outer import OutElement
-from groupspec.spectra import Spectrum, normalize
+from groupspec.spectra import Spectrum, _support, _supported, normalize
 
 settings.register_profile("suite", deadline=None, max_examples=150)
 settings.load_profile("suite")
@@ -96,6 +96,18 @@ def test_normalize_is_a_maximal_antichain(values):
                 assert b % a != 0
     # same divisor closure as the input
     assert divisor_closure(gens) == divisor_closure(values)
+
+
+@given(st.lists(small_positive, min_size=1, max_size=40),
+       st.lists(st.integers(min_value=2, max_value=60), max_size=8))
+def test_normalize_index_matches_plain_scan(values, base):
+    # exact supports over any base keep v | w => support(v) <= support(w), so
+    # the index may skip only values v cannot divide
+    base = tuple(base)
+    supported = [_supported(v, _support(v, base)) for v in values]
+    indexed = normalize(supported)
+    assert indexed == normalize(values)
+    assert all(type(g) is int for g in indexed.generators)
 
 
 @given(st.lists(small_positive, min_size=1, max_size=12))

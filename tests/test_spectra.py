@@ -6,11 +6,17 @@ import math
 
 import pytest
 
-from groupspec.arith import UsageError, lcm_list, two_part
+from groupspec.arith import UsageError, factorize, lcm_list, two_part
 from groupspec.spectra import (
+    _INDEX_FROM_N,
     GroupSpec,
     Spectrum,
+    _coprime_base,
+    _lcm_table,
     _partitions,
+    _signed_choices,
+    _support,
+    _Supported,
     _symplectic_constants,
     check_2adj,
     divisors,
@@ -354,3 +360,138 @@ def test_lcm_table_matches_partition_enumeration(family):
                     assert set(items[kind]) == set(ref[kind]), (spec, kind)
                 pooled = [v for values in ref.values() for v in values]
                 assert spectrum_fn(spec).generators == normalize(pooled).generators, spec
+
+
+# ---------------------------------------------------------------------------
+# the support index of normalize against the quadratic scan
+#
+# From _INDEX_FROM_N on, spectrum_*_items hands normalize values that carry
+# their support over a coprime base, and normalize tests each value only
+# against the kept values whose support holds its own. The reference is the
+# plain scan normalize ran before the index.
+
+
+def _reference_normalize(values) -> tuple:
+    """Maximal elements under divisibility, each value tested against every
+    kept one."""
+    kept = []
+    for v in sorted(set(int(v) for v in values), reverse=True):
+        for w in kept:
+            if w % v == 0:
+                break
+        else:
+            kept.append(v)
+    return tuple(kept)
+
+
+TABLE_OF = {"PSL": "linear", "PGL": "linear", "Sp": "symplectic", "PSp": "symplectic",
+            "OmegaOdd": "symplectic", "OmegaEven": "orthogonal", "POmegaEven": "orthogonal"}
+INDEX_Q = (3, 5, 7, 9, 25, 27)
+
+
+@pytest.mark.parametrize("family", list(SWEEP))
+def test_indexed_normalize_matches_quadratic_scan(family):
+    items_fn, spectrum_fn, _, min_n = SWEEP[family]
+    signs = (1, -1) if family in ("PSL", "PGL", "OmegaEven", "POmegaEven") else (1,)
+    # n <= 20, and two steps past the table's crossover where it lies higher
+    top = max(20, _INDEX_FROM_N[TABLE_OF[family]] + 2)
+    indexed = set()
+    for n in range(min_n, top + 1):
+        for q in INDEX_Q:
+            for eps in signs:
+                spec = S(family, n, q, eps)
+                pooled = [v for values in items_fn(spec).values() for v in values]
+                indexed.add(all(type(v) is _Supported for v in pooled))
+                got = spectrum_fn(spec).generators
+                assert got == _reference_normalize(pooled), spec
+                assert all(type(g) is int for g in got), spec
+    assert indexed == {False, True}
+
+
+BASE_Q = (3, 5, 7, 9, 25)
+
+
+def test_coprime_base_is_pairwise_coprime_and_covers_every_term():
+    for q in BASE_Q:
+        p = factorize(q).pairs[0][0]
+        base = _coprime_base(p, q, 40)
+        assert base[0] == p
+        assert all(b > 1 and b % p for b in base[1:]), q
+        for i, a in enumerate(base):
+            for b in base[i + 1:]:
+                assert math.gcd(a, b) == 1, (q, a, b)
+        # every prime of q^d - 1, d <= 40, lies in some base element
+        for d in range(1, 41):
+            x = q ** d - 1
+            for b in base[1:]:
+                g = math.gcd(x, b)
+                while g > 1:
+                    x //= g
+                    g = math.gcd(x, g)
+            assert x == 1, (q, d)
+
+
+def test_lcm_table_supports_match_gcd():
+    for q in BASE_Q:
+        p = factorize(q).pairs[0][0]
+        for n in range(1, 15):
+            base = _coprime_base(p, q, 2 * n)
+            linear = {j: ((t, _support(t, base), (0,)),)
+                      for j in range(1, n + 1) for t in [q ** j - (-1) ** j]}
+            for cap, choices in ((3, lambda j, c: linear[j]),
+                                 (2, _signed_choices(q, base, track_parity=False)),
+                                 (3, _signed_choices(q, base, track_parity=True))):
+                supports = {1: 0}
+                for m, cell in enumerate(_lcm_table(n, cap, choices, supports)):
+                    for key, vals in cell.items():
+                        for v in vals:
+                            assert supports[v] == _support(v, base), (q, n, m, key, v)
+
+
+@pytest.mark.parametrize("family", list(SWEEP))
+def test_items_carry_gcd_supports_from_the_crossover(family):
+    items_fn, _, _, _ = SWEEP[family]
+    n = _INDEX_FROM_N[TABLE_OF[family]]
+    for q in (3, 25):
+        spec = S(family, n, q, -1 if family in ("OmegaEven", "POmegaEven") else 1)
+        base = _coprime_base(spec.p, q, 2 * n)
+        items = items_fn(spec)
+        assert any(items.values()), spec
+        for kind, values in items.items():
+            for v in values:
+                assert type(v) is _Supported and v.support == _support(v, base), (spec, kind, v)
+        below = S(family, n - 1, q, spec.eps)
+        assert all(type(v) is int for values in items_fn(below).values() for v in values)
+
+
+def test_spectra_go_through_the_traced_names(monkeypatch):
+    # A tracer replaces normalize by a one-argument wrapper that passes on
+    # list(values), and wraps each spectrum_*_items by name: the supports
+    # must survive both, or a traced run would time the plain scan.
+    import groupspec.spectra as spectra
+    seen: dict = {"items": 0, "normalize": []}
+    real_normalize = spectra.normalize
+
+    def traced_normalize(values):
+        vals = list(values)
+        seen["normalize"].append(vals)
+        return real_normalize(vals)
+    monkeypatch.setattr(spectra, "normalize", traced_normalize)
+    for name in ("spectrum_linear_items", "spectrum_symplectic_items",
+                 "spectrum_orthogonal_semisimple_items"):
+        def traced(spec, _real=getattr(spectra, name)):
+            seen["items"] += 1
+            return _real(spec)
+        monkeypatch.setattr(spectra, name, traced)
+    for fn, spec in ((spectra.spectrum_linear, S("PSL", _INDEX_FROM_N["linear"], 3)),
+                     (spectra.spectrum_symplectic, S("Sp", _INDEX_FROM_N["symplectic"], 3)),
+                     (spectra.spectrum_orthogonal_semisimple,
+                      S("OmegaEven", _INDEX_FROM_N["orthogonal"], 5, -1))):
+        seen["items"], seen["normalize"] = 0, []
+        fn.cache_clear()
+        got = fn(spec)
+        fn.cache_clear()
+        assert seen["items"] == 1 and len(seen["normalize"]) == 1, spec
+        vals = seen["normalize"][0]
+        assert vals and all(type(v) is _Supported for v in vals), spec
+        assert got.generators == _reference_normalize(vals), spec
