@@ -1,8 +1,12 @@
 """Vectorized matrix arithmetic over a table-backed finite field.
 
 Matrices are numpy int16 arrays of shape (..., n, n) whose entries are field
-encodings. Prime fields take the integer path: np.matmul for products, int32
-arithmetic mod p for elimination. Proper extensions go through the MUL/ADD/SUB
+encodings. Prime fields take the integer path. A product is an int16 np.matmul
+reduced through the field's table MOD[x] = x % p whenever n (p-1)^2 < 2^15,
+so that no sum overflows; elimination keeps its matrices in int16 and reduces
+through MOD whenever p^2 <= 2^15. Wider cases multiply in int64 and eliminate
+in int32, reducing with % p. The width follows from n and p alone, and all of
+it is exact integer arithmetic. Proper extensions go through the MUL/ADD/SUB
 lookup tables. Determinants alone use forward elimination below each pivot;
 inverses use the full Gauss-Jordan sweep.
 """
@@ -12,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..arith import UsageError
-from .field import FiniteField
+from .field import NARROW, FiniteField
 
 
 def _require_tables(F: FiniteField):
@@ -28,10 +32,13 @@ def identity_batch(F: FiniteField, n: int, count: int) -> np.ndarray:
 
 
 def mat_mul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if F.m == 1:
-        prod = A.astype(np.int64) @ B.astype(np.int64)
-        return (prod % F.p).astype(np.int16)
     _require_tables(F)
+    if F.m == 1:
+        p = F.p
+        if A.shape[-1] * (p - 1) ** 2 < NARROW:
+            return F.MOD.take(A @ B)
+        prod = A.astype(np.int64) @ B.astype(np.int64)
+        return (prod % p).astype(np.int16)
     n = A.shape[-1]
     BT = np.swapaxes(B, -1, -2)
     terms = F.MUL[A[..., :, None, :], BT[..., None, :, :]]
@@ -83,11 +90,24 @@ def is_scalar_batch(F: FiniteField, X: np.ndarray) -> np.ndarray:
             & (diag[..., 0] != 0))
 
 
+def _narrow(F: FiniteField) -> bool:
+    """Whether elimination over F stays in int16: always through the tables of
+    a proper extension, and through MOD when p^2 <= 2^15."""
+    return F.m > 1 or F.p * F.p <= NARROW
+
+
 def _field_ops(F: FiniteField):
-    """(add, mul, msub) on arrays of encodings, msub(a, f, b) = a - f b: int32
-    arithmetic mod p on prime fields, ADD/MUL/SUB table gathers otherwise."""
+    """(add, mul, msub) on arrays of encodings, msub(a, f, b) = a - f b.
+
+    Prime fields with p^2 <= 2^15 work in int16 and reduce through MOD;
+    msub adds p (p - 1) to keep its index in [0, p^2). Wider prime fields use
+    int32 arithmetic mod p. Proper extensions gather from ADD/MUL/SUB."""
     if F.m == 1:
         p = F.p
+        if _narrow(F):
+            MOD, lift = F.MOD, p * (p - 1)
+            return (lambda a, b: MOD.take(a + b), lambda a, b: MOD.take(a * b),
+                    lambda a, f, b: MOD.take(a - f * b + lift))
         return (lambda a, b: (a + b) % p, lambda a, b: a * b % p,
                 lambda a, f, b: (a - f * b) % p)
     return (lambda a, b: F.ADD[a, b], lambda a, b: F.MUL[a, b],
@@ -106,7 +126,7 @@ def det_inv_batch(F: FiniteField, A: np.ndarray, need_inv: bool = True):
     """
     _require_tables(F)
     add, mul, msub = _field_ops(F)
-    M = np.array(A, np.int32 if F.m == 1 else np.int16, copy=True)
+    M = np.array(A, np.int16 if _narrow(F) else np.int32, copy=True)
     B, n, _ = M.shape
     inv = identity_batch(F, n, B).astype(M.dtype) if need_inv else None
     det = np.ones(B, M.dtype)
@@ -132,8 +152,8 @@ def det_inv_batch(F: FiniteField, A: np.ndarray, need_inv: bool = True):
         fac[:, col] = 0
         M = msub(M, fac[:, :, None], M[:, col:col + 1, :])
         inv = msub(inv, fac[:, :, None], inv[:, col:col + 1, :])
-    det = det.astype(np.int16)
-    return det, inv.astype(np.int16) if need_inv else None, det != 0
+    det = det.astype(np.int16, copy=False)
+    return det, inv.astype(np.int16, copy=False) if need_inv else None, det != 0
 
 
 def det_batch(F: FiniteField, A: np.ndarray) -> np.ndarray:

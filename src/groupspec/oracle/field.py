@@ -2,14 +2,15 @@
 
 An element is encoded as an integer in [0, q): the value sum c_j p^j stands
 for the polynomial sum c_j x^j over the modulus. Small fields (q <= 2048)
-additionally build full numpy lookup tables (ADD, MUL, INV, ...) so matrix
-arithmetic can be vectorized, and do their scalar arithmetic through O(q)
-Python lists taken from them: mul, inv and pow through exp/log, and add in a
-proper extension through Zech logarithms, 1 + g^k = g^Z(k) (Huber, "Some
-comments on Zech's logarithms", IEEE Trans. Inf. Theory, 1990). Only large
-fields, and fields built with tables=False, multiply as polynomials over the
-prime field; so does the table set-up itself, which needs mul and pow before
-the tables exist.
+additionally build full numpy lookup tables (ADD, MUL, INV, ..., and over a
+prime field the int16 reduction table MOD, shared by every field of that p)
+so matrix arithmetic can be vectorized, and do their scalar arithmetic
+through O(q) Python lists taken from them: mul, inv and pow through exp/log,
+and add in a proper extension through Zech logarithms, 1 + g^k = g^Z(k)
+(Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory, 1990).
+Only large fields, and fields built with tables=False, multiply as
+polynomials over the prime field; so does the table set-up itself, which
+needs mul and pow before the tables exist.
 
 This module also holds the package's one polynomial kit: poly_trim, poly_add,
 poly_neg, poly_mul, poly_divmod, poly_monic, poly_eval, poly_gcd and
@@ -34,6 +35,7 @@ import numpy as np
 from ..arith import UsageError, factorize, is_prime
 
 TABLE_LIMIT_Q = 2048
+NARROW = 1 << 15                 # int16 sums and products below this are exact
 
 
 # --- polynomials over a field F: little-endian tuples of F's encodings ------
@@ -123,6 +125,13 @@ def poly_powmod(F, base, e: int, f) -> tuple:
         cur = poly_divmod(F, poly_mul(F, cur, cur), f)[1]
         e >>= 1
     return result
+
+
+@functools.cache
+def _mod_table(p):
+    """MOD[x] = x % p for 0 <= x < 2^15: one int16 reduction table per p, which
+    the prime-field matrix kernels gather their int16 results through."""
+    return (np.arange(NARROW) % p).astype(np.int16)
 
 
 # --- the default modulus ----------------------------------------------------
@@ -302,6 +311,7 @@ class FiniteField:
             grid = np.arange(q, dtype=np.int64)
             self.ADD = ((grid[:, None] + grid[None, :]) % p).astype(np.int16)
             self.NEG = ((-grid) % p).astype(np.int16)
+            self.MOD = _mod_table(p)
         else:
             digs = np.empty((q, m), np.int64)
             e = np.arange(q, dtype=np.int64)

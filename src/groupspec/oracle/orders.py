@@ -74,12 +74,16 @@ def _order_tree(F, Y, lanes, primes, trivial, out):
     raise AssertionError("order exceeds its bound")  # unreachable
 
 
-def tau_coset_orders_batch(F: FiniteField, X: np.ndarray,
-                           bound: Factorization) -> np.ndarray:
-    """Orders 2 * |g g^-T| of the graph-coset elements g tau, projectively."""
+def tau_images(F: FiniteField, X: np.ndarray) -> np.ndarray:
+    """Y = g g^-T for each g in X: the graph-coset element g tau has order
+    2 |Y Z|, so g with one Y share that order."""
     det, inv, ok = det_inv_batch(F, X)
     if not ok.all():
         raise ValueError("tau coset orders need invertible matrices")
-    Y = mat_mul(F, X, transpose(inv))
-    return 2 * orders_batch(F, Y, bound, projective=True)
+    return mat_mul(F, X, transpose(inv))
 
+
+def tau_coset_orders_batch(F: FiniteField, X: np.ndarray,
+                           bound: Factorization) -> np.ndarray:
+    """Orders 2 * |g g^-T| of the graph-coset elements g tau, projectively."""
+    return 2 * orders_batch(F, tau_images(F, X), bound, projective=True)

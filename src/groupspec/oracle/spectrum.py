@@ -8,6 +8,11 @@ order_kind selects what is measured per matrix g:
                    restricted to the det classes mapping into tau * PSL
   tau_delta_coset  the same value, with g in the classes of tau delta * PSL
 
+A full enumeration of a tau wing measures each distinct image Y = g g^-T once:
+the images of all blocks are keyed by encode_batch and deduplicated together
+(GL_3(5): 1,488,000 g, 88,506 distinct Y). Sampled draws repeat too rarely
+for that to pay.
+
 Sampling is block organized: the sample count is split into fixed blocks of
 65536 draws, each fed from its own spawned SeedSequence stream, so results
 are reproducible and independent of the thread count.
@@ -24,10 +29,11 @@ import numpy as np
 from ..arith import UsageError
 from ..coset import graph_coset
 from ..spectra import GroupSpec, divisors, spectrum_linear, spectrum_symplectic
-from .batch import det_batch
+from .batch import decode_batch, det_batch, encode_batch
 from .groups import (DEFAULT_ENUM_BOUND, enumerate_matrices, make_field,
                      sample_matrices, sampler_name)
-from .orders import (order_bound_fact, orders_batch, tau_coset_orders_batch)
+from .orders import (order_bound_fact, orders_batch, tau_coset_orders_batch,
+                     tau_images)
 
 ORDER_KINDS = ("plain", "projective", "tau_coset", "tau_delta_coset")
 BLOCK = 65536
@@ -49,6 +55,14 @@ def _values_batch(F, mats, bound, order_kind, n, q):
     if order_kind == "projective":
         return orders_batch(F, mats, bound, projective=True)
     return tau_coset_orders_batch(F, mats, bound)
+
+
+def _distinct_tau_images(F, mats, n):
+    """The distinct Y = g g^-T over all of mats, computed block by block and
+    deduplicated across the blocks by their encode_batch keys."""
+    keys = [encode_batch(tau_images(F, mats[lo:lo + BLOCK]), F.q)
+            for lo in range(0, len(mats), BLOCK)]
+    return decode_batch(np.unique(np.concatenate([np.zeros(0, np.int64), *keys])), F.q, n)
 
 
 def _det_class_mask(F, mats, kind: str, n: int, q: int, order_kind: str):
@@ -90,11 +104,13 @@ def brute_spectrum(kind: str, n: int, q: int, *,
 
     if mode == "full":
         F, mats = enumerate_matrices(kind, n, q, enum_bound=enum_bound, seed=seed)
+        rows, measure, scale = mats, order_kind, 1
         if order_kind.startswith("tau"):
             mats = mats[_det_class_mask(F, mats, kind, n, q, order_kind)]
-        for lo in range(0, len(mats), BLOCK):
-            vals = _values_batch(F, mats[lo:lo + BLOCK], bound, order_kind, n, q)
-            attained.update(int(v) for v in np.unique(vals))
+            rows, measure, scale = _distinct_tau_images(F, mats, n), "projective", 2
+        for lo in range(0, len(rows), BLOCK):
+            vals = _values_batch(F, rows[lo:lo + BLOCK], bound, measure, n, q)
+            attained.update(scale * int(v) for v in np.unique(vals))
         used = len(mats)
         sampler = "enumeration"
     else:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -212,18 +213,25 @@ def _random_mats(F, count, n, rng):
 
 
 def test_mat_mul_matches_scalar_reference():
-    F = FiniteField(5, 1)
-    rng = random.Random(1)
-    A = _random_mats(F, 6, 3, rng)
-    B = _random_mats(F, 6, 3, rng)
-    got = mat_mul(F, A, B)
-    for k in range(6):
-        for i in range(3):
-            for j in range(3):
-                acc = 0
-                for t in range(3):
-                    acc = F.add(acc, F.mul(int(A[k, i, t]), int(B[k, t, j])))
-                assert got[k, i, j] == acc
+    # n (p-1)^2 < 2^15 takes the int16 kernel and wider products int64: p = 181
+    # has n = 1 below the switch and n = 2 above it
+    for p in (3, 5, 13, 23, 181, 191, 2039):
+        F = FiniteField(p, 1)
+        rng = np.random.default_rng(p)
+        for n in range(1, 7):
+            A = rng.integers(0, p, size=(6, n, n)).astype(np.int16)
+            B = rng.integers(0, p, size=(6, n, n)).astype(np.int16)
+            A[0] = B[0] = p - 1                     # the largest sums a product has
+            got = mat_mul(F, A, B)
+            assert got.dtype == np.int16
+            assert not np.shares_memory(got, A) and not np.shares_memory(got, B)
+            for k in range(6):
+                for i in range(n):
+                    for j in range(n):
+                        acc = 0
+                        for t in range(n):
+                            acc = F.add(acc, F.mul(int(A[k, i, t]), int(B[k, t, j])))
+                        assert got[k, i, j] == acc
 
 
 def test_det_inv_batch_properties():
@@ -263,7 +271,9 @@ def test_mat_pow_matches_iterated_mul():
     assert not np.shares_memory(mat_pow(F, A, 1), A)    # callers write into it
 
 
-FIELDS = [(3, 1), (5, 1), (13, 1), (23, 1), (3, 2), (5, 2)]
+# 181^2 is just inside 2^15, so elimination over F_181 stays in int16; 191^2
+# is just outside, so F_191 eliminates in int32
+FIELDS = [(3, 1), (5, 1), (13, 1), (23, 1), (181, 1), (191, 1), (3, 2), (5, 2)]
 
 
 def _leibniz_det(F, g):
@@ -698,6 +708,21 @@ def test_brute_tau_coset_gl33():
     cos = graph_coset(3, 3)
     for v in rep["attained"]:
         assert v in cos
+
+
+@pytest.mark.parametrize("order_kind", ["tau_coset", "tau_delta_coset"])
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 3)])
+def test_brute_tau_dedup_matches_every_g(n, q, order_kind):
+    # the full enumeration measures each distinct g g^-T once; the reference
+    # measures every g of the wing, with no deduplication
+    rep = brute_spectrum("GL", n, q, mode="full", order_kind=order_kind)
+    F, mats = enumerate_matrices("GL", n, q)
+    d = math.gcd(n, q - 1)
+    wing = (F.LOG[det_batch(F, mats)] % d) == (0 if order_kind == "tau_coset" else 1)
+    bound = order_bound_fact(n, q, F.p)
+    every = tau_coset_orders_batch(F, mats[wing], bound)
+    assert rep["samples"] == int(wing.sum())
+    assert rep["attained"] == sorted(set(every.tolist()))
 
 
 def test_tau_coset_rejects_wrong_kind():
