@@ -1,4 +1,5 @@
-"""Exact integer helpers: gcd/lcm folds, pi-parts, factorization, primitive prime divisors.
+"""Exact integer helpers: gcd/lcm folds, pi-parts, factorization, primitive prime divisors,
+and the one check that a field size q is an odd prime power.
 
 Everything here works on unbounded Python ints. The only state is a
 factorization memo that can be preloaded from / saved to a plain text cache.
@@ -18,6 +19,10 @@ class UsageError(ValueError):
 
 class BoundError(RuntimeError):
     """An enumeration would exceed the configured bound."""
+
+
+# default for the bound a BoundError enforces on matrix enumeration
+DEFAULT_ENUM_BOUND = 30_000_000
 
 
 def lcm_list(values) -> int:
@@ -334,16 +339,11 @@ def primitive_prime_divisors(base: SignedBase, k: int) -> frozenset:
     return frozenset(factorize(residual).primes())
 
 
-def prime_power_decompose(x: int):
-    """Return (p, t) with x = p^t, t >= 1, or None if x is not a prime power."""
-    if x < 2:
-        return None
-    fact = factorize(x)
+def odd_prime_power(q: int):
+    """(p, m) with q = p^m for an odd prime p; UsageError otherwise."""
+    if q % 2 == 0 or q < 3:
+        raise UsageError(f"q = {q}: only odd prime powers are covered")
+    fact = factorize(q)
     if len(fact.pairs) != 1:
-        return None
+        raise UsageError(f"q = {q} is not a prime power")
     return fact.pairs[0]
-
-
-def is_odd_prime_power(x: int) -> bool:
-    pp = prime_power_decompose(x)
-    return pp is not None and pp[0] % 2 == 1

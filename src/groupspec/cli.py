@@ -22,12 +22,11 @@ import os
 import re
 import sys
 
-from .arith import (BoundError, UsageError, load_factor_cache,
-                    prime_power_decompose, save_factor_cache)
-from .spectra import (GroupSpec, spectrum_linear,
-                      spectrum_orthogonal_semisimple, spectrum_symplectic)
+from .arith import (DEFAULT_ENUM_BOUND, BoundError, UsageError, load_factor_cache,
+                    odd_prime_power, save_factor_cache)
+from .spectra import GroupSpec, spectrum
 
-DEFAULTS = {"seed": 0, "threads": 1, "enum_bound": 30_000_000,
+DEFAULTS = {"seed": 0, "threads": 1, "enum_bound": DEFAULT_ENUM_BOUND,
             "samples": 100_000, "cache": None}
 ENV_PREFIX = "GROUPSPEC_"
 BIG_INT = 2 ** 53 - 1
@@ -47,16 +46,6 @@ class ParseError(UsageError):
     def __init__(self, text: str, pos: int, msg: str):
         super().__init__(f"{msg} at position {pos}: {text!r}")
         self.pos = pos
-
-
-def odd_prime_power(q: int):
-    """(p, m) with q = p^m for an odd prime p; UsageError otherwise."""
-    if q % 2 == 0 or q < 3:
-        raise UsageError(f"q = {q}: only odd prime powers are covered")
-    pm = prime_power_decompose(q)
-    if pm is None:
-        raise UsageError(f"q = {q} is not a prime power")
-    return pm
 
 
 def parse_group(text: str):
@@ -201,21 +190,20 @@ def resolve_settings(args) -> dict:
 
 def cmd_spectrum(args, cfg):
     spec, shown = parse_group(args.group)
-    if spec.family in ("PSL", "PGL"):
-        sp = spectrum_linear(spec)
-        part = "full"
-    elif spec.family in ("Sp", "PSp", "OmegaOdd"):
-        sp = spectrum_symplectic(spec)
-        part = "full"
-    else:
-        sp = spectrum_orthogonal_semisimple(spec)
-        part = "p_prime"
+    sp = spectrum(spec)
     payload = {"spec": shown, "generators": list(sp.generators)}
     lines = [f"{shown} maximal orders: " + " ".join(map(str, sp.generators))]
-    if part == "p_prime":
-        payload["part"] = part
+    if spec.family in ("OmegaEven", "POmegaEven"):
+        payload["part"] = "p_prime"
         lines[0] += "  (p' part only)"
     return payload, lines, 0
+
+
+def _piece_lines(pieces) -> list:
+    """--pretty lines for the to_jsonable() pieces of a coset spectrum."""
+    return [f"  x{pc['multiplier']}: " + " ".join(map(str, pc["generators"]))
+            + (f"  [{pc['constraint']}]" if pc["constraint"] != "none" else "")
+            for pc in pieces]
 
 
 def cmd_coset_spectrum(args, cfg):
@@ -253,12 +241,8 @@ def cmd_coset_spectrum(args, cfg):
             payload["supported"] = False
             return payload, ["unsupported coset"], 0
         payload["pieces"] = result.to_jsonable()
-        lines = [f"{shown} field coset k={args.field_k} diag={args.diag} ({variant}):"]
-        for pc in payload["pieces"]:
-            lines.append(f"  x{pc['multiplier']}: "
-                         + " ".join(map(str, pc["generators"]))
-                         + (f"  [{pc['constraint']}]"
-                            if pc["constraint"] != "none" else ""))
+        lines = [f"{shown} field coset k={args.field_k} diag={args.diag} ({variant}):",
+                 *_piece_lines(payload["pieces"])]
         return payload, lines, 0
 
     if spec.eps != 1:
@@ -270,12 +254,7 @@ def cmd_coset_spectrum(args, cfg):
     else:
         coset = graph_coset(dim, spec.q)
     payload = {"spec": shown, "coset": "graph", "pieces": coset.to_jsonable()}
-    lines = [f"graph coset of {shown}:"]
-    for pc in payload["pieces"]:
-        lines.append(f"  x{pc['multiplier']}: "
-                     + " ".join(map(str, pc["generators"]))
-                     + (f"  [{pc['constraint']}]"
-                        if pc["constraint"] != "none" else ""))
+    lines = [f"graph coset of {shown}:", *_piece_lines(payload["pieces"])]
     return payload, lines, 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import UsageError, odd_part, p_power_exponent, r_part, two_part
+from .arith import UsageError, odd_part, odd_prime_power, p_power_exponent, two_part
 from .spectra import (GroupSpec, Spectrum, normalize,
                       spectrum_linear, spectrum_orthogonal_semisimple,
                       spectrum_symplectic)
@@ -66,25 +66,26 @@ class Piece:
         if self.constraint not in CONSTRAINTS:
             raise UsageError(f"unknown constraint {self.constraint!r}")
 
+    def admits(self, x: int, p: int) -> bool:
+        """Whether the constraint lets the base value x through."""
+        if self.constraint == "p_divisible":
+            return x % p == 0
+        if self.constraint == "p_prime_only":
+            return x % p != 0
+        return True
+
     def membership(self, a: int, p: int) -> bool:
         if a % self.multiplier != 0:
             return False
         x = a // self.multiplier
-        if self.constraint == "p_divisible" and x % p != 0:
-            return False
-        if self.constraint == "p_prime_only" and x % p == 0:
-            return False
-        return self.base.contains(x)
+        return self.admits(x, p) and self.base.contains(x)
 
     def maximal_elements(self, p: int) -> tuple:
         """Maximal attained values of this piece."""
-        gens = self.base.generators
-        if self.constraint == "p_divisible":
-            kept = tuple(g for g in gens if g % p == 0)
-        elif self.constraint == "p_prime_only":
-            kept = tuple(normalize([g // r_part(g, p) for g in gens]))
+        if self.constraint == "p_prime_only":
+            kept = self.base.restrict_coprime_to(p).generators
         else:
-            kept = gens
+            kept = [g for g in self.base.generators if self.admits(g, p)]
         return tuple(self.multiplier * g for g in kept)
 
 
@@ -112,12 +113,8 @@ class CosetSpectrum:
         """Every attained value. Only sane for small bases."""
         out: set = set()
         for piece in self.pieces:
-            for x in piece.base.all_values():
-                if piece.constraint == "p_divisible" and x % self.p != 0:
-                    continue
-                if piece.constraint == "p_prime_only" and x % self.p == 0:
-                    continue
-                out.add(piece.multiplier * x)
+            out |= {piece.multiplier * x for x in piece.base.all_values()
+                    if piece.admits(x, self.p)}
         return out
 
     def scaled(self, k: int) -> "CosetSpectrum":
@@ -133,10 +130,10 @@ class CosetSpectrum:
 
 
 def _check_coset_args(n: int, q: int):
-    spec = GroupSpec.from_q("PSL", max(n, 2), q)  # validates q odd prime power
+    p, m = odd_prime_power(q)
     if n < 3:
         raise UsageError("coset spectra need n >= 3")
-    return spec.p, spec.m
+    return p, m
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import threading
 
 import numpy as np
 
-from ..arith import BoundError, UsageError, factorize
+from ..arith import DEFAULT_ENUM_BOUND, BoundError, UsageError, odd_prime_power
 from .batch import (decode_batch, det_inv_batch, encode_batch, identity_batch,
                     mat_mul)
 from .field import FiniteField
@@ -31,7 +31,6 @@ from .field import FiniteField
 KINDS = ("GL", "SL", "GU", "SU", "Sp")
 
 ENUM_DRAW_LIMIT = 120_000
-DEFAULT_ENUM_BOUND = 30_000_000
 
 
 def group_order(kind: str, n: int, q: int) -> int:
@@ -54,12 +53,7 @@ def group_order(kind: str, n: int, q: int) -> int:
 
 def make_field(kind: str, q: int) -> FiniteField:
     """Field the matrices live over: F_q, except F_{q^2} for GU/SU."""
-    fact = factorize(q)
-    if len(fact.pairs) != 1:
-        raise UsageError(f"q = {q} is not a prime power")
-    p, m = fact.pairs[0]
-    if p == 2:
-        raise UsageError("the oracle covers odd characteristic only")
+    p, m = odd_prime_power(q)
     return FiniteField(p, 2 * m if kind in ("GU", "SU") else m)
 
 
@@ -80,19 +74,18 @@ def enumerate_matrices(kind: str, n: int, q: int,
     if hit is not None:
         return hit
     F = make_field(kind, q)
+    order = group_order(kind, n, q)
     if kind in ("GL", "SL"):
         total = F.q ** (n * n)
         if total > enum_bound:
             raise BoundError(f"{total} candidate matrices exceed the bound {enum_bound}")
         mats = _enumerate_linear(F, n, kind)
     else:
-        target = group_order(kind, n, q)
-        if target > enum_bound:
-            raise BoundError(f"|{kind}_{n}({q})| = {target} exceeds the bound {enum_bound}")
-        mats = _bfs_closure(F, kind, n, q, target, seed)
-    expect = group_order(kind, n, q if kind not in ("GU", "SU") else q)
-    if len(mats) != expect:
-        raise AssertionError(f"enumerated {len(mats)} != |{kind}| = {expect}")
+        if order > enum_bound:
+            raise BoundError(f"|{kind}_{n}({q})| = {order} exceeds the bound {enum_bound}")
+        mats = _bfs_closure(F, kind, n, q, order, seed)
+    if len(mats) != order:
+        raise AssertionError(f"enumerated {len(mats)} != |{kind}| = {order}")
     with _enum_lock:
         _enum_cache[key] = (F, mats)
     return F, mats

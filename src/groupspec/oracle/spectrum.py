@@ -26,30 +26,29 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..arith import UsageError
+from ..arith import DEFAULT_ENUM_BOUND, UsageError
 from ..coset import graph_coset
-from ..spectra import GroupSpec, divisors, spectrum_linear, spectrum_symplectic
+from ..spectra import GroupSpec, divisors, spectrum
 from .batch import decode_batch, det_batch, encode_batch
-from .groups import (DEFAULT_ENUM_BOUND, enumerate_matrices, make_field,
-                     sample_matrices, sampler_name)
+from .groups import enumerate_matrices, make_field, sample_matrices, sampler_name
 from .orders import (order_bound_fact, orders_batch, tau_coset_orders_batch,
                      tau_images)
 
 ORDER_KINDS = ("plain", "projective", "tau_coset", "tau_delta_coset")
 BLOCK = 65536
 
-# closed-form comparison target per (family): oracle group, order kind
+# closed-form comparison target per (family, eps): oracle group, order kind
 VERIFY_MAP = {
-    "PSL": ("SL", "projective"),
-    "PGL": ("GL", "projective"),
-    "PSU": ("SU", "projective"),
-    "PGU": ("GU", "projective"),
-    "PSp": ("Sp", "projective"),
-    "Sp": ("Sp", "plain"),
+    ("PSL", 1): ("SL", "projective"),
+    ("PGL", 1): ("GL", "projective"),
+    ("PSL", -1): ("SU", "projective"),
+    ("PGL", -1): ("GU", "projective"),
+    ("PSp", 1): ("Sp", "projective"),
+    ("Sp", 1): ("Sp", "plain"),
 }
 
 
-def _values_batch(F, mats, bound, order_kind, n, q):
+def _values_batch(F, mats, bound, order_kind):
     if order_kind == "plain":
         return orders_batch(F, mats, bound)
     if order_kind == "projective":
@@ -109,7 +108,7 @@ def brute_spectrum(kind: str, n: int, q: int, *,
             mats = mats[_det_class_mask(F, mats, kind, n, q, order_kind)]
             rows, measure, scale = _distinct_tau_images(F, mats, n), "projective", 2
         for lo in range(0, len(rows), BLOCK):
-            vals = _values_batch(F, rows[lo:lo + BLOCK], bound, measure, n, q)
+            vals = _values_batch(F, rows[lo:lo + BLOCK], bound, measure)
             attained.update(scale * int(v) for v in np.unique(vals))
         used = len(mats)
         sampler = "enumeration"
@@ -127,7 +126,7 @@ def brute_spectrum(kind: str, n: int, q: int, *,
                 if order_kind.startswith("tau"):
                     mats = mats[_det_class_mask(F, mats, kind, n, q, order_kind)]
                 if len(mats):
-                    vals = _values_batch(F, mats, bound, order_kind, n, q)
+                    vals = _values_batch(F, mats, bound, order_kind)
                     out.update(int(v) for v in np.unique(vals))
                 got += len(mats)
             return out
@@ -153,6 +152,16 @@ def brute_spectrum(kind: str, n: int, q: int, *,
     }
 
 
+def _judge(report: dict, formula, missing) -> None:
+    """Add to report the attained values outside formula (violations), in
+    full mode the values missing() that were never attained, and the verdict."""
+    report["violations"] = sorted(v for v in report["attained"] if v not in formula)
+    if report["mode"] == "full":
+        report["missing"] = sorted(missing())
+    failed = report["violations"] or report.get("missing")
+    report["verdict"] = "FAIL" if failed else "PASS"
+
+
 def verify_group(spec: GroupSpec, *, mode: str = "full", samples: int = 100_000,
                  seed: int = 0, enum_bound: int = DEFAULT_ENUM_BOUND,
                  threads: int = 1, order_kind: str | None = None) -> dict:
@@ -162,35 +171,21 @@ def verify_group(spec: GroupSpec, *, mode: str = "full", samples: int = 100_000,
     matrix cover); passing "plain" measures raw matrix orders instead, which
     agrees only when the cover has trivial center.
     """
-    if spec.family in ("PSL", "PGL"):
-        fam = ("PSU" if spec.family == "PSL" else "PGU") if spec.eps == -1 else spec.family
-        formula = spectrum_linear(spec)
-        n, q = spec.n, spec.q               # for eps = -1, q is the hermitian base
-    elif spec.family in ("Sp", "PSp"):
-        fam = spec.family
-        formula = spectrum_symplectic(spec)
-        n, q = 2 * spec.n, spec.q
-    else:
+    target = VERIFY_MAP.get((spec.family, spec.eps))
+    if target is None:
         raise UsageError(f"no matrix oracle for family {spec.family}")
-    kind, default_kind = VERIFY_MAP[fam]
+    kind, default_kind = target
     order_kind = order_kind or default_kind
     if order_kind not in ("plain", "projective"):
         raise UsageError("group verification uses plain or projective orders")
-
-    report = brute_spectrum(kind, n, q, mode=mode, order_kind=order_kind,
-                            samples=samples, seed=seed,
+    formula = spectrum(spec)
+    # for eps = -1, q is the hermitian base
+    report = brute_spectrum(kind, spec.dimension, spec.q, mode=mode,
+                            order_kind=order_kind, samples=samples, seed=seed,
                             enum_bound=enum_bound, threads=threads)
-    attained = set(report["attained"])
-    violations = sorted(v for v in attained if v not in formula)
-    if mode == "full":
-        missing = sorted(formula.all_values() - set().union(*map(divisors, attained)))
-        verdict = "PASS" if not violations and not missing else "FAIL"
-        report["missing"] = missing
-    else:
-        verdict = "PASS" if not violations else "FAIL"
+    _judge(report, formula, lambda: formula.all_values()
+           - set().union(*map(divisors, report["attained"])))
     report["formula"] = list(formula.generators)
-    report["violations"] = violations
-    report["verdict"] = verdict
     report["target"] = str(spec)
     return report
 
@@ -204,17 +199,8 @@ def verify_tau_coset(n: int, q: int, *, mode: str = "full",
     report = brute_spectrum("GL", n, q, mode=mode, order_kind="tau_coset",
                             samples=samples, seed=seed,
                             enum_bound=enum_bound, threads=threads)
-    attained = set(report["attained"])
-    violations = sorted(v for v in attained if v not in coset)
-    if mode == "full":
-        missing = sorted(coset.all_values() - attained)
-        verdict = "PASS" if not violations and not missing else "FAIL"
-        report["missing"] = missing
-    else:
-        verdict = "PASS" if not violations else "FAIL"
+    _judge(report, coset, lambda: coset.all_values() - set(report["attained"]))
     report["formula"] = coset.to_jsonable()
-    report["violations"] = violations
-    report["verdict"] = verdict
     report["target"] = f"tau coset of PSL_{n}({q})"
     return report
 
@@ -223,8 +209,7 @@ def tau_delta_probe(n: int, q: int, *, samples: int = 100_000, seed: int = 0,
                     threads: int = 1) -> dict:
     """Sample the other graph wing tau delta * PSL and look for orders that the
     socle does not have. PASS means such an order was found."""
-    spec = GroupSpec.from_q("PSL", n, q)
-    socle = spectrum_linear(spec)
+    socle = spectrum(GroupSpec.from_q("PSL", n, q))
     report = brute_spectrum("GL", n, q, mode="sample",
                             order_kind="tau_delta_coset",
                             samples=samples, seed=seed, threads=threads)

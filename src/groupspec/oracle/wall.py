@@ -19,7 +19,7 @@ canonical form):
   (z - lam)^e exactly divides.
 
 Polynomials are little-endian tuples of field encodings, handled by the
-kit in oracle.field (poly_* are re-exported here).
+kit in oracle.field.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 
 from ..arith import UsageError
 from .batch import det_inv_batch
-from .field import (FiniteField, poly_add, poly_divmod, poly_eval, poly_monic,
-                    poly_mul, poly_neg, poly_trim)
+from .field import (FiniteField, poly_add, poly_divmod, poly_monic, poly_mul,
+                    poly_neg, poly_trim)
 
 
 # --- invariant factors (Smith form over F_q[z]) ------------------------------
@@ -126,11 +126,6 @@ def _self_reciprocal(F: FiniteField, facs: tuple) -> bool:
     if facs and facs[-1][0] == 0:
         raise UsageError("matrix is singular")
     return all(d == poly_monic(F, d[::-1]) for d in facs)
-
-
-def conjugate_to_inverse(F: FiniteField, H: np.ndarray) -> bool:
-    """Whether H ~ H^-1."""
-    return _self_reciprocal(F, invariant_factors(F, H))
 
 
 def _wall_parities(plus: dict, minus: dict) -> bool:

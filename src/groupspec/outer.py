@@ -167,27 +167,30 @@ def _orbit(sub: frozenset, gens: list, lookup: dict) -> set:
     return seen
 
 
+def _class_reps(subs, elems: list) -> list:
+    """The first subgroup of subs met in each Out-conjugacy class, walking
+    subs by size, then by sorted keys; elems is the whole of Out."""
+    lookup = {x.key(): x for x in elems}
+    x = elems[0]
+    conj_gens = [f(x.eps, x.n, x.p, x.m) for f in (out_phi, out_tau, out_delta)]
+    reps, seen = [], set()
+    for sub in sorted(subs, key=lambda s: (len(s), sorted(s))):
+        if sub not in seen:
+            seen |= _orbit(sub, conj_gens, lookup)
+            reps.append(sub)
+    return reps
+
+
 def cyclic_subgroups_up_to_conjugacy(eps: int, n: int, p: int, m: int,
                                      bound: int = OUT_ENUM_BOUND) -> list:
     """Representative generators, one per conjugacy class of cyclic subgroups."""
     elems = out_elements(eps, n, p, m, bound)
-    lookup = {x.key(): x for x in elems}
-    conj_gens = [out_phi(eps, n, p, m), out_tau(eps, n, p, m), out_delta(eps, n, p, m)]
+    # out_elements runs in key order, so each subgroup keeps the generator
+    # with the least key
     subs = {}
     for x in elems:
         subs.setdefault(_subgroup_key(x), x)
-    reps = []
-    seen = set()
-    for sub in sorted(subs, key=lambda s: (len(s), sorted(s))):
-        if sub in seen:
-            continue
-        orbit = _orbit(sub, conj_gens, lookup)
-        seen |= orbit
-        size = len(sub)
-        gen = min((lookup[k] for k in sub
-                   if lookup[k].order() == size), key=lambda e: e.key())
-        reps.append(gen)
-    return reps
+    return [subs[sub] for sub in _class_reps(subs, elems)]
 
 
 @dataclass(frozen=True)
@@ -338,21 +341,12 @@ def admissible_generators(spec: GroupSpec,
 def _class_counts(gens, eps, n, p, m, bound):
     """Conjugacy classes of admissible subgroups: all subgroups of the maximal
     admissible cyclic groups, counted up to Out-conjugacy."""
-    elems = out_elements(eps, n, p, m, bound)
-    lookup = {x.key(): x for x in elems}
     admissible_subs = {frozenset({out_identity(eps, n, p, m).key()})}
     for g in gens:
         order = g.order()
         for e in range(1, order + 1):
             admissible_subs.add(_subgroup_key(g.power(e)))
-    conj_gens = [out_phi(eps, n, p, m), out_tau(eps, n, p, m), out_delta(eps, n, p, m)]
-    seen = set()
-    count = 0
-    for sub in sorted(admissible_subs, key=lambda s: (len(s), sorted(s))):
-        if sub in seen:
-            continue
-        seen |= _orbit(sub, conj_gens, lookup)
-        count += 1
+    count = len(_class_reps(admissible_subs, out_elements(eps, n, p, m, bound)))
     return count, count - 1
 
 

@@ -7,7 +7,8 @@ kept in descending order). The closed forms cover:
   spectrum_symplectic              Sp_2n(q), PSp_2n(q), Omega_{2n+1}(q)
   spectrum_orthogonal_semisimple   p'-part of Omega_2n^eps(q) and POmega_2n^eps(q)
 
-q = p^m is always odd here; even q is rejected up front.
+and spectrum(spec) picks the one that covers spec's family. q = p^m is
+always odd here; even q is rejected up front (arith.odd_prime_power).
 """
 
 from __future__ import annotations
@@ -16,17 +17,17 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import (UsageError, factorize, is_prime, lcm_list, p_power_exponent,
-                    r_part, two_part)
+from .arith import (UsageError, factorize, is_prime, lcm_list, odd_prime_power,
+                    p_power_exponent, r_part, two_part)
 
 FAMILIES = (
-    "PSL", "PGL", "SL",
+    "PSL", "PGL",
     "Sp", "PSp", "OmegaOdd",
     "OmegaEven", "POmegaEven",
 )
 
 # families where eps distinguishes a twisted form
-_EPS_FAMILIES = ("PSL", "PGL", "SL", "OmegaEven", "POmegaEven")
+_EPS_FAMILIES = ("PSL", "PGL", "OmegaEven", "POmegaEven")
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class GroupSpec:
             raise UsageError("eps must be +1 or -1")
         if self.family not in _EPS_FAMILIES and self.eps != 1:
             raise UsageError(f"{self.family} takes no sign")
-        min_n = {"PSL": 2, "PGL": 2, "SL": 2, "Sp": 1, "PSp": 1,
+        min_n = {"PSL": 2, "PGL": 2, "Sp": 1, "PSp": 1,
                  "OmegaOdd": 1, "OmegaEven": 2, "POmegaEven": 2}[self.family]
         if self.n < min_n:
             raise UsageError(f"{self.family} needs n >= {min_n}")
@@ -65,23 +66,20 @@ class GroupSpec:
 
     @classmethod
     def from_q(cls, family: str, n: int, q: int, eps: int = 1) -> "GroupSpec":
-        fact = factorize(q)
-        if len(fact.pairs) != 1:
-            raise UsageError(f"q = {q} is not a prime power")
-        p, m = fact.pairs[0]
+        p, m = odd_prime_power(q)
         return cls(family, n, p, m, eps)
 
     @property
     def dimension(self) -> int:
         """Matrix dimension of the natural module."""
-        if self.family in ("PSL", "PGL", "SL"):
+        if self.family in ("PSL", "PGL"):
             return self.n
         if self.family in ("Sp", "PSp", "OmegaEven", "POmegaEven"):
             return 2 * self.n
         return 2 * self.n + 1
 
     def __str__(self):
-        if self.family in ("PSL", "PGL", "SL"):
+        if self.family in ("PSL", "PGL"):
             twist = "U" if self.eps == -1 else "L"
             return f"{self.family[:-1]}{twist}_{self.n}({self.q})"
         if self.family in ("OmegaEven", "POmegaEven"):
@@ -530,6 +528,17 @@ def spectrum_orthogonal_semisimple(spec: GroupSpec) -> Spectrum:
     """p'-part of the spectrum of Omega_2n^eps(q) or POmega_2n^eps(q)."""
     items = spectrum_orthogonal_semisimple_items(spec)
     return normalize([v for vals in items.values() for v in vals])
+
+
+def spectrum(spec: GroupSpec) -> Spectrum:
+    """Closed-form spectrum of any GroupSpec; the p'-part for OmegaEven and
+    POmegaEven."""
+    # module-global lookups, so that a rebound spectrum_* is the one called
+    if spec.family in ("PSL", "PGL"):
+        return spectrum_linear(spec)
+    if spec.family in ("Sp", "PSp", "OmegaOdd"):
+        return spectrum_symplectic(spec)
+    return spectrum_orthogonal_semisimple(spec)
 
 
 def check_2adj(n: int, q: int, eps: int) -> bool:

@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from groupspec.arith import SignedBase, is_odd_prime_power, r_part, two_part
+from groupspec.arith import SignedBase, factorize, r_part, two_part
 from groupspec.coset import graph_coset, tau_criterion
 from groupspec.oracle.batch import det_inv_batch, encode_batch, mat_mul, transpose
 from groupspec.oracle.groups import enumerate_matrices
@@ -125,7 +125,7 @@ def test_08_every_generator_attained():
 
 def test_09_tau_criterion_sweep():
     t0 = time.monotonic()
-    qs = [q for q in range(3, 82, 2) if is_odd_prime_power(q)]
+    qs = [q for q in range(3, 82, 2) if len(factorize(q).pairs) == 1]
     witnesses = equals = 0
     for n in range(3, 11):
         for q in qs:
@@ -148,7 +148,7 @@ def test_09_tau_criterion_sweep():
 
 def test_10_half_torus_membership_sweep():
     t0 = time.monotonic()
-    qs = [q for q in range(3, 28, 2) if is_odd_prime_power(q)]
+    qs = [q for q in range(3, 28, 2) if len(factorize(q).pairs) == 1]
     cases = 0
     for n in range(4, 13, 2):
         for q in qs:

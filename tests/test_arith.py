@@ -14,14 +14,13 @@ from groupspec.arith import (
     co_pi_part,
     factorize,
     gcd_list,
-    is_odd_prime_power,
     is_prime,
     lcm_list,
     load_factor_cache,
     odd_part,
+    odd_prime_power,
     p_power_exponent,
     pi_part,
-    prime_power_decompose,
     primitive_prime_divisors,
     r_part,
     save_factor_cache,
@@ -180,15 +179,15 @@ def test_primitive_prime_divisors_residue():
             assert r % k == 1
 
 
-def test_prime_power_decompose():
-    assert prime_power_decompose(27) == (3, 3)
-    assert prime_power_decompose(343) == (7, 3)
-    assert prime_power_decompose(5) == (5, 1)
-    assert is_odd_prime_power(27)
-    assert is_odd_prime_power(5)
-    assert not is_odd_prime_power(8)
-    assert not is_odd_prime_power(15)
-    assert not is_odd_prime_power(1)
+def test_odd_prime_power():
+    assert odd_prime_power(27) == (3, 3)
+    assert odd_prime_power(343) == (7, 3)
+    assert odd_prime_power(5) == (5, 1)
+    for q, msg in ((8, "only odd prime powers"), (1, "only odd prime powers"),
+                   (0, "only odd prime powers"), (-3, "only odd prime powers"),
+                   (15, "is not a prime power")):
+        with pytest.raises(UsageError, match=msg):
+            odd_prime_power(q)
 
 
 def test_factor_cache_round_trip(tmp_path):

@@ -10,9 +10,11 @@ import sys
 import pytest
 
 import groupspec.cli as cli
-from groupspec.arith import UsageError, save_factor_cache
+from groupspec.arith import UsageError, odd_prime_power, save_factor_cache
+from groupspec.coset import field_coset_spectrum, graph_coset
+from groupspec.oracle.groups import make_field
 import groupspec.oracle.spectrum as oracle_spectrum
-from groupspec.spectra import Spectrum
+from groupspec.spectra import GroupSpec, Spectrum
 
 
 def clean_env(env=None):
@@ -126,6 +128,22 @@ def test_group_grammar_rejections(group, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("q", [0, 1, 2, 8, 12, 15])
+def test_bad_q_gets_one_message_everywhere(q, capsys):
+    with pytest.raises(UsageError) as want:
+        odd_prime_power(q)
+    msg = str(want.value)
+    for call in (lambda: GroupSpec.from_q("PSL", 3, q), lambda: make_field("GL", q),
+                 lambda: graph_coset(3, q),
+                 lambda: field_coset_spectrum(3, q, 1, 0, 1, "plain")):
+        with pytest.raises(UsageError) as got:
+            call()
+        assert str(got.value) == msg
+    for argv in (["spectrum", f"PSL(3,{q})"], ["gamma-check", "--q", str(q), "1,0;0,1"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
+
 def test_bound_exit_code():
     code, _, err = run_cli("verify", "PSL(3,3)", "--mode", "full", "--enum-bound", "100")
     assert code == 3
@@ -144,7 +162,7 @@ def test_usage_exit_codes():
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
     # tamper with the closed form so the oracle disagrees
-    monkeypatch.setattr(oracle_spectrum, "spectrum_linear",
+    monkeypatch.setattr(oracle_spectrum, "spectrum",
                         lambda spec: Spectrum((5,)))
     code = cli.main(["verify", "PSL(2,5)", "--mode", "sample", "--samples", "500"])
     out = capsys.readouterr().out
@@ -313,7 +331,8 @@ def test_gamma_check_computes_one_smith_form(monkeypatch, capsys):
         h = np.array([[int(e) for e in row.split(",")] for row in matrix.split(";")], np.int16)
         monkeypatch.setattr(wall, "invariant_factors", real)
         assert report["in_gamma"] == wall.gamma_membership(F, h), matrix
-        assert report["conjugate_to_inverse"] == wall.conjugate_to_inverse(F, h), matrix
+        assert report["conjugate_to_inverse"] == wall._self_reciprocal(
+            F, wall.invariant_factors(F, h)), matrix
         for key, lam in (("partition_plus", 1), ("partition_minus", F.neg(1))):
             want = sorted(([k, v] for k, v in wall.partition_at(F, h, lam).items()), reverse=True)
             assert report[key] == want, (matrix, key)

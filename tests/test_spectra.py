@@ -9,6 +9,7 @@ import pytest
 from groupspec.arith import UsageError, factorize, lcm_list, two_part
 from groupspec.spectra import (
     _INDEX_FROM_N,
+    FAMILIES,
     GroupSpec,
     Spectrum,
     _coprime_base,
@@ -21,6 +22,7 @@ from groupspec.spectra import (
     check_2adj,
     divisors,
     normalize,
+    spectrum,
     spectrum_linear,
     spectrum_linear_items,
     spectrum_orthogonal_semisimple,
@@ -199,6 +201,29 @@ def test_group_spec_rejects_bad_input():
         S("PSL", 1, 3, 1)            # rank below the supported range
     with pytest.raises(UsageError):
         S("PXL", 3, 3, 1)
+    with pytest.raises(UsageError):
+        GroupSpec("SL", 3, 3, 1)     # no closed form, CLI token or oracle covers SL
+
+
+def test_spectrum_dispatches_every_family():
+    # one closed form per family; FAMILIES has no family without one
+    forms = {"PSL": spectrum_linear, "PGL": spectrum_linear,
+             "Sp": spectrum_symplectic, "PSp": spectrum_symplectic,
+             "OmegaOdd": spectrum_symplectic,
+             "OmegaEven": spectrum_orthogonal_semisimple,
+             "POmegaEven": spectrum_orthogonal_semisimple}
+    assert set(forms) == set(FAMILIES)
+    cases = 0
+    for family, form in forms.items():
+        signs = (1, -1) if family in ("PSL", "PGL", "OmegaEven", "POmegaEven") else (1,)
+        low = 2 if family in ("PSL", "PGL", "OmegaEven", "POmegaEven") else 1
+        for n in range(low, 7):
+            for q in (3, 9):
+                for eps in signs:
+                    spec = S(family, n, q, eps)
+                    assert spectrum(spec) == form(spec), spec
+                    cases += 1
+    assert cases == 4 * 5 * 2 * 2 + 3 * 6 * 2
 
 
 # ---------------------------------------------------------------------------
