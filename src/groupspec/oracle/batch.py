@@ -6,17 +6,32 @@ reduced through the field's table MOD[x] = x % p whenever n (p-1)^2 < 2^15,
 so that no sum overflows; elimination keeps its matrices in int16 and reduces
 through MOD whenever p^2 <= 2^15. Wider cases multiply in int64 and eliminate
 in int32, reducing with % p. The width follows from n and p alone, and all of
-it is exact integer arithmetic. Proper extensions go through the MUL/ADD/SUB
-lookup tables. Determinants alone use forward elimination below each pivot;
-inverses use the full Gauss-Jordan sweep.
+it is exact integer arithmetic.
+
+A product over a proper extension F_{p^m} is one integer np.matmul by
+Kronecker substitution (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput., 2009). The digits of
+an encoding become the digits of an integer in base B = n m (p-1)^2 + 1, which
+bounds every coefficient of an inner product of polynomials, so the packed
+product carries nothing between digits. Its low m digits and its high m - 1
+digits each go through one table to a field element, and one ADD gather joins
+them. This holds while B^m <= KRONECKER_LIMIT = 2^17: F_9 up to n = 45, F_25
+up to n = 11, F_27 up to n = 4, F_49 up to n = 5, F_81 to F_169 at n = 1 only,
+and no field from F_243 on. The product is int16 when B^(2m-1) <= 2^15 (F_9 up
+to n = 3) and int32 otherwise. Every other case gathers from the MUL and ADD
+tables term by term. Elimination
+over an extension gathers from MUL/ADD/SUB. Determinants alone use forward
+elimination below each pivot; inverses use the full Gauss-Jordan sweep.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..arith import UsageError
-from .field import NARROW, FiniteField
+from .field import KRONECKER_LIMIT, NARROW, FiniteField, poly_divmod
 
 
 def _require_tables(F: FiniteField):
@@ -31,15 +46,63 @@ def identity_batch(F: FiniteField, n: int, count: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _kronecker(p: int, m: int, modulus: tuple, n: int):
+    """Tables (K, B^m, LO, HI) for n x n products over F_{p^m} by Kronecker
+    substitution, or None when B^m > KRONECKER_LIMIT. Cached per field and n:
+    make_field builds a fresh field object for every call.
+
+    K[e] is the encoding e = sum d_i p^i read in base B = n m (p-1)^2 + 1.
+    A packed product P = hi B^m + lo holds the coefficients of x^0 .. x^(2m-2)
+    as its base-B digits. LO[lo] is q times the encoding of the low m digits
+    mod p, a row offset into the flattened ADD; HI[hi] is the encoding of the
+    high m - 1 digits mod p, reduced mod the modulus.
+    """
+    base = n * m * (p - 1) ** 2 + 1
+    split = base ** m
+    if split > KRONECKER_LIMIT:
+        return None
+    top = base ** (2 * m - 1)              # every packed product is below this
+    assert top < 1 << 31
+    dtype = np.int16 if top <= NARROW else np.int32
+
+    def digits(x, radix, count):
+        return [x // radix ** i % radix for i in range(count)]
+
+    q = p ** m
+    K = sum(d * base ** i for i, d in enumerate(digits(np.arange(q), p, m)))
+    lo = digits(np.arange(split), base, m)
+    LO = q * sum(d % p * p ** i for i, d in enumerate(lo))
+    # x^(m+t) mod the modulus, for t = 0 .. m - 2, as coefficient rows
+    Fp = FiniteField(p, tables=False)
+    rows = np.zeros((m - 1, m), np.int64)
+    for t in range(m - 1):
+        rem = poly_divmod(Fp, (0,) * (m + t) + (1,), modulus)[1]
+        rows[t, :len(rem)] = rem
+    hi = np.stack(digits(np.arange(base ** (m - 1)), base, m - 1), axis=1) % p
+    HI = (hi @ rows % p) @ p ** np.arange(m)
+    return (K.astype(dtype), dtype(split),
+            LO.astype(np.int16 if q * q <= NARROW else np.int32), HI.astype(np.int16))
+
+
 def mat_mul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     _require_tables(F)
+    n = A.shape[-1]
     if F.m == 1:
         p = F.p
-        if A.shape[-1] * (p - 1) ** 2 < NARROW:
+        if n * (p - 1) ** 2 < NARROW:
             return F.MOD.take(A @ B)
         prod = A.astype(np.int64) @ B.astype(np.int64)
         return (prod % p).astype(np.int16)
-    n = A.shape[-1]
+    kron = _kronecker(F.p, F.m, F.modulus, n)
+    if kron is not None:
+        K, split, LO, HI = kron
+        P = K.take(A) @ K.take(B)
+        hi = P // split
+        P -= hi * split                    # the low m digits
+        index = LO.take(P)
+        index += HI.take(hi)
+        return F.ADD.take(index)
     BT = np.swapaxes(B, -1, -2)
     terms = F.MUL[A[..., :, None, :], BT[..., None, :, :]]
     out = terms[..., 0]

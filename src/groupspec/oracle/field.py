@@ -36,6 +36,8 @@ from ..arith import UsageError, factorize, is_prime
 
 TABLE_LIMIT_Q = 2048
 NARROW = 1 << 15                 # int16 sums and products below this are exact
+KRONECKER_LIMIT = 1 << 17        # largest B^m of an extension-field mat_mul by
+                                 # Kronecker substitution (oracle.batch)
 
 
 # --- polynomials over a field F: little-endian tuples of F's encodings ------

@@ -98,11 +98,12 @@ def brute_spectrum(kind: str, n: int, q: int, *,
         raise UsageError("tau coset orders are measured inside GL or GU")
     start = time.monotonic()
     F = make_field(kind, q)
-    bound = order_bound_fact(n, F.q, F.p)
     attained: set = set()
 
     if mode == "full":
+        # the enumeration checks enum_bound before anything costs time
         F, mats = enumerate_matrices(kind, n, q, enum_bound=enum_bound, seed=seed)
+        bound = order_bound_fact(n, F.q, F.p)
         rows, measure, scale = mats, order_kind, 1
         if order_kind.startswith("tau"):
             mats = mats[_det_class_mask(F, mats, kind, n, q, order_kind)]
@@ -113,6 +114,7 @@ def brute_spectrum(kind: str, n: int, q: int, *,
         used = len(mats)
         sampler = "enumeration"
     else:
+        bound = order_bound_fact(n, F.q, F.p)
         blocks = (samples + BLOCK - 1) // BLOCK
         streams = np.random.SeedSequence(seed).spawn(blocks)
 
@@ -178,11 +180,14 @@ def verify_group(spec: GroupSpec, *, mode: str = "full", samples: int = 100_000,
     order_kind = order_kind or default_kind
     if order_kind not in ("plain", "projective"):
         raise UsageError("group verification uses plain or projective orders")
-    formula = spectrum(spec)
+    # full mode: the enumeration bound is checked before the closed form
+    formula = spectrum(spec) if mode != "full" else None
     # for eps = -1, q is the hermitian base
     report = brute_spectrum(kind, spec.dimension, spec.q, mode=mode,
                             order_kind=order_kind, samples=samples, seed=seed,
                             enum_bound=enum_bound, threads=threads)
+    if formula is None:
+        formula = spectrum(spec)
     _judge(report, formula, lambda: formula.all_values()
            - set().union(*map(divisors, report["attained"])))
     report["formula"] = list(formula.generators)
@@ -195,10 +200,13 @@ def verify_tau_coset(n: int, q: int, *, mode: str = "full",
                      enum_bound: int = DEFAULT_ENUM_BOUND,
                      threads: int = 1) -> dict:
     """Check the graph-coset spectrum formula against measured coset orders."""
-    coset = graph_coset(n, q)
+    # full mode: the enumeration bound is checked before the closed form
+    coset = graph_coset(n, q) if mode != "full" else None
     report = brute_spectrum("GL", n, q, mode=mode, order_kind="tau_coset",
                             samples=samples, seed=seed,
                             enum_bound=enum_bound, threads=threads)
+    if coset is None:
+        coset = graph_coset(n, q)
     _judge(report, coset, lambda: coset.all_values() - set(report["attained"]))
     report["formula"] = coset.to_jsonable()
     report["target"] = f"tau coset of PSL_{n}({q})"

@@ -150,6 +150,19 @@ def test_bound_exit_code():
     assert "retry with --mode sample" in err
 
 
+def test_full_verify_beyond_the_bound_exits_3(monkeypatch, capsys):
+    # the closed forms and the order bound come after the enumeration bound
+    def computed_too_early(*args, **kwargs):
+        raise AssertionError("computed before the enumeration bound was checked")
+    for name in ("spectrum", "graph_coset", "order_bound_fact"):
+        monkeypatch.setattr(oracle_spectrum, name, computed_too_early)
+    for extra in ([], ["--order-kind", "tau_coset"]):
+        assert cli.main(["verify", "PSL(60,3)", "--mode", "full", *extra]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "retry with --mode sample" in out.err
+
+
 def test_usage_exit_codes():
     assert run_cli("coset-spectrum", "PSL(3,9)", "--variant", "plain")[0] == 2
     assert run_cli("coset-spectrum", "PSL(3,9)", "--field-k", "2",

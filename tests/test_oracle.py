@@ -11,9 +11,10 @@ import random
 import numpy as np
 import pytest
 
-from groupspec.arith import UsageError
+from groupspec.arith import UsageError, factorize, odd_prime_power
 from groupspec.coset import graph_coset
 from groupspec.oracle.batch import (
+    _kronecker,
     decode_batch,
     det_batch,
     det_inv_batch,
@@ -232,10 +233,69 @@ def test_mat_mul_matches_scalar_reference():
             for k in range(6):
                 for i in range(n):
                     for j in range(n):
-                        acc = 0
-                        for t in range(n):
-                            acc = F.add(acc, F.mul(int(A[k, i, t]), int(B[k, t, j])))
-                        assert got[k, i, j] == acc
+                        assert got[k, i, j] == _scalar_dot(F, A[k, i], B[k, :, j])
+    # single matrices and a broadcast of one matrix over a batch, as the
+    # samplers, tau_images and mat_pow call it; F_9 and F_25 substitute
+    for q in (9, 25):
+        F = FiniteField(*odd_prime_power(q))
+        rng = np.random.default_rng(q)
+        for n in range(1, 7):
+            A = rng.integers(0, q, size=(n, n)).astype(np.int16)
+            B = rng.integers(0, q, size=(4, n, n)).astype(np.int16)
+            A[0] = B[0, 0] = q - 1
+            assert _kronecker(F.p, F.m, F.modulus, n) is not None
+            single, broad = mat_mul(F, A, B[0]), mat_mul(F, A, B)
+            assert single.shape == (n, n) and broad.shape == (4, n, n)
+            assert single.dtype == broad.dtype == np.int16
+            for k in range(4):
+                want = [[_scalar_dot(F, A[i], B[k, :, j]) for j in range(n)]
+                        for i in range(n)]
+                assert (broad[k] == want).all()
+            assert (single == broad[0]).all()
+
+
+def _scalar_dot(F, row, col):
+    acc = 0
+    for a, b in zip(row, col):
+        acc = F.add(acc, F.mul(int(a), int(b)))
+    return acc
+
+
+def _gather_mat_mul(F, A, B):
+    """The term-by-term MUL/ADD gather that mat_mul falls back to."""
+    terms = F.MUL[A[..., :, None, :], transpose(B)[..., None, :, :]]
+    out = terms[..., 0]
+    for k in range(1, A.shape[-1]):
+        out = F.ADD[out, terms[..., k]]
+    return out
+
+
+def test_mat_mul_matches_gather_loop():
+    # every table field with odd p, m >= 2 and q <= 729, at n <= 6; all-(q-1)
+    # matrices (every digit p - 1) give the largest coefficient sums
+    paths = {}
+    for q in range(9, 730, 2):
+        pairs = factorize(q).pairs
+        if len(pairs) != 1 or pairs[0][1] < 2:
+            continue
+        F = FiniteField(*pairs[0])
+        rng = np.random.default_rng(q)
+        for n in range(1, 7):
+            A = rng.integers(0, q, size=(8, n, n)).astype(np.int16)
+            B = rng.integers(0, q, size=(8, n, n)).astype(np.int16)
+            A[0] = B[0] = q - 1
+            got = mat_mul(F, A, B)
+            assert got.dtype == np.int16
+            assert not np.shares_memory(got, A) and not np.shares_memory(got, B)
+            assert (got == _gather_mat_mul(F, A, B)).all(), (q, n)
+            kron = _kronecker(F.p, F.m, F.modulus, n)
+            paths[q, n] = "gather" if kron is None else kron[0].dtype.name
+    assert set(paths.values()) == {"int16", "int32", "gather"}
+    # both sides of each switch
+    assert (paths[9, 3], paths[9, 4]) == ("int16", "int32")
+    assert (paths[27, 4], paths[27, 5]) == ("int32", "gather")
+    assert (paths[49, 5], paths[49, 6]) == ("int32", "gather")
+    assert paths[81, 2] == paths[121, 2] == paths[243, 1] == "gather"
 
 
 def test_det_inv_batch_properties():
@@ -424,6 +484,21 @@ def test_enumeration_counts_and_membership():
 def test_enumeration_bound_error():
     with pytest.raises(BoundError):
         enumerate_matrices("GL", 4, 5, enum_bound=1000)
+
+
+def test_full_verify_checks_the_enumeration_bound_first(monkeypatch):
+    # the closed forms and the order bound of n = 60 would take far longer
+    # than the bound check; full mode must refuse before computing any of them
+    import groupspec.oracle.spectrum as oracle_spectrum
+
+    def computed_too_early(*args, **kwargs):
+        raise AssertionError("computed before the enumeration bound was checked")
+    for name in ("spectrum", "graph_coset", "order_bound_fact"):
+        monkeypatch.setattr(oracle_spectrum, name, computed_too_early)
+    with pytest.raises(BoundError):
+        verify_group(S("PSL", 60, 3), mode="full")
+    with pytest.raises(BoundError):
+        verify_tau_coset(60, 3, mode="full")
 
 
 def test_make_field_matches_kind():
