@@ -70,6 +70,7 @@ def _kronecker(p: int, m: int, modulus: tuple, n: int):
         return [x // radix ** i % radix for i in range(count)]
 
     q = p ** m
+    assert q * q <= NARROW                 # LO holds q times an encoding
     K = sum(d * base ** i for i, d in enumerate(digits(np.arange(q), p, m)))
     lo = digits(np.arange(split), base, m)
     LO = q * sum(d % p * p ** i for i, d in enumerate(lo))
@@ -82,7 +83,7 @@ def _kronecker(p: int, m: int, modulus: tuple, n: int):
     hi = np.stack(digits(np.arange(base ** (m - 1)), base, m - 1), axis=1) % p
     HI = (hi @ rows % p) @ p ** np.arange(m)
     return (K.astype(dtype), dtype(split),
-            LO.astype(np.int16 if q * q <= NARROW else np.int32), HI.astype(np.int16))
+            LO.astype(np.int16), HI.astype(np.int16))
 
 
 def mat_mul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -180,14 +180,11 @@ def verify_group(spec: GroupSpec, *, mode: str = "full", samples: int = 100_000,
     order_kind = order_kind or default_kind
     if order_kind not in ("plain", "projective"):
         raise UsageError("group verification uses plain or projective orders")
-    # full mode: the enumeration bound is checked before the closed form
-    formula = spectrum(spec) if mode != "full" else None
     # for eps = -1, q is the hermitian base
     report = brute_spectrum(kind, spec.dimension, spec.q, mode=mode,
                             order_kind=order_kind, samples=samples, seed=seed,
                             enum_bound=enum_bound, threads=threads)
-    if formula is None:
-        formula = spectrum(spec)
+    formula = spectrum(spec)
     _judge(report, formula, lambda: formula.all_values()
            - set().union(*map(divisors, report["attained"])))
     report["formula"] = list(formula.generators)
@@ -200,13 +197,10 @@ def verify_tau_coset(n: int, q: int, *, mode: str = "full",
                      enum_bound: int = DEFAULT_ENUM_BOUND,
                      threads: int = 1) -> dict:
     """Check the graph-coset spectrum formula against measured coset orders."""
-    # full mode: the enumeration bound is checked before the closed form
-    coset = graph_coset(n, q) if mode != "full" else None
     report = brute_spectrum("GL", n, q, mode=mode, order_kind="tau_coset",
                             samples=samples, seed=seed,
                             enum_bound=enum_bound, threads=threads)
-    if coset is None:
-        coset = graph_coset(n, q)
+    coset = graph_coset(n, q)
     _judge(report, coset, lambda: coset.all_values() - set(report["attained"]))
     report["formula"] = coset.to_jsonable()
     report["target"] = f"tau coset of PSL_{n}({q})"
