@@ -11,7 +11,7 @@ Settings precedence: flags, then GROUPSPEC_* environment variables, then the
 JSON config file named by GROUPSPEC_CONFIG, then built-in defaults.
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or parse error,
-3 enumeration bound exceeded.
+3 enumeration bound or closed-form table bound exceeded.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 
 from .arith import (DEFAULT_ENUM_BOUND, BoundError, UsageError, load_factor_cache,
                     odd_prime_power, save_factor_cache)
-from .spectra import GroupSpec, spectrum
+from .spectra import GroupSpec, TableBoundError, spectrum
 
 DEFAULTS = {"seed": 0, "threads": 1, "enum_bound": DEFAULT_ENUM_BOUND,
             "samples": 100_000, "cache": None}
@@ -456,6 +456,10 @@ def main(argv=None) -> int:
         if cfg["cache"]:
             save_factor_cache(cfg["cache"])
         return code
+    except TableBoundError as exc:
+        print(f"error: {exc} (no closed form is computed at this size, and no flag "
+              "raises the bound)", file=sys.stderr)
+        return 3
     except BoundError as exc:
         print(f"error: {exc} (retry with --mode sample, or raise --enum-bound)",
               file=sys.stderr)

@@ -17,11 +17,12 @@ product carries nothing between digits. Its low m digits and its high m - 1
 digits each go through one table to a field element, and one ADD gather joins
 them. This holds while B^m <= KRONECKER_LIMIT = 2^17: F_9 up to n = 45, F_25
 up to n = 11, F_27 up to n = 4, F_49 up to n = 5, F_81 to F_169 at n = 1 only,
-and no field from F_243 on. The product is int16 when B^(2m-1) <= 2^15 (F_9 up
-to n = 3) and int32 otherwise. Every other case gathers from the MUL and ADD
-tables term by term. Elimination
-over an extension gathers from MUL/ADD/SUB. Determinants alone use forward
-elimination below each pivot; inverses use the full Gauss-Jordan sweep.
+and no field from F_243 on. The product is int16 when its largest entry, n
+times the square of the packed q - 1, is below 2^15 (F_9 up to n = 4, F_25 at
+n = 1) and int32 otherwise. Every other case gathers from the MUL and ADD
+tables term by term. Elimination over an extension gathers from MUL/ADD/SUB.
+Determinants alone use forward elimination below each pivot; inverses use the
+full Gauss-Jordan sweep.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ def _kronecker(p: int, m: int, modulus: tuple, n: int):
     split = base ** m
     if split > KRONECKER_LIMIT:
         return None
-    top = base ** (2 * m - 1)              # every packed product is below this
-    assert top < 1 << 31
-    dtype = np.int16 if top <= NARROW else np.int32
 
     def digits(x, radix, count):
         return [x // radix ** i % radix for i in range(count)]
@@ -72,6 +70,10 @@ def _kronecker(p: int, m: int, modulus: tuple, n: int):
     q = p ** m
     assert q * q <= NARROW                 # LO holds q times an encoding
     K = sum(d * base ** i for i, d in enumerate(digits(np.arange(q), p, m)))
+    # the largest packed product: every digit of both factors p - 1
+    peak = n * int(K[q - 1]) ** 2
+    assert peak < 1 << 31
+    dtype = np.int16 if peak < NARROW else np.int32
     lo = digits(np.arange(split), base, m)
     LO = q * sum(d % p * p ** i for i, d in enumerate(lo))
     # x^(m+t) mod the modulus, for t = 0 .. m - 2, as coefficient rows

@@ -78,7 +78,7 @@ def enumerate_matrices(kind: str, n: int, q: int,
     if kind in ("GL", "SL"):
         total = F.q ** (n * n)
         if total > enum_bound:
-            raise BoundError(f"{total} candidate matrices exceed the bound {enum_bound}")
+            raise BoundError(f"{F.q}^{n * n} candidate matrices exceed the bound {enum_bound}")
         mats = _enumerate_linear(F, n, kind)
     else:
         if order > enum_bound:

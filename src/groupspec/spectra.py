@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import (UsageError, factorize, is_prime, lcm_list, odd_prime_power,
-                    p_power_exponent, r_part, two_part)
+from .arith import (BoundError, UsageError, factorize, is_prime, lcm_list,
+                    odd_prime_power, p_power_exponent, r_part, two_part)
 
 FAMILIES = (
     "PSL", "PGL",
@@ -102,15 +102,22 @@ class Spectrum:
 
     def __post_init__(self):
         gens = self.generators
-        if any(g < 1 for g in gens):
-            raise UsageError("generators must be positive")
-        if any(a <= b for a, b in zip(gens, gens[1:])):
-            raise UsageError("generators must be strictly descending")
+        _check_descending(gens)
         # for 0 < b < a, b % a == 0 is impossible: test a % b only
         for i, a in enumerate(gens):
             for b in gens[i + 1:]:
                 if a % b == 0:
                     raise UsageError("generators must form an antichain")
+
+    @classmethod
+    def _from_antichain(cls, gens: tuple) -> "Spectrum":
+        """The Spectrum of gens, which the caller has proved pairwise
+        non-dividing. Only positivity and strict descent are checked, in
+        O(len); the quadratic antichain test of __post_init__ is skipped."""
+        _check_descending(gens)
+        out = object.__new__(cls)
+        object.__setattr__(out, "generators", gens)
+        return out
 
     def contains(self, a: int) -> bool:
         return any(g % a == 0 for g in self.generators)
@@ -139,6 +146,13 @@ class Spectrum:
         return "{" + ", ".join(str(g) for g in self.generators) + "}"
 
 
+def _check_descending(gens: tuple) -> None:
+    if any(g < 1 for g in gens):
+        raise UsageError("generators must be positive")
+    if any(a <= b for a, b in zip(gens, gens[1:])):
+        raise UsageError("generators must be strictly descending")
+
+
 class _Supported(int):
     """A spectrum candidate that carries its support: the bitmask of the
     elements of a base (see _coprime_base) it shares a factor with.
@@ -162,13 +176,15 @@ def normalize(values) -> Spectrum:
     _Supported), v is tested only against the kept values whose support
     holds all of v's: if v | w, each base element sharing a factor with v
     shares one with w. Plain values are tested against every kept value.
-    Either way the smallest kept values are tried first.
+    Either way the smallest kept values are tried first, and the kept values
+    form an antichain by construction, so the result skips Spectrum's
+    pairwise check.
     """
     vals = sorted(set(values), reverse=True)
     if vals and vals[-1] < 1:
         raise UsageError("spectrum values must be positive")
     if vals and type(vals[0]) is _Supported and all(type(v) is _Supported for v in vals):
-        return Spectrum(tuple(int(v) for v in _indexed_scan(vals)))
+        return Spectrum._from_antichain(tuple(int(v) for v in _indexed_scan(vals)))
     kept = []
     for v in map(int, vals):
         # the likeliest multiples of v
@@ -177,7 +193,7 @@ def normalize(values) -> Spectrum:
                 break
         else:
             kept.append(v)
-    return Spectrum(tuple(kept))
+    return Spectrum._from_antichain(tuple(kept))
 
 
 def _indexed_scan(vals: list) -> list:
@@ -269,6 +285,34 @@ def _partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
+# The most lcm values the table of one closed form may make, repeats counted,
+# before the call is refused. PSL_70(3) makes 325,462 and Sp_56(3) 45,201;
+# the count doubles about every 8 added to n for PSL, every 4 for Sp.
+TABLE_LIMIT = 400_000
+
+
+class TableBoundError(BoundError):
+    """A closed form whose lcm table would make more than TABLE_LIMIT values."""
+
+    def __init__(self, n: int):
+        super().__init__(f"the closed-form lcm table for n = {n} passes its "
+                         f"bound of {TABLE_LIMIT} values")
+
+
+def _check_table_size(n: int) -> None:
+    """Refuse, before its base or any term is built, an n whose table must
+    pass TABLE_LIMIT. Every cell holds a value after the layer j = 1, so
+    each layer j >= 2 makes at least one value for each pair (m, c) with
+    c*j <= m <= n: for each c, n - c*j + 1 of them. The sum stops at the
+    limit, after one term for a large n."""
+    floor = 0
+    for j in range(2, n + 1):
+        k = n // j
+        floor += k * (n + 1) - j * k * (k + 1) // 2
+        if floor > TABLE_LIMIT:
+            raise TableBoundError(n)
+
+
 def _lcm_table(n: int, cap: int, choices, supports: dict | None = None) -> list:
     """Sets of lcm values over all partitions of every m <= n, by class.
 
@@ -280,9 +324,12 @@ def _lcm_table(n: int, cap: int, choices, supports: dict | None = None) -> list:
     parts below j. Given supports, a dict from value to support that starts
     as {1: 0}, the table enters the support of every value it makes: the
     support of lcm(v, term) is the union of theirs, so no gcd is needed.
+    Raises TableBoundError once the values made, counted per cell update and
+    compared once per cell, pass TABLE_LIMIT.
     """
     cells: list = [{} for _ in range(n + 1)]
     cells[0][(0, 0)] = {1}
+    made = 0
     for j in range(1, n + 1):
         opts = [choices(j, c) for c in range(1, n // j + 1)]
         for m in range(n, j - 1, -1):
@@ -299,6 +346,9 @@ def _lcm_table(n: int, cap: int, choices, supports: dict | None = None) -> list:
                             supports.update(new)
                         for extra in parities:
                             cell.setdefault((capped, parity ^ extra), set()).update(new)
+                        made += len(new)
+            if made > TABLE_LIMIT:
+                raise TableBoundError(n)
     return cells
 
 
@@ -376,6 +426,7 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
     """
     if spec.family not in ("PSL", "PGL"):
         raise UsageError("spectrum_linear covers PSL and PGL only")
+    _check_table_size(spec.n)
     n, p, q, eps = spec.n, spec.p, spec.q, spec.eps
     d = math.gcd(n, q - eps) if spec.family == "PSL" else 1
     base = _index_base(spec, "linear")
@@ -384,7 +435,15 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
     def term(k: int) -> int:
         return q ** k - eps ** k
 
-    opts = {j: ((term(j), _support(term(j), base), (0,)),) for j in range(1, n + 1)}
+    # built as the table reaches part size j: a refused table pays only for
+    # the part sizes it reached
+    opts: dict = {}
+
+    def choices(j: int, c: int) -> tuple:
+        if j not in opts:
+            opts[j] = ((term(j), _support(term(j), base), (0,)),)
+        return opts[j]
+
     items: dict = {k: [] for k in ("torus", "two_part_torus", "many_part_torus",
                                    "unipotent_torus", "unipotent_many", "unipotent")}
     items["torus"].append(term(n) // ((q - eps) * d))
@@ -392,7 +451,7 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
         n2 = n - n1
         div = math.gcd(n // math.gcd(n1, n2), d)
         items["two_part_torus"].append(lcm_list([term(n1), term(n2)]) // div)
-    cells = _lcm_table(n, 3, lambda j, c: opts[j], supports)
+    cells = _lcm_table(n, 3, choices, supports)
     items["many_part_torus"] += cells[n].get((3, 0), ())
     pt, t = 1, 1  # pt = p^(t-1)
     while pt + 2 <= n:
@@ -445,8 +504,9 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
     unipotent level t. From n = _INDEX_FROM_N on, every value carries its
     support (a _Supported).
     """
-    n, p, q = spec.n, spec.p, spec.q
     d, c = _symplectic_constants(spec)
+    _check_table_size(spec.n)
+    n, p, q = spec.n, spec.p, spec.q
     base = _index_base(spec, "symplectic")
     supports = {1: 0} if base else None
 
@@ -499,6 +559,7 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
     """
     if spec.family not in ("OmegaEven", "POmegaEven"):
         raise UsageError("spectrum_orthogonal_semisimple covers OmegaEven and POmegaEven")
+    _check_table_size(spec.n)
     n, q, eps = spec.n, spec.q, spec.eps
     target = 0 if eps == 1 else 1
     base = _index_base(spec, "orthogonal")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -160,7 +161,20 @@ def test_full_verify_beyond_the_bound_exits_3(monkeypatch, capsys):
         assert cli.main(["verify", "PSL(60,3)", "--mode", "full", *extra]) == 3
         out = capsys.readouterr()
         assert out.out == ""
-        assert "retry with --mode sample" in out.err
+        assert out.err == ("error: 3^3600 candidate matrices exceed the bound 30000000 "
+                           "(retry with --mode sample, or raise --enum-bound)\n")
+
+
+def test_closed_form_beyond_the_table_bound_exits_3(capsys):
+    for argv in (["spectrum", "PSL(5000,3)"], ["spectrum", "PSL(200,3)"],
+                 ["spectrum", "Sp(112,3)"], ["coset-spectrum", "PSL(5000,3)"]):
+        start = time.perf_counter()
+        assert cli.main(argv) == 3, argv
+        assert time.perf_counter() - start < 5, argv
+        out = capsys.readouterr()
+        assert out.out == "", argv
+        assert "closed-form lcm table" in out.err and "bound" in out.err, argv
+        assert "--enum-bound" not in out.err, argv
 
 
 def test_usage_exit_codes():

@@ -292,7 +292,8 @@ def test_mat_mul_matches_gather_loop():
             paths[q, n] = "gather" if kron is None else kron[0].dtype.name
     assert set(paths.values()) == {"int16", "int32", "gather"}
     # both sides of each switch
-    assert (paths[9, 3], paths[9, 4]) == ("int16", "int32")
+    assert (paths[9, 4], paths[9, 5]) == ("int16", "int32")
+    assert paths[25, 1] == "int16"
     assert (paths[27, 4], paths[27, 5]) == ("int32", "gather")
     assert (paths[49, 5], paths[49, 6]) == ("int32", "gather")
     assert paths[81, 2] == paths[121, 2] == paths[243, 1] == "gather"

@@ -110,6 +110,17 @@ def test_normalize_index_matches_plain_scan(values, base):
     assert all(type(g) is int for g in indexed.generators)
 
 
+@given(st.lists(positive, max_size=40),
+       st.lists(st.integers(min_value=2, max_value=60), max_size=8), st.booleans())
+def test_full_check_accepts_what_normalize_builds(values, base, supported):
+    # normalize builds its Spectrum without the pairwise antichain test; the
+    # public constructor, which runs it, must accept every such result
+    if supported:
+        values = [_supported(v, _support(v, tuple(base))) for v in values]
+    fast = normalize(values)
+    assert Spectrum(fast.generators) == fast
+
+
 @given(st.lists(small_positive, min_size=1, max_size=12))
 def test_membership_matches_divisor_closure(values):
     spec = normalize(values)

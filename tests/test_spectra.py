@@ -6,12 +6,15 @@ import math
 
 import pytest
 
-from groupspec.arith import UsageError, factorize, lcm_list, two_part
+from groupspec.arith import BoundError, UsageError, factorize, lcm_list, two_part
 from groupspec.spectra import (
     _INDEX_FROM_N,
     FAMILIES,
+    TABLE_LIMIT,
     GroupSpec,
     Spectrum,
+    TableBoundError,
+    _check_table_size,
     _coprime_base,
     _lcm_table,
     _partitions,
@@ -164,6 +167,16 @@ def test_spectrum_rejects_non_antichain():
             Spectrum(gens)
     assert Spectrum((12, 9, 8)).generators == (12, 9, 8)
     assert Spectrum(()).generators == ()
+
+
+def test_from_antichain_checks_sign_and_order():
+    for gens in ((4, 0), (6, 6), (6, 0), (0,), (-3,), (6, 12), (5, 7, 3)):
+        with pytest.raises(UsageError):
+            Spectrum._from_antichain(gens)
+    assert Spectrum._from_antichain((12, 9, 8)) == Spectrum((12, 9, 8))
+    assert Spectrum._from_antichain(()) == Spectrum(())
+    # the caller's proof stands in for the pairwise test, which it skips
+    assert Spectrum._from_antichain((12, 6)).generators == (12, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -520,3 +533,46 @@ def test_spectra_go_through_the_traced_names(monkeypatch):
         vals = seen["normalize"][0]
         assert vals and all(type(v) is _Supported for v in vals), spec
         assert got.generators == _reference_normalize(vals), spec
+
+
+# ---------------------------------------------------------------------------
+# the bound on the lcm table
+
+
+def test_table_bound_admits_the_large_targets_and_refuses_beyond():
+    assert len(spectrum_linear(S("PSL", 70, 3)).generators) == 13646
+    assert len(spectrum_symplectic(S("Sp", 28, 3)).generators) == 3145
+    for family, n in (("PSL", 200), ("Sp", 56), ("PSL", 5000), ("OmegaOdd", 300),
+                      ("POmegaEven", 2500)):
+        with pytest.raises(TableBoundError) as err:
+            spectrum(S(family, n, 3))
+        assert isinstance(err.value, BoundError)
+        assert f"n = {n}" in str(err.value) and str(TABLE_LIMIT) in str(err.value)
+
+
+def test_table_bound_reaches_the_coset_spectra():
+    from groupspec.coset import field_coset_spectrum, graph_coset
+    for call in (lambda: graph_coset(5000, 3), lambda: graph_coset(201, 3),
+                 lambda: field_coset_spectrum(200, 9, 1, 0, 2, "plain")):
+        with pytest.raises(TableBoundError):
+            call()
+
+
+@pytest.mark.parametrize("family", list(SWEEP))
+def test_table_floor_refuses_only_tables_that_pass_the_limit(family, monkeypatch):
+    # _check_table_size refuses before the table is built, on a lower bound
+    # of the values it makes: every n it refuses, the running count refuses too
+    import groupspec.spectra as spectra
+    items_fn = SWEEP[family][0]
+    monkeypatch.setattr(spectra, "TABLE_LIMIT", 3000)
+    refused = []
+    for n in range(SWEEP[family][3], 60):
+        try:
+            _check_table_size(n)
+        except TableBoundError:
+            refused.append(n)
+    assert refused and refused == list(range(refused[0], 60))
+    monkeypatch.setattr(spectra, "_check_table_size", lambda n: None)
+    for n in refused[:3]:
+        with pytest.raises(TableBoundError):
+            items_fn(S(family, n, 3, 1))
