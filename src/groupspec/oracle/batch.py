@@ -22,7 +22,8 @@ times the square of the packed q - 1, is below 2^15 (F_9 up to n = 4, F_25 at
 n = 1) and int32 otherwise. Every other case gathers from the MUL and ADD
 tables term by term. Elimination over an extension gathers from MUL/ADD/SUB.
 Determinants alone use forward elimination below each pivot; inverses use the
-full Gauss-Jordan sweep.
+full Gauss-Jordan sweep. Ranks and null spaces share one reduced row echelon
+sweep whose pivot columns differ from lane to lane.
 """
 
 from __future__ import annotations
@@ -227,33 +228,68 @@ def det_batch(F: FiniteField, A: np.ndarray) -> np.ndarray:
     return det
 
 
-def rank_batch(F: FiniteField, A: np.ndarray) -> np.ndarray:
+def _rref_batch(F: FiniteField, A: np.ndarray):
+    """Reduced row echelon forms of a (B, k, n) batch, by Gauss-Jordan with a
+    pivot-row pointer per lane, since pivot columns differ from lane to lane.
+
+    Returns (M, pivots, rank): row j < rank[b] of lane b has its leading 1 in
+    column pivots[b, j]. A lane whose pivot row is zero in the column gets
+    the first row below it with a nonzero entry there added in.
+    """
     _require_tables(F)
-    M = np.array(A, np.int16, copy=True)
-    B, rows, cols = M.shape
+    add, mul, msub = _field_ops(F)
+    M = np.array(A, np.int16 if _narrow(F) else np.int32, copy=True)
+    B, k, n = M.shape
     lanes = np.arange(B)
-    rank = np.zeros(B, np.int64)
-    prow = np.zeros(B, np.int64)
-    for col in range(cols):
-        cand = (M[:, :, col] != 0) & (np.arange(rows)[None, :] >= prow[:, None])
-        has = cand.any(axis=1)
-        rel = np.argmax(cand, axis=1)
-        sw = lanes[has]
-        r0, r1 = prow[has], rel[has]
-        tmp = M[sw, r1].copy()
-        M[sw, r1] = M[sw, r0]
-        M[sw, r0] = tmp
-        pvals = M[lanes, np.minimum(prow, rows - 1), col]
-        prow_row = F.MUL[F.INV[pvals][:, None], M[lanes, np.minimum(prow, rows - 1), :]]
-        live = has & (prow < rows)
-        M[lanes[live], prow[live], :] = prow_row[live]
-        fac = M[:, :, col].copy()
-        fac[lanes[live], prow[live]] = 0
-        fac[~live] = 0
-        M = F.SUB[M, F.MUL[fac[:, :, None], prow_row[:, None, :]]]
-        rank[has] += 1
-        prow[has] += 1
-    return rank
+    prow = np.zeros(B, np.intp)
+    pivots = np.zeros((B, k), np.intp)
+    for col in range(n):
+        cand = (M[:, :, col] != 0) & (np.arange(k) >= prow[:, None])
+        live = lanes[cand.any(axis=1)]
+        if not len(live):
+            continue
+        P, pr = M[live], prow[live]
+        idx = np.arange(len(live))
+        src = np.argmax(cand[live], axis=1)
+        lead = P[idx, pr]
+        fix = np.flatnonzero(src != pr)
+        lead[fix] = add(lead[fix], P[fix, src[fix]])
+        lead = mul(F.INV[lead[:, col]][:, None], lead)
+        P = msub(P, P[:, :, col, None], lead[:, None, :])
+        P[idx, pr] = lead                    # its own row cleared itself
+        M[live] = P
+        pivots[live, pr] = col
+        prow[live] += 1
+    return M, pivots, prow
+
+
+def nullspace_batch(F: FiniteField, A: np.ndarray) -> np.ndarray:
+    """Bases of the null spaces {v : A v = 0} of a (B, k, n) batch whose lanes
+    each have full row rank k, as a (B, n - k, n) batch.
+
+    Row t of a lane's basis belongs to its t-th free column f, in ascending
+    order: it is e_f minus, at each pivot column, the entry in column f of
+    that pivot's row of the reduced row echelon form. That form is unique,
+    so the basis does not depend on how the pivots were found.
+    """
+    M, pivots, rank = _rref_batch(F, A)
+    B, k, n = M.shape
+    assert (rank == k).all(), "nullspace_batch needs full row rank"
+    lanes = np.arange(B)
+    free = np.ones((B, n), bool)
+    free[lanes[:, None], pivots] = False
+    fcols = np.nonzero(free)[1].reshape(B, n - k)
+    t = np.arange(n - k)
+    out = np.zeros((B, n - k, n), np.int16)
+    out[lanes[:, None], t, fcols] = 1
+    # the RREF entries in the free columns, negated, go to the pivot columns
+    out[lanes[:, None, None], t, pivots[:, :, None]] = F.NEG[
+        np.take_along_axis(M, fcols[:, None, :], axis=2)]
+    return out
+
+
+def rank_batch(F: FiniteField, A: np.ndarray) -> np.ndarray:
+    return _rref_batch(F, A)[2]
 
 
 def encode_batch(X: np.ndarray, q: int) -> np.ndarray:

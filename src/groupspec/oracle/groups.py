@@ -12,6 +12,14 @@ order formula. Samplers:
   SU  a GU sample with one row scaled by 1/det (norm 1, so unitarity holds)
   Sp  symplectic basis completion, one hyperbolic pair at a time
 
+Both row samplers draw each candidate vector's coefficients as
+rng.integers(0, q, size=k) and read them from block draws (_Coefficients),
+which leave the stream exactly as one draw per candidate would. Sp redraws v
+only while all its coefficients are zero, so its whole stream is parsed first
+and every step then runs once for all matrices, with a batched null space.
+GU redraws on the norm of v, so where one matrix's draws end depends on its
+arithmetic: it stays one matrix at a time, in scalar field arithmetic.
+
 Small groups are instead sampled by drawing indices into the cached
 enumeration; the report strings name which path was taken.
 """
@@ -25,7 +33,7 @@ import numpy as np
 
 from ..arith import DEFAULT_ENUM_BOUND, BoundError, UsageError, odd_prime_power
 from .batch import (decode_batch, det_inv_batch, encode_batch, identity_batch,
-                    mat_mul)
+                    mat_mul, nullspace_batch)
 from .field import FiniteField
 
 KINDS = ("GL", "SL", "GU", "SU", "Sp")
@@ -33,7 +41,15 @@ KINDS = ("GL", "SL", "GU", "SU", "Sp")
 ENUM_DRAW_LIMIT = 120_000
 
 
+def _check_kind(kind: str, n: int) -> None:
+    if kind not in KINDS:
+        raise UsageError(f"unknown group kind {kind!r}")
+    if kind == "Sp" and n % 2:
+        raise UsageError("Sp needs even dimension")
+
+
 def group_order(kind: str, n: int, q: int) -> int:
+    _check_kind(kind, n)
     if kind == "GL":
         return math.prod(q ** n - q ** i for i in range(n))
     if kind == "SL":
@@ -43,12 +59,8 @@ def group_order(kind: str, n: int, q: int) -> int:
                 * math.prod(q ** i - (-1) ** i for i in range(1, n + 1)))
     if kind == "SU":
         return group_order("GU", n, q) // (q + 1)
-    if kind == "Sp":
-        if n % 2:
-            raise UsageError("Sp needs even dimension")
-        r = n // 2
-        return q ** (r * r) * math.prod(q ** (2 * i) - 1 for i in range(1, r + 1))
-    raise UsageError(f"unknown group kind {kind!r}")
+    r = n // 2                                               # Sp
+    return q ** (r * r) * math.prod(q ** (2 * i) - 1 for i in range(1, r + 1))
 
 
 def make_field(kind: str, q: int) -> FiniteField:
@@ -160,18 +172,24 @@ def sampler_name(kind: str, n: int, q: int) -> str:
 def sample_matrices(kind: str, n: int, q: int, count: int, rng,
                     field: FiniteField | None = None,
                     allow_enum_draw: bool = True) -> np.ndarray:
-    if kind not in KINDS:
-        raise UsageError(f"unknown group kind {kind!r}")
+    _check_kind(kind, n)
+    if n < 1 or count < 0:
+        raise UsageError(f"cannot sample {count} matrices of size {n}")
     F = field if field is not None else make_field(kind, q)
+    if count == 0:
+        return np.zeros((0, n, n), np.int16)
     if kind in ("GL", "SL"):
         return _sample_linear(F, n, count, rng, kind)
     if allow_enum_draw and group_order(kind, n, q) <= ENUM_DRAW_LIMIT:
         _, mats = enumerate_matrices(kind, n, q)
         return mats[rng.integers(0, len(mats), count)]
     if kind == "Sp":
-        return np.stack([_sample_sp_one(F, n, rng) for _ in range(count)])
-    q0 = int(round(math.isqrt(F.q)))
-    out = np.stack([_sample_gu_one(F, n, q0, rng) for _ in range(count)])
+        return _sample_sp(F, n, count, rng)
+    q0 = math.isqrt(F.q)
+    coeffs = _Coefficients(rng, F.q)
+    per_matrix = n * (n + 1) // 2
+    out = np.stack([_sample_gu_one(F, n, q0, coeffs, (count - 1 - m) * per_matrix)
+                    for m in range(count)])
     if kind == "SU":
         det = det_inv_batch(F, out, need_inv=False)[0]
         out[:, 0, :] = F.MUL[F.INV[det][:, None], out[:, 0, :]]
@@ -193,6 +211,37 @@ def _sample_linear(F: FiniteField, n: int, count: int, rng, kind: str) -> np.nda
         det = np.concatenate(dets)[:count]
         out[:, :, -1] = F.MUL[F.INV[det][:, None], out[:, :, -1]]
     return out
+
+
+class _Coefficients:
+    """The coefficient vectors of the row samplers, rng.integers(0, q, size=k)
+    one candidate at a time, read from a buffer of block draws.
+
+    numpy's bounded integers take each value from one continuous stream of
+    32-bit words (Lemire's method; the bit generator keeps the unused half of
+    a 64-bit output for its next call), so a draw of size a + b gives the same
+    values, and leaves the generator in the same state, as a draw of size a
+    followed by one of size b. A refill draws what the current candidate
+    still needs plus `ahead`, a lower bound the caller proves on what it reads
+    after this candidate. So the generator never runs past where one draw per
+    candidate would have left it, and two samplers in turn on one generator
+    read what they read before.
+    """
+
+    def __init__(self, rng, q: int):
+        self.rng, self.q = rng, q
+        self.buf: list = []
+        self.pos = 0
+
+    def take(self, k: int, ahead: int) -> list:
+        end = self.pos + k
+        if end > len(self.buf):
+            fresh = self.rng.integers(0, self.q, size=end - len(self.buf) + ahead)
+            self.buf = self.buf[self.pos:] + fresh.tolist()
+            self.pos, end = 0, k
+        out = self.buf[self.pos:end]
+        self.pos = end
+        return out
 
 
 def _nullspace(F: FiniteField, rows: list, n: int) -> list:
@@ -229,24 +278,21 @@ def _nullspace(F: FiniteField, rows: list, n: int) -> list:
     return basis
 
 
-def _random_combo(F: FiniteField, basis: list, rng) -> list:
-    add, mul = F.add, F.mul
-    coeffs = rng.integers(0, F.q, size=len(basis))
-    v = [0] * len(basis[0])
-    for c, vec in zip(coeffs.tolist(), basis):
-        if c:
-            v = [add(x, mul(c, y)) if y else x for x, y in zip(v, vec)]
-    return v
-
-
-def _sample_gu_one(F: FiniteField, n: int, q0: int, rng) -> np.ndarray:
-    add, pow_ = F.add, F.pow
+def _sample_gu_one(F: FiniteField, n: int, q0: int, coeffs: _Coefficients,
+                   later: int) -> np.ndarray:
+    """One GU matrix; the matrices after it read at least `later` coefficients."""
+    add, mul, pow_ = F.add, F.mul, F.pow
     rows: list = []
-    for _ in range(n):
+    for i in range(n):
         cond = [[pow_(x, q0) for x in r] for r in rows]      # conjugate rows
         basis = _nullspace(F, cond, n)
+        # each later row reads at least one candidate, of its null dimension
+        ahead = later + (n - 1 - i) * (n - i) // 2
         while True:
-            v = _random_combo(F, basis, rng)
+            v = [0] * n
+            for c, vec in zip(coeffs.take(len(basis), ahead), basis):
+                if c:
+                    v = [add(x, mul(c, y)) if y else x for x, y in zip(v, vec)]
             norm = 0
             for x in v:
                 if x:
@@ -257,41 +303,55 @@ def _sample_gu_one(F: FiniteField, n: int, q0: int, rng) -> np.ndarray:
     return np.array(rows, np.int16)
 
 
-def _sample_sp_one(F: FiniteField, n: int, rng) -> np.ndarray:
+def _sample_sp(F: FiniteField, n: int, count: int, rng) -> np.ndarray:
+    """Symplectic basis completion, each step run once for all count lanes.
+
+    Step i completes the pairs (e_1, f_1) .. (e_i, f_i) by v and w in the null
+    space of the 2i conditions <e_j, .> = <f_j, .> = 0, which has dimension
+    n - 2i: v = cv . basis, redrawn while cv is zero, and u = cu . basis;
+    w = u + s b_j0, where b_j0 is the first basis vector that v pairs with and
+    s makes <v, w> = 1. The basis is independent, so whether v is redrawn
+    depends on cv alone, and the whole stream is parsed into per-(matrix,
+    step) cv and cu before any field arithmetic.
+    """
     r = n // 2
-    add, mul, neg = F.add, F.mul, F.neg
+    dims = [n - 2 * i for i in range(r)]
+    per_matrix = 2 * sum(dims)                 # one cv and one cu per step
+    coeffs = _Coefficients(rng, F.q)
+    cvs: list = [[] for _ in dims]
+    cus: list = [[] for _ in dims]
+    for m in range(count):
+        rest = (count - m) * per_matrix
+        for i, d in enumerate(dims):
+            rest -= 2 * d                      # read at least after this step
+            while True:
+                cv = coeffs.take(d, d + rest)
+                if any(cv):
+                    break
+            cvs[i].append(cv)
+            cus[i].append(coeffs.take(d, rest))
 
-    def functional(u):
-        # coefficient vector of w -> <u, w> = u^T J w, J = [[0, I], [-I, 0]]
-        return [neg(x) for x in u[r:]] + u[:r]
+    ADD, MUL, SUB, NEG = F.ADD, F.MUL, F.SUB, F.NEG
+    lanes = np.arange(count)
 
-    vs, ws = [], []
-    conds: list = []
-    for _ in range(r):
-        basis = _nullspace(F, conds, n)
-        while True:
-            v = _random_combo(F, basis, rng)
-            if any(v):
-                break
+    def functional(x):
+        # coefficient vectors of w -> <x, w> = x^T J w, J = [[0, I], [-I, 0]]
+        return np.concatenate([NEG[x[:, r:]], x[:, :r]], axis=1)
+
+    g = np.empty((count, n, n), np.int16)     # columns e_1..e_r, f_1..f_r
+    conds = np.zeros((count, 0, n), np.int16)
+    for i in range(r):
+        basis = nullspace_batch(F, conds)
+        v = mat_mul(F, np.array(cvs[i], np.int16)[:, None, :], basis)[:, 0]
         fv = functional(v)
-        vals = [sum_dot(F, fv, b) for b in basis]
-        j0 = next(i for i, x in enumerate(vals) if x)
-        c0 = F.inv(vals[j0])
-        u = _random_combo(F, basis, rng)
-        s = mul(F.sub(1, sum_dot(F, fv, u)), c0)
-        w = [add(x, mul(s, y)) if y else x for x, y in zip(u, basis[j0])]
-        vs.append(v)
-        ws.append(w)
-        conds.append(fv)
-        conds.append(functional(w))
-    g = np.array(vs + ws, np.int16).T            # columns e_1..e_r, f_1..f_r
+        vals = mat_mul(F, basis, fv[:, :, None])[:, :, 0]
+        j0 = np.argmax(vals != 0, axis=1)
+        c0 = F.INV[vals[lanes, j0]]
+        u = mat_mul(F, np.array(cus[i], np.int16)[:, None, :], basis)[:, 0]
+        fu = mat_mul(F, fv[:, None, :], u[:, :, None])[:, 0, 0]
+        s = MUL[SUB[1, fu], c0]
+        w = ADD[u, MUL[s[:, None], basis[lanes, j0]]]
+        g[:, :, i] = v
+        g[:, :, r + i] = w
+        conds = np.concatenate([conds, fv[:, None, :], functional(w)[:, None, :]], axis=1)
     return g
-
-
-def sum_dot(F: FiniteField, a, b) -> int:
-    add, mul = F.add, F.mul
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = add(acc, mul(x, y))
-    return acc

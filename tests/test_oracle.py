@@ -24,6 +24,7 @@ from groupspec.oracle.batch import (
     is_scalar_batch,
     mat_mul,
     mat_pow,
+    nullspace_batch,
     rank_batch,
     transpose,
 )
@@ -37,7 +38,9 @@ from groupspec.oracle.field import (
     poly_trim,
 )
 from groupspec.oracle.groups import (
+    KINDS,
     BoundError,
+    _nullspace,
     enumerate_matrices,
     group_order,
     make_field,
@@ -50,6 +53,7 @@ from groupspec.oracle.orders import (
     tau_coset_orders_batch,
 )
 from groupspec.oracle.spectrum import (
+    BLOCK,
     brute_spectrum,
     tau_delta_probe,
     verify_group,
@@ -324,6 +328,33 @@ def test_rank_batch():
     assert rank_batch(F, stack).tolist() == [0, 3, 1]
 
 
+def _pivot_columns(F, rows, n):
+    # column c is a pivot when it raises the rank of the first c columns
+    rank = [c - len(_nullspace(F, [r[:c] for r in rows], c)) for c in range(n + 1)]
+    return tuple(c for c in range(n) if rank[c + 1] > rank[c])
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (191, 1), (3, 2), (5, 2)])
+def test_nullspace_batch_matches_scalar_nullspace(p, m):
+    F = FiniteField(p, m)
+    rng = np.random.default_rng(p * m)
+    for n in range(1, 7):
+        for k in range(n + 1):
+            A = rng.integers(0, F.q, size=(60, k, n)).astype(np.int16)
+            # zero some columns per lane, so that the pivot columns differ
+            A *= rng.random((60, 1, n)) >= 0.3
+            rows = [A[b].tolist() for b in range(60)]
+            full = [b for b in range(60) if len(_nullspace(F, rows[b], n)) == n - k]
+            got = nullspace_batch(F, A[full])
+            assert got.shape == (len(full), n - k, n) and got.dtype == np.int16
+            for lane, b in enumerate(full):
+                assert got[lane].tolist() == _nullspace(F, rows[b], n), (n, k, b)
+            if 0 < k < n:
+                assert len({_pivot_columns(F, rows[b], n) for b in full}) > 1, (n, k)
+    with pytest.raises(AssertionError):
+        nullspace_batch(F, np.zeros((2, 1, 3), np.int16))
+
+
 def test_mat_pow_matches_iterated_mul():
     F = FiniteField(3, 1)
     rng = random.Random(3)
@@ -554,6 +585,141 @@ def test_sampler_draws_are_pinned(kind, n, q):
     out = sample_matrices(kind, n, q, 8, np.random.default_rng(20160905))
     assert out.shape == (8, n, n) and out.dtype == np.int16
     assert hashlib.sha256(out.tobytes()).hexdigest() == SAMPLER_DIGESTS[kind, n, q]
+
+
+def test_sample_matrices_checks_its_arguments():
+    rng = np.random.default_rng(0)
+    for enum_draw in (False, True):
+        with pytest.raises(UsageError, match="even dimension"):
+            sample_matrices("Sp", 3, 3, 2, rng, allow_enum_draw=enum_draw)
+    with pytest.raises(UsageError):
+        sample_matrices("GL", 2, 3, -1, rng)
+    with pytest.raises(UsageError):
+        sample_matrices("O", 2, 3, 1, rng)
+    # an empty batch for every kind and path, drawing nothing
+    for kind in KINDS:
+        for enum_draw in (False, True):
+            a, b = np.random.default_rng(1), np.random.default_rng(1)
+            out = sample_matrices(kind, 2, 3, 0, a, allow_enum_draw=enum_draw)
+            assert out.shape == (0, 2, 2) and out.dtype == np.int16
+            assert a.integers(0, 1 << 30) == b.integers(0, 1 << 30)
+
+
+def test_block_draws_continue_the_stream():
+    # the row samplers' block draws rest on this property of numpy's bounded
+    # integers: one draw of size a + b equals a draw of size a followed by
+    # one of size b, and leaves the generator in the same state
+    pick = random.Random(14)
+    qs = [3, 5, 9, 2048, 65_537, (1 << 32) - 5] + [pick.randrange(3, (1 << 32) - 4)
+                                                   for _ in range(6)]
+    for q in qs:
+        for _ in range(30):
+            sizes = [pick.choice((0, 1, 2, 3, 7, pick.randrange(100)))
+                     for _ in range(pick.randrange(1, 6))]
+            seed = pick.randrange(1 << 63)
+            one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+            whole = one.integers(0, q, size=sum(sizes)).tolist()
+            parts = [x for k in sizes for x in many.integers(0, q, size=k).tolist()]
+            assert whole == parts, (q, sizes)
+            assert one.integers(0, q, size=3).tolist() == many.integers(0, q, size=3).tolist()
+
+
+# The GU and Sp samplers as they stood with one rng.integers call per
+# candidate vector: the reference for the block-drawn, batched samplers.
+
+
+def _random_combo(F, basis, rng):
+    add, mul = F.add, F.mul
+    coeffs = rng.integers(0, F.q, size=len(basis))
+    v = [0] * len(basis[0])
+    for c, vec in zip(coeffs.tolist(), basis):
+        if c:
+            v = [add(x, mul(c, y)) if y else x for x, y in zip(v, vec)]
+    return v
+
+
+def _sum_dot(F, a, b):
+    acc = 0
+    for x, y in zip(a, b):
+        if x and y:
+            acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
+def _sample_gu_one(F, n, q0, rng):
+    add, pow_ = F.add, F.pow
+    rows = []
+    for _ in range(n):
+        cond = [[pow_(x, q0) for x in r] for r in rows]
+        basis = _nullspace(F, cond, n)
+        while True:
+            v = _random_combo(F, basis, rng)
+            norm = 0
+            for x in v:
+                if x:
+                    norm = add(norm, pow_(x, q0 + 1))
+            if norm == 1:
+                rows.append(v)
+                break
+    return np.array(rows, np.int16)
+
+
+def _sample_sp_one(F, n, rng):
+    r = n // 2
+    add, mul, neg = F.add, F.mul, F.neg
+
+    def functional(u):
+        return [neg(x) for x in u[r:]] + u[:r]
+
+    vs, ws = [], []
+    conds = []
+    for _ in range(r):
+        basis = _nullspace(F, conds, n)
+        while True:
+            v = _random_combo(F, basis, rng)
+            if any(v):
+                break
+        fv = functional(v)
+        vals = [_sum_dot(F, fv, b) for b in basis]
+        j0 = next(i for i, x in enumerate(vals) if x)
+        c0 = F.inv(vals[j0])
+        u = _random_combo(F, basis, rng)
+        s = mul(F.sub(1, _sum_dot(F, fv, u)), c0)
+        w = [add(x, mul(s, y)) if y else x for x, y in zip(u, basis[j0])]
+        vs.append(v)
+        ws.append(w)
+        conds.append(fv)
+        conds.append(functional(w))
+    return np.array(vs + ws, np.int16).T
+
+
+def _reference_sample(kind, n, q, count, rng):
+    F = make_field(kind, q)
+    if kind == "Sp":
+        return np.stack([_sample_sp_one(F, n, rng) for _ in range(count)])
+    out = np.stack([_sample_gu_one(F, n, math.isqrt(F.q), rng) for _ in range(count)])
+    if kind == "SU":
+        det = det_inv_batch(F, out, need_inv=False)[0]
+        out[:, 0, :] = F.MUL[F.INV[det][:, None], out[:, 0, :]]
+    return out
+
+
+SWEEP = ([("Sp", n, q) for n in (2, 4, 6, 8) for q in (3, 5, 7, 9, 25, 27, 49)]
+         + [(kind, n, q) for kind in ("GU", "SU") for n in (1, 2, 3, 4) for q in (3, 5, 7, 9)])
+
+
+@pytest.mark.parametrize("kind, n, q", SWEEP)
+def test_samplers_match_one_draw_per_candidate(kind, n, q):
+    # several calls on one generator, as _bfs_closure and brute_spectrum make:
+    # the same matrices, and the generator left where the old samplers left it
+    pick = random.Random(f"{kind}{n},{q}")
+    seed = pick.randrange(1 << 32)
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for count in (1, pick.randrange(2, 10), pick.randrange(10, 41)):
+        got = sample_matrices(kind, n, q, count, new, allow_enum_draw=False)
+        want = _reference_sample(kind, n, q, count, old)
+        assert got.dtype == np.int16 and (got == want).all(), (kind, n, q, count)
+        assert new.integers(0, 1 << 30) == old.integers(0, 1 << 30)
 
 
 def test_sampler_names():
@@ -825,11 +991,17 @@ def test_verify_tau_coset_full():
     assert rep["missing"] == [] and rep["violations"] == []
 
 
-def test_thread_count_does_not_change_results():
-    one = verify_group(S("PSL", 3, 3), mode="sample", samples=12000, seed=3, threads=1)
-    three = verify_group(S("PSL", 3, 3), mode="sample", samples=12000, seed=3, threads=3)
-    assert one["attained"] == three["attained"]
-    assert one["threads"] == 1 and three["threads"] == 3
+@pytest.mark.parametrize("fam, n, q, samples, threads", [
+    ("PSL", 3, 3, 12000, 3),
+    # more samples than one block, so that each thread runs a block of its own
+    ("PSp", 2, 5, BLOCK + 257, 2),
+], ids=["one-block", "two-blocks"])
+def test_thread_count_does_not_change_results(fam, n, q, samples, threads):
+    one = verify_group(S(fam, n, q), mode="sample", samples=samples, seed=3, threads=1)
+    many = verify_group(S(fam, n, q), mode="sample", samples=samples, seed=3, threads=threads)
+    assert one["attained"] == many["attained"]
+    assert one["threads"] == 1 and many["threads"] == threads
+    assert one["samples"] == many["samples"] == samples
 
 
 def test_tau_delta_probe_reports_new_values():
