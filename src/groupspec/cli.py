@@ -116,6 +116,8 @@ def parse_out_word(word: str, spec: GroupSpec):
     from .outer import OutElement
     base = dict(eps=spec.eps, n=spec.n, p=spec.p, m=spec.m)
     w = word.strip()
+    if not w:
+        raise UsageError("empty outer word (the identity is spelled 1)")
     if w == "1":
         return OutElement(a=0, c=0, i=0, **base)
     exps = {}
@@ -310,13 +312,14 @@ def cmd_verify(args, cfg):
     kind = args.order_kind
     mode = args.mode
 
+    tau = kind in ("tau_coset", "tau_delta_coset")
+    if tau and (spec.family not in ("PSL", "PGL") or spec.eps != 1):
+        raise UsageError("tau coset verification covers PSL/PGL over eps = +1")
     if kind == "tau_delta_coset":
         if mode == "full":
             raise UsageError("the tau delta probe is sampling-only")
         report = tau_delta_probe(spec.n, spec.q, samples=cfg["samples"], seed=cfg["seed"], threads=cfg["threads"])
     elif kind == "tau_coset":
-        if spec.family not in ("PSL", "PGL") or spec.eps != 1:
-            raise UsageError("tau coset verification covers PSL/PGL over eps = +1")
         report = verify_tau_coset(spec.n, spec.q, mode=mode or "full", samples=cfg["samples"], seed=cfg["seed"], enum_bound=cfg["enum_bound"], threads=cfg["threads"])
     else:
         report = verify_group(spec, mode=mode or "full", samples=cfg["samples"], seed=cfg["seed"], enum_bound=cfg["enum_bound"], threads=cfg["threads"], order_kind=kind)

@@ -3,7 +3,11 @@
 GL and SL are enumerated by decoding all q^(n^2) integer keys and filtering;
 GU, SU and Sp are closed under multiplication starting from a few random
 elements (breadth first), with the closure size checked against the group
-order formula. Samplers:
+order formula. Those elements come from one fixed stream per (kind, n, q),
+so each group has one enumeration order, and a sampler that draws indices
+into it gives the same matrices whatever was called before. The enumeration
+bound is checked before the cache lookup, so a group over the bound is
+refused whether or not it was enumerated before. Samplers:
 
   GL  rejection on singularity (acceptance prod (1 - q^-i) > 1/4)
   SL  a GL sample with one column scaled by 1/det (a (q-1)-to-1 projection)
@@ -77,25 +81,25 @@ _enum_lock = threading.Lock()
 
 
 def enumerate_matrices(kind: str, n: int, q: int,
-                       enum_bound: int = DEFAULT_ENUM_BOUND,
-                       seed: int = 0) -> tuple:
-    """(field, stacked matrices) for the whole group. Cached per (kind, n, q)."""
+                       enum_bound: int = DEFAULT_ENUM_BOUND) -> tuple:
+    """(field, stacked matrices) for the whole group. Cached per (kind, n, q),
+    after the bound check, so a call over the bound fails cached or not."""
+    order = group_order(kind, n, q)
+    if kind in ("GL", "SL"):
+        if q ** (n * n) > enum_bound:
+            raise BoundError(f"{q}^{n * n} candidate matrices exceed the bound {enum_bound}")
+    elif order > enum_bound:
+        raise BoundError(f"|{kind}_{n}({q})| = {order} exceeds the bound {enum_bound}")
     key = (kind, n, q)
     with _enum_lock:
         hit = _enum_cache.get(key)
     if hit is not None:
         return hit
     F = make_field(kind, q)
-    order = group_order(kind, n, q)
     if kind in ("GL", "SL"):
-        total = F.q ** (n * n)
-        if total > enum_bound:
-            raise BoundError(f"{F.q}^{n * n} candidate matrices exceed the bound {enum_bound}")
         mats = _enumerate_linear(F, n, kind)
     else:
-        if order > enum_bound:
-            raise BoundError(f"|{kind}_{n}({q})| = {order} exceeds the bound {enum_bound}")
-        mats = _bfs_closure(F, kind, n, q, order, seed)
+        mats = _bfs_closure(F, kind, n, q, order)
     if len(mats) != order:
         raise AssertionError(f"enumerated {len(mats)} != |{kind}| = {order}")
     with _enum_lock:
@@ -116,9 +120,9 @@ def _enumerate_linear(F: FiniteField, n: int, kind: str) -> np.ndarray:
     return np.concatenate(keep)
 
 
-def _bfs_closure(F: FiniteField, kind: str, n: int, q: int,
-                 target: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, n, q, KINDS.index(kind)]))
+def _bfs_closure(F: FiniteField, kind: str, n: int, q: int, target: int) -> np.ndarray:
+    # one fixed stream per group, so every caller gets the same element order
+    rng = np.random.default_rng(np.random.SeedSequence([0, n, q, KINDS.index(kind)]))
     gens = sample_matrices(kind, n, q, 3, rng, allow_enum_draw=False)
     for _ in range(8):
         mats = _close(F, gens, target)

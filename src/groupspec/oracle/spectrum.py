@@ -8,10 +8,14 @@ order_kind selects what is measured per matrix g:
                    restricted to the det classes mapping into tau * PSL
   tau_delta_coset  the same value, with g in the classes of tau delta * PSL
 
-A full enumeration of a tau wing measures each distinct image Y = g g^-T once:
-the images of all blocks are keyed by encode_batch and deduplicated together
+Both modes measure a tau wing one way: the projective orders of the images
+Y = g g^-T, doubled. A full enumeration measures each distinct Y once: the
+images of all blocks are keyed by encode_batch and deduplicated together
 (GL_3(5): 1,488,000 g, 88,506 distinct Y). Sampled draws repeat too rarely
-for that to pay.
+for that to pay, so sampling measures the images of each batch as drawn.
+When d = gcd(n, q -+ 1) is 1 the tau delta wing is the tau wing and no row
+passes the tau delta det-class test: a full enumeration finds that wing
+empty, and sampling refuses tau_delta_coset before drawing.
 
 Sampling is block organized: the sample count is split into fixed blocks of
 65536 draws, each fed from its own spawned SeedSequence stream, so results
@@ -31,8 +35,7 @@ from ..coset import graph_coset
 from ..spectra import GroupSpec, divisors, spectrum
 from .batch import decode_batch, det_batch, encode_batch
 from .groups import enumerate_matrices, make_field, sample_matrices, sampler_name
-from .orders import (order_bound_fact, orders_batch, tau_coset_orders_batch,
-                     tau_images)
+from .orders import order_bound_fact, orders_batch, tau_images
 
 ORDER_KINDS = ("plain", "projective", "tau_coset", "tau_delta_coset")
 BLOCK = 65536
@@ -48,12 +51,11 @@ VERIFY_MAP = {
 }
 
 
-def _values_batch(F, mats, bound, order_kind):
-    if order_kind == "plain":
-        return orders_batch(F, mats, bound)
-    if order_kind == "projective":
-        return orders_batch(F, mats, bound, projective=True)
-    return tau_coset_orders_batch(F, mats, bound)
+def _attained(F, rows, bound, order_kind: str) -> set:
+    """The values rows attain: |g|, |gZ|, or for a tau wing, where rows are
+    the images Y = g g^-T, the coset orders 2 |Y Z|."""
+    vals = np.unique(orders_batch(F, rows, bound, projective=order_kind != "plain"))
+    return {(2 if order_kind.startswith("tau") else 1) * int(v) for v in vals}
 
 
 def _distinct_tau_images(F, mats, n):
@@ -64,14 +66,13 @@ def _distinct_tau_images(F, mats, n):
     return decode_batch(np.unique(np.concatenate([np.zeros(0, np.int64), *keys])), F.q, n)
 
 
-def _det_class_mask(F, mats, kind: str, n: int, q: int, order_kind: str):
+def _det_class_mask(F, mats, kind: str, q: int, d: int, order_kind: str):
     """Rows whose coset tau delta^e (P)SL or (P)SU matches the requested wing.
 
     For GL the determinant exponent is read off the discrete log directly;
     for GU determinants are norm-one elements Lambda^((q-1)e), so the log is
     divided down before reducing mod d = (n, q -+ 1).
     """
-    d = math.gcd(n, q + 1 if kind == "GU" else q - 1)
     if order_kind == "tau_coset" and d == 1:
         return np.ones(len(mats), bool)
     det = det_batch(F, mats)
@@ -94,23 +95,28 @@ def brute_spectrum(kind: str, n: int, q: int, *,
         raise UsageError("mode must be 'full' or 'sample'")
     if order_kind not in ORDER_KINDS:
         raise UsageError(f"unknown order kind {order_kind!r}")
-    if order_kind.startswith("tau") and kind not in ("GL", "GU"):
+    tau = order_kind.startswith("tau")
+    if tau and kind not in ("GL", "GU"):
         raise UsageError("tau coset orders are measured inside GL or GU")
+    d = math.gcd(n, q + 1 if kind == "GU" else q - 1)
+    if order_kind == "tau_delta_coset" and d == 1 and mode == "sample":
+        # no draw can land in the wing, so the draw loop would never end
+        raise UsageError(f"the tau delta coset of {kind}_{n}({q}) is its tau coset: "
+                         f"gcd(n, q {'+' if kind == 'GU' else '-'} 1) = 1")
     start = time.monotonic()
     F = make_field(kind, q)
     attained: set = set()
 
     if mode == "full":
         # the enumeration checks enum_bound before anything costs time
-        F, mats = enumerate_matrices(kind, n, q, enum_bound=enum_bound, seed=seed)
+        F, mats = enumerate_matrices(kind, n, q, enum_bound=enum_bound)
         bound = order_bound_fact(n, F.q, F.p)
-        rows, measure, scale = mats, order_kind, 1
-        if order_kind.startswith("tau"):
-            mats = mats[_det_class_mask(F, mats, kind, n, q, order_kind)]
-            rows, measure, scale = _distinct_tau_images(F, mats, n), "projective", 2
+        rows = mats
+        if tau:
+            mats = mats[_det_class_mask(F, mats, kind, q, d, order_kind)]
+            rows = _distinct_tau_images(F, mats, n)
         for lo in range(0, len(rows), BLOCK):
-            vals = _values_batch(F, rows[lo:lo + BLOCK], bound, measure)
-            attained.update(scale * int(v) for v in np.unique(vals))
+            attained |= _attained(F, rows[lo:lo + BLOCK], bound, order_kind)
         used = len(mats)
         sampler = "enumeration"
     else:
@@ -125,11 +131,11 @@ def brute_spectrum(kind: str, n: int, q: int, *,
             got = 0
             while got < want:
                 mats = sample_matrices(kind, n, q, want - got, rng, field=F)
-                if order_kind.startswith("tau"):
-                    mats = mats[_det_class_mask(F, mats, kind, n, q, order_kind)]
+                if tau:
+                    mats = mats[_det_class_mask(F, mats, kind, q, d, order_kind)]
                 if len(mats):
-                    vals = _values_batch(F, mats, bound, order_kind)
-                    out.update(int(v) for v in np.unique(vals))
+                    out |= _attained(F, tau_images(F, mats) if tau else mats,
+                                     bound, order_kind)
                 got += len(mats)
             return out
 

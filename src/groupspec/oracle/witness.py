@@ -10,8 +10,14 @@ projective order of that matrix is computed exactly from the exponents:
 
 with c running over the pairwise differences t_i - t_j and the single
 in-the-base-field constraint t_1 (q - 1); det g = 1 iff sum u_i = 0 mod q-1.
-Values divisible by p get an extra Jordan block mu * J_s, s = p^(t-1) + 1.
-The exponents u_i are drawn at random until the order lands on the target.
+Values divisible by p (p-part p^t) get an extra Jordan block mu * J_s,
+s = p^(t-1) + 1, with mu = Lambda^t_mu in F_q^*, and the companion blocks
+fill the remaining n - s; the same formula with t_mu put first among the
+exponents gives the order of the semisimple part (t_mu (q - 1) = 0 mod
+q^N - 1). Both searches read one candidate stream (_exponents): per
+partition, DRAWS random exponent vectors, kept when each block has the
+degree its part asks for; the first candidate whose order lands on the
+target is the witness.
 
 Unitary targets have no witness construction here; callers fall back to
 sampling (see the completeness checks in the test suite).
@@ -25,14 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..arith import r_part
+from ..arith import p_power_exponent, r_part
 from ..coset import UNSUPPORTED
 from ..spectra import GroupSpec, _partitions
 from .field import FiniteField, embed_subfield, poly_mul
 from .orders import order_bound_fact, orders_batch
 
 BIG_FIELD_LIMIT = 1 << 22
-DEFAULT_TRIES = 2000
+DRAWS = 500                     # random exponent vectors per partition
 
 
 @dataclass(frozen=True)
@@ -88,123 +94,85 @@ def _proj_order_from_exponents(ts, q: int, modulus: int) -> int:
     return out
 
 
-def _rng_for(spec: GroupSpec, target: int, seed: int) -> random.Random:
-    return random.Random(f"{spec}:{target}:{seed}")
-
-
-def witness_for_value(spec: GroupSpec, target: int, tries: int = DEFAULT_TRIES,
-                      seed: int = 0):
+def witness_for_value(spec: GroupSpec, target: int):
     """A matrix of projective order target, or UNSUPPORTED."""
-    if spec.family not in ("PSL", "PGL") or spec.eps != 1:
+    if spec.family not in ("PSL", "PGL") or spec.eps != 1 or target < 1:
         return UNSUPPORTED
-    if target < 1:
-        return UNSUPPORTED
-    n, q, p = spec.n, spec.q, spec.p
-    group_kind = "SL" if spec.family == "PSL" else "GL"
-    rng = _rng_for(spec, target, seed)
-    small = FiniteField(p, spec.m)
-
-    pt = r_part(target, p)
+    rng = random.Random(f"{spec}:{target}:0")
+    small = FiniteField(spec.p, spec.m)
+    pt = r_part(target, spec.p)
     if pt == 1:
-        found = _semisimple_witness(spec, target, small, rng, tries)
+        found = _semisimple_witness(spec, target, small, rng)
     else:
-        found = _unipotent_witness(spec, target, pt, small, rng, tries)
+        found = _unipotent_witness(spec, target, pt, small, rng)
     if found is None:
         return UNSUPPORTED
     matrix, description = found
-    return Witness(matrix=matrix, group_kind=group_kind,
+    return Witness(matrix=matrix, group_kind="SL" if spec.family == "PSL" else "GL",
                    target=target, description=description)
 
 
-def _big_field(small: FiniteField, N: int):
-    if small.q ** N > BIG_FIELD_LIMIT:
-        return None
-    big = FiniteField(small.p, small.m * N, tables=False)
-    fwd, rev = embed_subfield(small, big)
-    return big, rev
-
-
-def _semisimple_witness(spec, target, small, rng, tries):
-    n, q = spec.n, small.q
-    fix_det = spec.family == "PSL"
+def _exponents(small: FiniteField, n: int, rng: random.Random, fix_det: bool):
+    """The one candidate stream of both searches: per partition of n whose
+    big field F_{q^N} has at most BIG_FIELD_LIMIT elements, DRAWS random
+    exponent vectors u, kept when every t_i = u_i s_i has Frobenius orbit
+    size n_i (so block i has degree n_i). fix_det makes sum u_i = 0 mod q-1.
+    Yields (part, big, rev, us, ts); big.q - 1 is the modulus q^N - 1."""
+    q = small.q
     for part in _partitions(n):
         N = math.lcm(*part)
-        ctx = _big_field(small, N)
-        if ctx is None:
+        if q ** N > BIG_FIELD_LIMIT:
             continue
-        big, rev = ctx
-        modulus = q ** N - 1
+        big = FiniteField(small.p, small.m * N, tables=False)
+        rev = embed_subfield(small, big)[1]
+        modulus = big.q - 1
         spans = [modulus // (q ** k - 1) for k in part]
-        lam = big.primitive
-        for _ in range(max(1, tries // 4)):
+        for _ in range(DRAWS):
             us = [rng.randrange(q ** k - 1) for k in part]
             if fix_det:
-                residue = (-sum(us[:-1])) % (q - 1)
                 span = (q ** part[-1] - 1) // (q - 1)
-                us[-1] = residue + (q - 1) * rng.randrange(span)
+                us[-1] = (-sum(us[:-1])) % (q - 1) + (q - 1) * rng.randrange(span)
             ts = [u * s for u, s in zip(us, spans)]
-            if any(_frob_orbit_size(t, q, modulus, N) != k
-                   for t, k in zip(ts, part)):
-                continue
-            if _proj_order_from_exponents(ts, q, modulus) != target:
-                continue
-            blocks = [_companion(small, _min_poly_coeffs(big, big.pow(lam, t), k, q, rev))
-                      for t, k in zip(ts, part)]
-            return _block_diag(blocks, n), f"companion blocks {tuple(part)}"
+            if all(_frob_orbit_size(t, q, modulus, N) == k for t, k in zip(ts, part)):
+                yield part, big, rev, us, ts
+
+
+def _companions(small: FiniteField, big: FiniteField, rev: dict, part, ts) -> list:
+    return [_companion(small, _min_poly_coeffs(big, big.pow(big.primitive, t), k, small.q, rev))
+            for t, k in zip(ts, part)]
+
+
+def _semisimple_witness(spec, target, small, rng):
+    for part, big, rev, us, ts in _exponents(small, spec.n, rng, spec.family == "PSL"):
+        if _proj_order_from_exponents(ts, small.q, big.q - 1) == target:
+            return (_block_diag(_companions(small, big, rev, part, ts), spec.n),
+                    f"companion blocks {part}")
     return None
 
 
-def _unipotent_witness(spec, target, pt, small, rng, tries):
+def _unipotent_witness(spec, target, pt, small, rng):
     n, q, p = spec.n, small.q, spec.p
-    fix_det = spec.family == "PSL"
-    t = 0
-    x = pt
-    while x > 1:
-        x //= p
-        t += 1
-    s = p ** (t - 1) + 1
+    s = p ** (p_power_exponent(pt, p) - 1) + 1
     if target == pt and n == s:
-        J = _jordan(small, n, 1)
-        return J, f"jordan block {n}"
-    n1 = n - s
-    if n1 < 1:
+        return _jordan(small, n, 1), f"jordan block {n}"
+    if n <= s:
         return None
-    rest = target // pt
-    for part in _partitions(n1):
-        N = math.lcm(*part)
-        ctx = _big_field(small, N)
-        if ctx is None:
-            continue
-        big, rev = ctx
-        modulus = q ** N - 1
-        spans = [modulus // (q ** k - 1) for k in part]
+    fix_det = spec.family == "PSL"
+    for part, big, rev, us, ts in _exponents(small, n - s, rng, False):
+        modulus = big.q - 1
         unit_span = modulus // (q - 1)
-        lam = big.primitive
-        # zeta = lam^unit_span generates F_q^* inside the big field; using it
-        # for mu keeps the exponent bookkeeping and the matrix entry in sync
-        zeta = big.pow(lam, unit_span)
-        for _ in range(max(1, tries // 4)):
-            us = [rng.randrange(q ** k - 1) for k in part]
-            ts = [u * s_ for u, s_ in zip(us, spans)]
-            if any(_frob_orbit_size(ti, q, modulus, N) != k
-                   for ti, k in zip(ts, part)):
+        for w in range(q - 1):
+            if fix_det and (w * s + sum(us)) % (q - 1) != 0:
                 continue
-            for w in range(q - 1):
-                if fix_det and (w * s + sum(us)) % (q - 1) != 0:
-                    continue
-                tmu = w * unit_span
-                ord_ss = 1
-                for ti in ts:
-                    c = (ti - tmu) % modulus
-                    ord_ss = math.lcm(ord_ss, modulus // math.gcd(modulus, c))
-                if math.lcm(pt, ord_ss) != target:
-                    continue
-                mu = rev[big.pow(zeta, w)]
-                blocks = [_jordan(small, s, mu)]
-                blocks += [_companion(small, _min_poly_coeffs(big, big.pow(lam, ti), k, q, rev))
-                           for ti, k in zip(ts, part)]
-                return (_block_diag(blocks, n),
-                        f"jordan {s} * {mu} + companion blocks {tuple(part)}")
+            # mu = Lambda^t_mu, t_mu = w (q^N - 1)/(q - 1), is the w-th power
+            # of the generator of F_q^* inside the big field, so the exponent
+            # bookkeeping and the matrix entry stay in sync
+            t_mu = w * unit_span
+            if math.lcm(pt, _proj_order_from_exponents([t_mu] + ts, q, modulus)) != target:
+                continue
+            mu = rev[big.pow(big.primitive, t_mu)]
+            blocks = [_jordan(small, s, mu)] + _companions(small, big, rev, part, ts)
+            return _block_diag(blocks, n), f"jordan {s} * {mu} + companion blocks {part}"
     return None
 
 
@@ -239,12 +207,12 @@ def verify_witness(spec: GroupSpec, wit: Witness) -> int:
     return int(orders_batch(F, wit.matrix[None], bound, projective=True)[0])
 
 
-def witness_report(spec: GroupSpec, seed: int = 0) -> list:
+def witness_report(spec: GroupSpec) -> list:
     """One entry per maximal spectrum value: witness found and its true order."""
     from ..spectra import spectrum_linear
     out = []
     for g in spectrum_linear(spec).generators:
-        wit = witness_for_value(spec, g, seed=seed)
+        wit = witness_for_value(spec, g)
         if wit is UNSUPPORTED:
             out.append({"target": g, "status": "unsupported"})
             continue

@@ -25,10 +25,10 @@ def clean_env(env=None):
     return full_env
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     """Run the CLI in a fresh process; returns (exit code, stdout bytes, stderr text)."""
     proc = subprocess.run([sys.executable, "-m", "groupspec.cli", *args],
-                          capture_output=True, env=clean_env(env))
+                          capture_output=True, env=clean_env(env), timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
@@ -183,8 +183,33 @@ def test_usage_exit_codes():
                    "--generator", "f")[0] == 2
     assert run_cli("tau-test", "PGL(3,3)")[0] == 2
     assert run_cli("coset-spectrum", "PSL(4,3)", "--generator", "x")[0] == 2
-    assert run_cli("verify", "PSL(4,3)", "--kind", "tau_delta_coset",
-                   "--mode", "full")[0] == 2
+    code, _, err = run_cli("verify", "PSL(4,3)", "--order-kind", "tau_delta_coset",
+                           "--mode", "full")
+    assert code == 2 and "the tau delta probe is sampling-only" in err
+
+
+@pytest.mark.parametrize("group, kind, message", [
+    ("PSL(3,3)", "tau_delta_coset", "is its tau coset"),     # d = gcd(3, 2) = 1
+    ("Sp(4,3)", "tau_delta_coset", "covers PSL/PGL over eps = +1"),
+    ("PSU(4,3)", "tau_delta_coset", "covers PSL/PGL over eps = +1"),
+    ("PSU(4,3)", "tau_coset", "covers PSL/PGL over eps = +1"),
+])
+def test_tau_kinds_outside_their_groups_exit_2(group, kind, message):
+    # a timeout turns a hang into a failure instead of stalling the suite
+    code, out, err = run_cli("verify", group, "--order-kind", kind, "--samples", "50",
+                             "--pretty", timeout=60)
+    assert (code, out) == (2, b"")
+    assert message in err
+
+
+def test_empty_outer_word_is_a_usage_error(capsys):
+    spec = GroupSpec.from_q("PSL", 3, 5)
+    for word in ("", "  "):
+        with pytest.raises(UsageError, match="empty outer word"):
+            cli.parse_out_word(word, spec)
+    assert str(cli.parse_out_word(" 1 ", spec)) == "1"
+    assert cli.main(["coset-spectrum", "PSL(3,5)", "--generator", ""]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -37,6 +37,7 @@ from groupspec.oracle.field import (
     poly_mul,
     poly_trim,
 )
+import groupspec.oracle.groups as oracle_groups
 from groupspec.oracle.groups import (
     KINDS,
     BoundError,
@@ -516,6 +517,45 @@ def test_enumeration_counts_and_membership():
 def test_enumeration_bound_error():
     with pytest.raises(BoundError):
         enumerate_matrices("GL", 4, 5, enum_bound=1000)
+
+
+def test_enumeration_bound_is_checked_before_the_cache(monkeypatch):
+    monkeypatch.setattr(oracle_groups, "_enum_cache", {})
+    with pytest.raises(BoundError):
+        enumerate_matrices("GL", 2, 3, enum_bound=10)
+    assert len(enumerate_matrices("GL", 2, 3)[1]) == 48
+    with pytest.raises(BoundError):
+        enumerate_matrices("GL", 2, 3, enum_bound=10)
+
+
+def test_enumeration_order_ignores_call_history(monkeypatch):
+    # GU_3(3) is small enough to sample by drawing indices into its cached
+    # enumeration; a full run with another seed must not reorder that cache
+    def sampled():
+        return (brute_spectrum("GU", 3, 3, mode="sample", samples=6, seed=0)["attained"],
+                sample_matrices("GU", 3, 3, 2, np.random.default_rng(0)).tobytes())
+    monkeypatch.setattr(oracle_groups, "_enum_cache", {})
+    fresh = sampled()
+    assert fresh[0] == [3, 4, 8, 12]
+    monkeypatch.setattr(oracle_groups, "_enum_cache", {})
+    brute_spectrum("GU", 3, 3, mode="full", seed=1)
+    assert sampled() == fresh
+
+
+@pytest.mark.parametrize("kind, n, q", [("GL", 3, 3), ("GL", 3, 5), ("GU", 3, 3)])
+def test_tau_delta_without_a_second_wing_is_refused(monkeypatch, kind, n, q):
+    # d = gcd(n, q -+ 1) = 1: no row passes the tau delta det-class test, so
+    # the draw loop would never fill its block; refuse before drawing anything
+    import groupspec.oracle.spectrum as oracle_spectrum
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("drew matrices for an empty wing")
+    monkeypatch.setattr(oracle_spectrum, "sample_matrices", drawn)
+    with pytest.raises(UsageError, match="tau delta coset"):
+        brute_spectrum(kind, n, q, mode="sample", order_kind="tau_delta_coset", samples=50)
+    if kind == "GL":
+        with pytest.raises(UsageError, match="tau delta coset"):
+            tau_delta_probe(n, q, samples=50)
 
 
 def test_full_verify_checks_the_enumeration_bound_first(monkeypatch):
@@ -1041,6 +1081,32 @@ def test_witness_report_shape():
     rows = witness_report(S("PSL", 3, 3))
     assert [r["target"] for r in rows] == [13, 8, 6]
     assert all(r["status"] == "ok" for r in rows)
+
+
+# sha256 over every witness_for_value(spec, g) of the maximal values g of PSL
+# and PGL, n <= 4, q in {3, 5, 7, 9}: 81 witnesses, semisimple and unipotent,
+# recorded while the two constructions still had separate searches; the one
+# shared candidate stream must draw and build exactly the same matrices
+WITNESS_DIGEST = "450f34e3c66cef80ea026a7e7f2ce1c843845511df3819c4da90ec910a8b6d10"
+
+
+def test_witnesses_are_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for fam in ("PSL", "PGL"):
+        for n in (2, 3, 4):
+            for q in (3, 5, 7, 9):
+                spec = S(fam, n, q)
+                for g in spectrum_linear(spec).generators:
+                    wit = witness_for_value(spec, g)
+                    count += 1
+                    if wit is UNSUPPORTED:
+                        h.update(f"{spec}:{g}:unsupported;".encode())
+                        continue
+                    h.update(f"{spec}:{g}:{wit.description}:".encode())
+                    h.update(wit.matrix.tobytes())
+    assert count == 81
+    assert h.hexdigest() == WITNESS_DIGEST
 
 
 # ---------------------------------------------------------------------------
