@@ -38,16 +38,6 @@ def lcm_list(values) -> int:
     return out
 
 
-def gcd_list(values) -> int:
-    vals = list(values)
-    if not vals:
-        raise UsageError("gcd of empty list")
-    out = 0
-    for v in vals:
-        out = math.gcd(out, v)
-    return out
-
-
 def two_part(a: int) -> int:
     """(a)_2: largest power of 2 dividing a."""
     return a & -a

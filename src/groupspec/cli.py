@@ -344,8 +344,7 @@ def cmd_verify(args, cfg):
 def cmd_gamma_check(args, cfg):
     import numpy as np
     from .oracle.field import FiniteField
-    from .oracle.wall import (_jordan_partition, _self_reciprocal, _wall_parities,
-                              det_square_class, invariant_factors)
+    from .oracle.wall import det_square_class, wall_check
     q = args.q
     if q is None:
         raise UsageError("gamma-check needs --q")
@@ -364,22 +363,20 @@ def cmd_gamma_check(args, cfg):
         raise UsageError(f"matrix entries must lie in [0, {q})")
     h = np.array(rows, np.int16)
     # one Smith form answers every question but the determinant class
-    facs = invariant_factors(F, h)
-    cti = _self_reciprocal(F, facs)
-    plus = _jordan_partition(F, facs, 1)
-    minus = _jordan_partition(F, facs, F.neg(1))
-    in_gamma = cti and _wall_parities(plus, minus)
+    wall = wall_check(F, h)
     sq = det_square_class(F, h)
     payload = {
         "q": q, "n": n,
-        "in_gamma": bool(in_gamma),
-        "conjugate_to_inverse": bool(cti),
+        "in_gamma": bool(wall["in_gamma"]),
+        "conjugate_to_inverse": bool(wall["conjugate_to_inverse"]),
         "det_square_class": "square" if sq == 1 else "nonsquare",
-        "partition_plus": sorted(([k, v] for k, v in plus.items()), reverse=True),
-        "partition_minus": sorted(([k, v] for k, v in minus.items()), reverse=True),
+        "partition_plus": sorted(([k, v] for k, v in wall["partition_plus"].items()),
+                                 reverse=True),
+        "partition_minus": sorted(([k, v] for k, v in wall["partition_minus"].items()),
+                                  reverse=True),
     }
-    lines = [f"in Gamma: {'yes' if in_gamma else 'no'}",
-             f"conjugate to inverse: {'yes' if cti else 'no'}",
+    lines = [f"in Gamma: {'yes' if payload['in_gamma'] else 'no'}",
+             f"conjugate to inverse: {'yes' if payload['conjugate_to_inverse'] else 'no'}",
              f"determinant class: {payload['det_square_class']}",
              f"partition at +1: {payload['partition_plus']}",
              f"partition at -1: {payload['partition_minus']}"]

@@ -1,14 +1,20 @@
 """Vectorized matrix arithmetic over a table-backed finite field.
 
 Matrices are numpy int16 arrays of shape (..., n, n) whose entries are field
-encodings. Prime fields take the integer path. A product is an int16 np.matmul
+encodings; mat_mul multiplies them. lane_mul multiplies square matrices
+stacked lanes last, (n, n, L): the product is the sum over j of the broadcast
+products A[:, j, None, :] B[None, j, :, :], n multiply-adds of contiguous
+lane vectors where np.matmul on (L, n, n) runs a generic loop per matrix.
+The two differ only in that sum: widths, reductions and tables are shared.
+The order tree in oracle.orders picks one or the other by its live lane
+count. Prime fields take the integer path. A product is an int16 sum
 reduced through the field's table MOD[x] = x % p whenever n (p-1)^2 < 2^15,
 so that no sum overflows; elimination keeps its matrices in int16 and reduces
 through MOD whenever p^2 <= 2^15. Wider cases multiply in int64 and eliminate
 in int32, reducing with % p. The width follows from n and p alone, and all of
 it is exact integer arithmetic.
 
-A product over a proper extension F_{p^m} is one integer np.matmul by
+A product over a proper extension F_{p^m} is one integer product by
 Kronecker substitution (Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", J. Symbolic Comput., 2009). The digits of
 an encoding become the digits of an integer in base B = n m (p-1)^2 + 1, which
@@ -20,15 +26,16 @@ up to n = 11, F_27 up to n = 4, F_49 up to n = 5, F_81 to F_169 at n = 1 only,
 and no field from F_243 on. The product is int16 when its largest entry, n
 times the square of the packed q - 1, is below 2^15 (F_9 up to n = 4, F_25 at
 n = 1) and int32 otherwise. Every other case gathers from the MUL and ADD
-tables term by term. Elimination over an extension gathers from MUL/ADD/SUB.
-Determinants alone use forward elimination below each pivot; inverses use the
-full Gauss-Jordan sweep. Ranks and null spaces share one reduced row echelon
+tables, one column of A against one row of B at a time. Elimination over an
+extension gathers from MUL/ADD/SUB. Determinants alone use forward
+elimination below each pivot; inverses use the full Gauss-Jordan sweep. Ranks and null spaces share one reduced row echelon
 sweep whose pivot columns differ from lane to lane.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -90,48 +97,75 @@ def _kronecker(p: int, m: int, modulus: tuple, n: int):
 
 
 def mat_mul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B for matrices stacked as (..., n, n), or rectangular ones."""
+    return _product(F, A, B, lanes_last=False)
+
+
+def lane_mul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B for square matrices stacked lanes last, as (n, n, L)."""
+    return _product(F, A, B, lanes_last=True)
+
+
+def _dot(A, B, lanes_last: bool, mul=operator.mul, add=operator.iadd):
+    """The sum over j of mul(column j of A, row j of B), by add: an integer
+    product, or one through the field tables. Lanes last, each term is a
+    broadcast product of contiguous lane vectors; otherwise the terms are
+    outer products of columns and rows."""
+    if lanes_last:
+        def term(j):
+            return mul(A[:, j, None, :], B[None, j])
+    else:
+        def term(j):
+            return mul(A[..., :, j, None], B[..., None, j, :])
+    out = term(0)
+    for j in range(1, A.shape[1 if lanes_last else -1]):
+        out = add(out, term(j))
+    return out
+
+
+def _product(F: FiniteField, A: np.ndarray, B: np.ndarray, lanes_last: bool):
     _require_tables(F)
-    n = A.shape[-1]
+    n = A.shape[1 if lanes_last else -1]       # the inner dimension
+    dot = functools.partial(_dot, lanes_last=True) if lanes_last else np.matmul
     if F.m == 1:
         p = F.p
         if n * (p - 1) ** 2 < NARROW:
-            return F.MOD.take(A @ B)
-        prod = A.astype(np.int64) @ B.astype(np.int64)
+            return F.MOD.take(dot(A, B))
+        prod = dot(A.astype(np.int64), B.astype(np.int64))
         return (prod % p).astype(np.int16)
     kron = _kronecker(F.p, F.m, F.modulus, n)
     if kron is not None:
         K, split, LO, HI = kron
-        P = K.take(A) @ K.take(B)
+        P = dot(K.take(A), K.take(B))
         hi = P // split
         P -= hi * split                    # the low m digits
         index = LO.take(P)
         index += HI.take(hi)
         return F.ADD.take(index)
-    BT = np.swapaxes(B, -1, -2)
-    terms = F.MUL[A[..., :, None, :], BT[..., None, :, :]]
-    out = terms[..., 0]
-    for k in range(1, n):
-        out = F.ADD[out, terms[..., k]]
-    return out
+    return _dot(A, B, lanes_last, lambda a, b: F.MUL[a, b], lambda a, b: F.ADD[a, b])
 
 
-def mat_pow(F: FiniteField, A: np.ndarray, e: int) -> np.ndarray:
-    """A^e by square-and-multiply; always a fresh array, never A itself."""
+def mat_pow(F: FiniteField, A: np.ndarray, e: int, mul=None) -> np.ndarray:
+    """A^e by square-and-multiply; always a fresh array, never A itself.
+
+    mul is the product, mat_mul by default; lane_mul powers a lanes-last
+    stack. A zeroth power is a (B, n, n) or single identity."""
     if e < 0:
         raise UsageError("negative matrix power")
     if e == 0:
         if A.ndim == 3:
             return identity_batch(F, A.shape[-1], A.shape[0])
         return np.eye(A.shape[-1], dtype=np.int16)
+    mul = mul or mat_mul
     out = None
     base = A
     while True:
         if e & 1:
-            out = base if out is None else mat_mul(F, out, base)
+            out = base if out is None else mul(F, out, base)
         e >>= 1
         if not e:
             return out.copy() if out is A else out
-        base = mat_mul(F, base, base)
+        base = mul(F, base, base)
 
 
 def transpose(A: np.ndarray) -> np.ndarray:

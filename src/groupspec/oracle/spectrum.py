@@ -14,8 +14,8 @@ images of all blocks are keyed by encode_batch and deduplicated together
 (GL_3(5): 1,488,000 g, 88,506 distinct Y). Sampled draws repeat too rarely
 for that to pay, so sampling measures the images of each batch as drawn.
 When d = gcd(n, q -+ 1) is 1 the tau delta wing is the tau wing and no row
-passes the tau delta det-class test: a full enumeration finds that wing
-empty, and sampling refuses tau_delta_coset before drawing.
+passes the tau delta det-class test, so both modes refuse tau_delta_coset
+before enumerating or drawing anything.
 
 Sampling is block organized: the sample count is split into fixed blocks of
 65536 draws, each fed from its own spawned SeedSequence stream, so results
@@ -99,8 +99,9 @@ def brute_spectrum(kind: str, n: int, q: int, *,
     if tau and kind not in ("GL", "GU"):
         raise UsageError("tau coset orders are measured inside GL or GU")
     d = math.gcd(n, q + 1 if kind == "GU" else q - 1)
-    if order_kind == "tau_delta_coset" and d == 1 and mode == "sample":
-        # no draw can land in the wing, so the draw loop would never end
+    if order_kind == "tau_delta_coset" and d == 1:
+        # no row lands in the wing: an enumeration would find it empty and
+        # the draw loop would never end
         raise UsageError(f"the tau delta coset of {kind}_{n}({q}) is its tau coset: "
                          f"gcd(n, q {'+' if kind == 'GU' else '-'} 1) = 1")
     start = time.monotonic()

@@ -100,18 +100,21 @@ def invariant_factors(F: FiniteField, H: np.ndarray) -> tuple:
 
 
 def _jordan_partition(F: FiniteField, facs: tuple, lam: int) -> dict:
-    """{block size: multiplicity} at lam: the power of z - lam in each factor."""
+    """{block size: multiplicity} at lam: the power of z - lam in each factor.
+    Each factor divides the next, so the powers never fall along facs: the
+    walk runs from the last factor and stops at the first power 0."""
     lin = (F.neg(lam), 1)
     out: dict = {}
-    for d in facs:
+    for d in reversed(facs):
         e = 0
         while True:
             quo, rem = poly_divmod(F, d, lin)
             if rem:
                 break
             d, e = quo, e + 1
-        if e:
-            out[e] = out.get(e, 0) + 1
+        if not e:
+            break
+        out[e] = out.get(e, 0) + 1
     return out
 
 
@@ -128,19 +131,25 @@ def _self_reciprocal(F: FiniteField, facs: tuple) -> bool:
     return all(d == poly_monic(F, d[::-1]) for d in facs)
 
 
-def _wall_parities(plus: dict, minus: dict) -> bool:
-    """Wall's parity conditions on the Jordan partitions at 1 and at -1."""
-    return (all(mult % 2 == 0 for size, mult in plus.items() if size % 2 == 0)
-            and all(mult % 2 == 0 for size, mult in minus.items() if size % 2))
+def wall_check(F: FiniteField, H: np.ndarray) -> dict:
+    """Wall's verdicts on H, all from one Smith form: whether H ~ H^-1
+    ("conjugate_to_inverse"), the Jordan partitions {block size: multiplicity}
+    at 1 and at -1 ("partition_plus", "partition_minus") and whether H lies
+    in Gamma ("in_gamma"): H ~ H^-1 and both partitions pass Wall's parity
+    conditions."""
+    facs = invariant_factors(F, H)
+    cti = _self_reciprocal(F, facs)
+    plus = _jordan_partition(F, facs, 1)
+    minus = _jordan_partition(F, facs, F.neg(1))
+    parities = (all(mult % 2 == 0 for size, mult in plus.items() if size % 2 == 0)
+                and all(mult % 2 == 0 for size, mult in minus.items() if size % 2))
+    return {"conjugate_to_inverse": cti, "partition_plus": plus,
+            "partition_minus": minus, "in_gamma": cti and parities}
 
 
 def gamma_membership(F: FiniteField, H: np.ndarray) -> bool:
     """Whether H = g g^-T for some g in GL_n(q)."""
-    facs = invariant_factors(F, H)
-    if not _self_reciprocal(F, facs):
-        return False
-    return _wall_parities(_jordan_partition(F, facs, 1),
-                          _jordan_partition(F, facs, F.neg(1)))
+    return wall_check(F, H)["in_gamma"]
 
 
 def det_square_class(F: FiniteField, g: np.ndarray) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arith import (UsageError, co_pi_part, odd_part, p_power_exponent, pi_part,
                     two_part)
@@ -181,18 +180,6 @@ def _class_reps(subs, elems: list) -> list:
     return reps
 
 
-def cyclic_subgroups_up_to_conjugacy(eps: int, n: int, p: int, m: int,
-                                     bound: int = OUT_ENUM_BOUND) -> list:
-    """Representative generators, one per conjugacy class of cyclic subgroups."""
-    elems = out_elements(eps, n, p, m, bound)
-    # out_elements runs in key order, so each subgroup keeps the generator
-    # with the least key
-    subs = {}
-    for x in elems:
-        subs.setdefault(_subgroup_key(x), x)
-    return [subs[sub] for sub in _class_reps(subs, elems)]
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     socle: GroupSpec
@@ -348,8 +335,3 @@ def _class_counts(gens, eps, n, p, m, bound):
             admissible_subs.add(_subgroup_key(g.power(e)))
     count = len(_class_reps(admissible_subs, out_elements(eps, n, p, m, bound)))
     return count, count - 1
-
-
-@lru_cache(maxsize=512)
-def admissibility_report_cached(spec: GroupSpec) -> AdmissibilityReport:
-    return admissible_generators(spec)

@@ -16,7 +16,7 @@ from groupspec.oracle.groups import enumerate_matrices
 from groupspec.oracle.spectrum import brute_spectrum, tau_delta_probe, verify_group
 from groupspec.oracle.wall import gamma_membership
 from groupspec.oracle.witness import witness_report
-from groupspec.outer import admissibility_report_cached
+from groupspec.outer import admissible_generators
 from groupspec.spectra import (GroupSpec, check_2adj, divisors, spectrum_linear,
                                spectrum_symplectic)
 
@@ -37,7 +37,7 @@ def test_01_psl_3_5_graph_extension_only():
     res = tau_criterion(3, 5, 1)
     assert res.verdict == "equal"
     assert res.tau_admissible
-    rep = admissibility_report_cached(GroupSpec.from_q("PSL", 3, 5))
+    rep = admissible_generators(GroupSpec.from_q("PSL", 3, 5))
     assert [str(g) for g in rep.generators] == ["t"]
     assert rep.class_nontrivial == 1
     _report(1, "PSL(3,5): tau coset adds no orders, one nontrivial class {t}", t0)
@@ -45,7 +45,7 @@ def test_01_psl_3_5_graph_extension_only():
 
 def test_02_psl_3_343_two_admissible_classes():
     t0 = time.monotonic()
-    rep = admissibility_report_cached(GroupSpec.from_q("PSL", 3, 343))
+    rep = admissible_generators(GroupSpec.from_q("PSL", 3, 343))
     assert rep.class_total == 2
     res = tau_criterion(3, 343, 1)
     assert res.verdict == "witness"
@@ -56,7 +56,7 @@ def test_02_psl_3_343_two_admissible_classes():
 
 def test_03_psl_4_25_field_generators():
     t0 = time.monotonic()
-    rep = admissibility_report_cached(GroupSpec.from_q("PSL", 4, 25))
+    rep = admissible_generators(GroupSpec.from_q("PSL", 4, 25))
     assert rep.d == 4
     assert rep.b == 2
     assert [str(g) for g in rep.generators] == ["f", "f t"]
@@ -66,7 +66,7 @@ def test_03_psl_4_25_field_generators():
 def test_04_unitary_exclusion_empty_generators():
     t0 = time.monotonic()
     for n, q in ((4, 3), (4, 9), (10, 3)):
-        rep = admissibility_report_cached(GroupSpec.from_q("PSL", n, q, -1))
+        rep = admissible_generators(GroupSpec.from_q("PSL", n, q, -1))
         assert [str(g) for g in rep.generators] == []
     _report(4, "PSU(4,3), PSU(4,9), PSU(10,3): no admissible extensions", t0)
 

@@ -13,7 +13,6 @@ from groupspec.arith import (
     UsageError,
     co_pi_part,
     factorize,
-    gcd_list,
     is_prime,
     lcm_list,
     load_factor_cache,
@@ -74,8 +73,6 @@ def test_part_product_invariant():
 def test_lcm_gcd_lists():
     assert lcm_list([8, 26]) == 104
     assert lcm_list([4]) == 4
-    assert gcd_list([12, 18, 30]) == 6
-    assert gcd_list([7]) == 7
     with pytest.raises(UsageError):
         lcm_list([])
 

@@ -22,6 +22,7 @@ from groupspec.oracle.batch import (
     identity_batch,
     is_identity_batch,
     is_scalar_batch,
+    lane_mul,
     mat_mul,
     mat_pow,
     nullspace_batch,
@@ -48,7 +49,9 @@ from groupspec.oracle.groups import (
     sample_matrices,
     sampler_name,
 )
+import groupspec.oracle.orders as oracle_orders
 from groupspec.oracle.orders import (
+    LANE_MIN,
     order_bound_fact,
     orders_batch,
     tau_coset_orders_batch,
@@ -304,6 +307,24 @@ def test_mat_mul_matches_gather_loop():
     assert paths[81, 2] == paths[121, 2] == paths[243, 1] == "gather"
 
 
+def test_lane_mul_matches_mat_mul():
+    # lanes-last products on every path: int16 and int64 over F_p (n = 2 is
+    # below the switch for p = 181 and above it for p = 191), the int16 and
+    # int32 Kronecker products (F_9 at n = 4 and 5, F_25, F_27 at n = 4) and
+    # the MUL/ADD tables (F_27 at n = 5, F_81)
+    for q, ns in ((3, (1, 6)), (181, (2,)), (191, (1, 2, 6)), (9, (4, 5)), (25, (3,)),
+                  (27, (4, 5)), (81, (2,))):
+        F = FiniteField(*odd_prime_power(q))
+        rng = np.random.default_rng(q)
+        for n in ns:
+            A = rng.integers(0, q, size=(9, n, n)).astype(np.int16)
+            B = rng.integers(0, q, size=(9, n, n)).astype(np.int16)
+            A[0] = B[0] = q - 1
+            lanes = lane_mul(F, np.moveaxis(A, 0, -1).copy(), np.moveaxis(B, 0, -1).copy())
+            assert lanes.dtype == np.int16 and lanes.shape == (n, n, 9)
+            assert (np.moveaxis(lanes, -1, 0) == mat_mul(F, A, B)).all(), (q, n)
+
+
 def test_det_inv_batch_properties():
     F = FiniteField(3, 2)
     rng = random.Random(2)
@@ -451,19 +472,83 @@ def _special_mats(F, n):
                      np.vectorize(lambda x: F.mul(c, int(x)))(jordan).astype(np.int16)])
 
 
-@pytest.mark.parametrize("n,q", [(1, 3), (2, 5), (2, 9), (2, 13), (2, 23), (2, 25),
-                                 (4, 3), (3, 9), (4, 5), (5, 3)])
+def _small_order_conjugates(F, n, count, rng):
+    """count conjugates P D P^-1, P random in GL_n(q), of signed permutation
+    matrices D (the first half) and of unipotent upper triangular D (the
+    rest). Their entries lie anywhere in F_q, so products reach the widest
+    sums, while their orders stay at most 12 or p^ceil(log_p n), so naive
+    powering ends within a few hundred steps even over F_191."""
+    P = sample_matrices("GL", n, F.q, count, rng, field=F)
+    half, idx = count // 2, np.arange(n)
+    D = np.zeros((count, n, n), np.int16)
+    perms = rng.permuted(np.tile(idx, (half, 1)), axis=1)
+    D[np.arange(half)[:, None], idx, perms] = np.where(
+        rng.integers(0, 2, (half, n)) == 1, 1, F.NEG[1])
+    D[half:] = np.triu(rng.integers(0, F.q, (count - half, n, n)), 1)
+    D[half:, idx, idx] = 1
+    return mat_mul(F, mat_mul(F, P, D), det_inv_batch(F, P)[1])
+
+
+# Random elements of groups small enough that naive powering reaches every
+# order, batched below LANE_MIN. Then the sweep, batched above LANE_MIN so
+# that the order tree starts lanes last and falls back to (L, n, n) as lanes
+# leave it: every odd prime up to 191 at every n <= 6, which covers both
+# sides of the int16 switch n (p-1)^2 < 2^15 at each n (at n = 6 between
+# p = 73 and p = 79); F_9, F_25 and F_27 take the Kronecker products (F_27
+# from n = 5 the tables), F_81 the MUL/ADD tables.
+SWEEP_PRIMES = [p for p in range(3, 192, 2) if factorize(p).pairs == ((p, 1),)]
+ORDER_CASES = ([pytest.param(n, q, 40, id=f"{n}-{q}")
+                for n, q in ((1, 3), (2, 5), (2, 9), (2, 13), (2, 23), (2, 25),
+                             (4, 3), (3, 9), (4, 5), (5, 3))]
+               + [pytest.param(n, q, LANE_MIN + 64, id=f"{n}-{q}-lanes")
+                  for q in SWEEP_PRIMES + [9, 25, 27] for n in range(1, 7)]
+               + [pytest.param(n, 81, LANE_MIN + 64, id=f"{n}-81-lanes") for n in (2, 3)])
+
+
+@pytest.mark.parametrize("n,q,count", ORDER_CASES)
 @pytest.mark.parametrize("projective", [False, True])
-def test_orders_batch_against_naive_powers(n, q, projective):
+def test_orders_batch_against_naive_powers(n, q, count, projective):
     F = make_field("GL", q)
     bound = order_bound_fact(n, F.q, F.p)
-    mats = np.concatenate([_special_mats(F, n),
-                           sample_matrices("GL", n, q, 40, np.random.default_rng(n * q))])
+    rng = np.random.default_rng(n * q)
+    if count < LANE_MIN:
+        mats = np.concatenate([_special_mats(F, n), sample_matrices("GL", n, q, count, rng)])
+    else:   # scalar times Jordan block would take q (q - 1) naive steps
+        mats = np.concatenate([_special_mats(F, n)[:3],
+                               _small_order_conjugates(F, n, count, rng)])
     trivial = is_scalar_batch if projective else is_identity_batch
     got = orders_batch(F, mats, bound, projective=projective)
     assert (got == _naive_orders(F, mats, trivial, bound.value)).all()
-    assert (bound.value % got == 0).all()
+    assert all(bound.value % v == 0 for v in got.tolist())
     assert got[0] == 1 and got[1] == (1 if projective else F.q - 1)
+
+
+@pytest.mark.parametrize("count", [LANE_MIN - 1, LANE_MIN + 64])
+def test_order_tree_layout_follows_the_lane_count(monkeypatch, count):
+    # below LANE_MIN lanes the tree multiplies (L, n, n) stacks with mat_mul
+    # only; from LANE_MIN on it starts lanes last with lane_mul, and goes
+    # back to mat_mul once lanes leave it: the signed permutations have
+    # orders 2^a 3^b and leave every other prime's subtree
+    F = make_field("GL", 13)
+    mats = _small_order_conjugates(F, 3, count, np.random.default_rng(count))
+    calls = {"lane_mul": 0, "mat_mul": 0}
+
+    def counted(name):
+        fn = getattr(oracle_orders, name)
+
+        def mul(*args):
+            calls[name] += 1
+            return fn(*args)
+        return mul
+    for name in calls:
+        monkeypatch.setattr(oracle_orders, name, counted(name))
+    bound = order_bound_fact(3, 13, 13)
+    got = orders_batch(F, mats, bound, projective=True)
+    assert (got == _naive_orders(F, mats, is_scalar_batch, bound.value)).all()
+    if count < LANE_MIN:
+        assert calls["lane_mul"] == 0 and calls["mat_mul"] > 0
+    else:
+        assert calls["lane_mul"] > 0 and calls["mat_mul"] > 0
 
 
 def test_projective_order_divides_matrix_order():
@@ -545,14 +630,17 @@ def test_enumeration_order_ignores_call_history(monkeypatch):
 @pytest.mark.parametrize("kind, n, q", [("GL", 3, 3), ("GL", 3, 5), ("GU", 3, 3)])
 def test_tau_delta_without_a_second_wing_is_refused(monkeypatch, kind, n, q):
     # d = gcd(n, q -+ 1) = 1: no row passes the tau delta det-class test, so
-    # the draw loop would never fill its block; refuse before drawing anything
+    # an enumeration would find the wing empty and the draw loop would never
+    # fill its block; refuse in both modes before enumerating or drawing
     import groupspec.oracle.spectrum as oracle_spectrum
 
     def drawn(*args, **kwargs):
-        raise AssertionError("drew matrices for an empty wing")
+        raise AssertionError("made matrices for an empty wing")
     monkeypatch.setattr(oracle_spectrum, "sample_matrices", drawn)
-    with pytest.raises(UsageError, match="tau delta coset"):
-        brute_spectrum(kind, n, q, mode="sample", order_kind="tau_delta_coset", samples=50)
+    monkeypatch.setattr(oracle_spectrum, "enumerate_matrices", drawn)
+    for mode in ("full", "sample"):
+        with pytest.raises(UsageError, match="tau delta coset"):
+            brute_spectrum(kind, n, q, mode=mode, order_kind="tau_delta_coset", samples=50)
     if kind == "GL":
         with pytest.raises(UsageError, match="tau delta coset"):
             tau_delta_probe(n, q, samples=50)
@@ -998,8 +1086,10 @@ def test_brute_tau_coset_gl33():
         assert v in cos
 
 
-@pytest.mark.parametrize("order_kind", ["tau_coset", "tau_delta_coset"])
-@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 3)])
+@pytest.mark.parametrize("n,q,order_kind", [
+    (2, 3, "tau_coset"), (2, 5, "tau_coset"), (3, 3, "tau_coset"),
+    (2, 3, "tau_delta_coset"), (2, 5, "tau_delta_coset"),   # GL_3(3) has no tau delta wing
+])
 def test_brute_tau_dedup_matches_every_g(n, q, order_kind):
     # the full enumeration measures each distinct g g^-T once; the reference
     # measures every g of the wing, with no deduplication
