@@ -1,5 +1,5 @@
-"""Exact integer helpers: gcd/lcm folds, pi-parts, factorization, primitive prime divisors,
-and the one check that a field size q is an odd prime power.
+"""Exact integer helpers: gcd/lcm folds, pi-parts, factorization, and the one
+check that a field size q is an odd prime power.
 
 Everything here works on unbounded Python ints. The only state is a
 factorization memo that can be preloaded from / saved to a plain text cache.
@@ -89,7 +89,11 @@ def co_pi_part(a: int, b: int) -> int:
     return a // pi_part(a, b)
 
 
-# deterministic Miller-Rabin witness set, valid far beyond any input we see
+# Miller-Rabin bases: the first 12 primes decide primality only for
+# n < 318665857834031151167461 ~ 3.18 * 10^23, the least composite that passes
+# them all (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp., 2017). Above it, as for a large CLI input q, is_prime is a
+# strong probable-prime test.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -292,48 +296,35 @@ def save_factor_cache(path: str) -> int:
     return len(items)
 
 
-@dataclass(frozen=True)
-class SignedBase:
-    """A base q >= 2 together with a sign, standing for the sequence q^k - eps^k."""
-
-    q: int
-    eps: int = 1
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise UsageError("base must be at least 2")
-        if self.eps not in (1, -1):
-            raise UsageError("sign must be +1 or -1")
-
-    def term(self, k: int) -> int:
-        return self.q ** k - self.eps ** k
-
-
-def primitive_prime_divisors(base: SignedBase, k: int) -> frozenset:
-    """Primes dividing q^k - eps^k but no earlier q^i - eps^i (1 <= i < k)."""
-    if k < 1:
-        raise UsageError("k must be positive")
-    residual = base.term(k)
-    if residual == 0:
-        return frozenset()
-    for i in range(1, k):
-        t = base.term(i)
-        if t == 0:
-            continue
-        g = math.gcd(residual, t)
-        while g > 1:
-            residual //= g
-            g = math.gcd(residual, g)
-    if residual == 1:
-        return frozenset()
-    return frozenset(factorize(residual).primes())
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 1, by Newton's method from above."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def odd_prime_power(q: int):
-    """(p, m) with q = p^m for an odd prime p; UsageError otherwise."""
+    """(p, m) with q = p^m for an odd prime p; UsageError otherwise.
+
+    Decided without factorizing q, on which rho spends about sqrt(r) steps
+    for the least prime r of q: a prime p < 1000 dividing q must be its only
+    prime; otherwise every prime of q exceeds 1000, so m < log_1000 q and
+    q = p^m exactly when some such integer m-th root of q is prime."""
     if q % 2 == 0 or q < 3:
         raise UsageError(f"q = {q}: only odd prime powers are covered")
-    fact = factorize(q)
-    if len(fact.pairs) != 1:
-        raise UsageError(f"q = {q} is not a prime power")
-    return fact.pairs[0]
+    p = next((p for p in _TRIAL_PRIMES if q % p == 0), None)
+    if p is not None:
+        m = p_power_exponent(q, p)
+        if m is not None:
+            return p, m
+    else:
+        m = 1
+        while 1000 ** m < q:
+            r = _iroot(q, m)
+            if r ** m == q and is_prime(r):
+                return r, m
+            m += 1
+    raise UsageError(f"q = {q} is not a prime power")

@@ -13,17 +13,10 @@ Y^(prod_L r^e) to R. A leaf is a single T, raised to the r-th power until it
 is trivial. Lanes whose Y is already trivial (the identity, or a scalar when
 projective) have order coprime to S and leave the tree there.
 
-The layout of Y follows its live lane count L alone. From LANE_MIN = 256
-lanes on, Y is stacked lanes last, (n, n, L), multiplied with lane_mul and
-compacted along its last axis; below LANE_MIN it is (L, n, n) and multiplied
-with mat_mul. A node whose lanes fall under LANE_MIN transposes Y once, and
-its subtree stays in (L, n, n), since lanes only leave. The crossover was
-measured on a 2-core VM, best of 15, MOD reduction included: a product over
-F_3 of 4,096 5x5 matrices took 0.23 ms lanes last against 0.77 ms with
-np.matmul, while at 64 lanes lanes last lost, 0.022 ms against 0.015 ms, its
-n Python-level broadcasts outweighing one np.matmul call; for n = 2 to 6 the
-two meet between 128 and 256 lanes. Over whole oracle passes, 256 beat 128
-and 512.
+Y is always an (L, n, n) stack, compacted with Y[live]; batch.mat_mul picks
+the memory layout of each product (lanes last from LANE_MIN = 256 matrices
+on), and the identity and scalar tests read Y through the (n^2, L) view that
+a lanes-last product makes free.
 """
 
 from __future__ import annotations
@@ -34,15 +27,8 @@ import numpy as np
 
 from ..arith import Factorization, factorize, lcm_list
 from .batch import (det_inv_batch, is_identity_batch, is_scalar_batch,
-                    lane_mul, mat_mul, mat_pow, transpose)
+                    mat_mul, mat_pow, transpose)
 from .field import FiniteField
-
-
-# From this many live lanes on, the order tree stacks its matrices lanes last,
-# (n, n, L), and multiplies with lane_mul; below it, as (L, n, n) with
-# mat_mul, whose one np.matmul call beats lane_mul's n Python-level
-# broadcasts on few lanes.
-LANE_MIN = 256
 
 
 def order_bound(n: int, q: int, p: int) -> int:
@@ -59,50 +45,18 @@ def order_bound_fact(n: int, q: int, p: int) -> Factorization:
 def orders_batch(F: FiniteField, X: np.ndarray, bound: Factorization,
                  projective: bool = False) -> np.ndarray:
     """Orders of X in GL (projective=False) or PGL (projective=True)."""
-    count = X.shape[0]
-    out = np.ones(count, np.int64)
-    if count >= LANE_MIN:
-        X = np.ascontiguousarray(np.moveaxis(X, 0, -1))
-    _order_tree(F, X, np.arange(count), list(bound), projective, out)
+    trivial = is_scalar_batch if projective else is_identity_batch
+    out = np.ones(X.shape[0], np.int64)
+    _order_tree(F, X, np.arange(X.shape[0]), list(bound), trivial, out)
     return out
 
 
-def _trivial(F, Y, count, projective):
-    """Which of the count lanes of Y hold the identity, or when projective a
-    nonzero scalar: Y equals Y[0, 0] E."""
-    if count < LANE_MIN:
-        return (is_scalar_batch if projective else is_identity_batch)(F, Y)
-    n = Y.shape[0]
-    flat = Y.reshape(n * n, count)
-    eye = np.eye(n, dtype=np.int16).reshape(n * n, 1)
-    if not projective:
-        return (flat == eye).all(axis=0)
-    return (flat == flat[0] * eye).all(axis=0) & (flat[0] != 0)
-
-
-def _keep(Y, lanes, live):
-    """Y and lanes restricted to the live lanes, in the layout of their new
-    count: a lanes-last stack that falls under LANE_MIN goes back to
-    (L, n, n)."""
-    if len(lanes) < LANE_MIN:
-        return Y[live], lanes[live]
-    lanes = lanes[live]
-    if len(lanes) >= LANE_MIN:
-        return Y[..., live], lanes
-    return np.ascontiguousarray(np.moveaxis(Y[..., live], -1, 0)), lanes
-
-
-def _mul(count):
-    """The product for a stack of count lanes."""
-    return lane_mul if count >= LANE_MIN else mat_mul
-
-
-def _order_tree(F, Y, lanes, primes, projective, out):
+def _order_tree(F, Y, lanes, primes, trivial, out):
     """Multiply into out[lanes] the orders' parts at primes, where
     Y = X^(B / prod of r^e over primes). Lanes already trivial drop out."""
-    live = ~_trivial(F, Y, len(lanes), projective)
+    live = ~trivial(F, Y)
     if not live.all():
-        Y, lanes = _keep(Y, lanes, live)
+        Y, lanes = Y[live], lanes[live]
     if not len(lanes):
         return
     if len(primes) > 1:
@@ -111,20 +65,17 @@ def _order_tree(F, Y, lanes, primes, projective, out):
         half = min(range(1, len(primes)),
                    key=lambda h: abs(math.log(total / math.prod(powers[:h]) ** 2)))
         left = math.prod(powers[:half])
-        mul = _mul(len(lanes))
-        _order_tree(F, mat_pow(F, Y, total // left, mul), lanes, primes[:half],
-                    projective, out)
-        _order_tree(F, mat_pow(F, Y, left, mul), lanes, primes[half:], projective, out)
+        _order_tree(F, mat_pow(F, Y, total // left), lanes, primes[:half], trivial, out)
+        _order_tree(F, mat_pow(F, Y, left), lanes, primes[half:], trivial, out)
         return
     (r, e), = primes
     for _ in range(e):
-        Y = mat_pow(F, Y, r, _mul(len(lanes)))
+        Y = mat_pow(F, Y, r)
         out[lanes] *= r
-        live = ~_trivial(F, Y, len(lanes), projective)
+        live = ~trivial(F, Y)
         if not live.any():
             return
-        if not live.all():
-            Y, lanes = _keep(Y, lanes, live)
+        Y, lanes = Y[live], lanes[live]
     raise AssertionError("order exceeds its bound")  # unreachable
 
 

@@ -1,4 +1,4 @@
-"""Number-theoretic kernel: parts, factorization, signed bases."""
+"""Number-theoretic kernel: parts, factorization, prime powers."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from groupspec.arith import (
     Factorization,
-    SignedBase,
     UsageError,
     co_pi_part,
     factorize,
@@ -20,11 +19,11 @@ from groupspec.arith import (
     odd_prime_power,
     p_power_exponent,
     pi_part,
-    primitive_prime_divisors,
     r_part,
     save_factor_cache,
     two_part,
 )
+from groupspec.spectra import _coprime_base
 
 
 def test_part_examples():
@@ -136,44 +135,55 @@ def test_factorize_rejects_nonpositive():
         factorize(-6)
 
 
-def test_signed_base_terms():
-    plus = SignedBase(3, 1)
-    minus = SignedBase(3, -1)
-    assert plus.term(4) == 80
-    assert minus.term(1) == 4
-    assert minus.term(2) == 8
-    assert minus.term(3) == 28
+def _primitive_primes(q: int, top: int) -> dict:
+    """{e: the primes of q^e - 1 that divide no q^i - 1 with i < e}, e <= top,
+    by factorizing each q^e - 1."""
+    seen, out = set(), {}
+    for e in range(1, top + 1):
+        primes = set(factorize(q ** e - 1).primes())
+        out[e] = primes - seen
+        seen |= primes
+    return out
+
+
+def _base_by_order(q: int, top: int) -> dict:
+    """{e: element} for the elements after p of spectra's coprime base, keyed
+    by the order of q modulo the element."""
+    p = factorize(q).primes()[0]
+    base = _coprime_base(p, q, top)
+    by_order = {next(e for e in range(1, top + 1) if (q ** e - 1) % x == 0): x
+                for x in base[1:]}
+    assert base[0] == p and len(by_order) == len(base) - 1
+    return by_order
 
 
 def test_primitive_prime_divisor_examples():
-    assert primitive_prime_divisors(SignedBase(3, 1), 4) == frozenset({5})
-    assert primitive_prime_divisors(SignedBase(2, 1), 6) == frozenset()
-    assert primitive_prime_divisors(SignedBase(5, 1), 1) == frozenset({2})
-    assert primitive_prime_divisors(SignedBase(2, -1), 3) == frozenset()
+    # the coprime base holds, for each e, the part of Phi_e(q) made of
+    # Zsigmondy's primitive prime divisors; 2^6 - 1 has none
+    assert _coprime_base(3, 3, 4) == (3, 2, 13, 5)
+    assert _coprime_base(2, 2, 6) == (2, 3, 7, 5, 31)
+    assert _coprime_base(5, 5, 1) == (5, 4)
 
 
 def test_primitive_prime_divisors_are_primitive():
     rng = random.Random(5)
     for _ in range(60):
         q = rng.randrange(2, 30)
-        eps = rng.choice((1, -1))
-        k = rng.randrange(1, 12)
-        base = SignedBase(q, eps)
-        rs = primitive_prime_divisors(base, k)
-        for r in rs:
-            assert base.term(k) % r == 0
-            for i in range(1, k):
-                assert base.term(i) % r != 0
+        top = rng.randrange(1, 12)
+        by_order = _base_by_order(q, top)
+        for e, primes in _primitive_primes(q, top).items():
+            x = by_order.get(e, 1)
+            assert set(factorize(x).primes()) == primes, (q, e)
 
 
 def test_primitive_prime_divisors_residue():
-    # for the plus sign every member of R_k is congruent to 1 mod k
+    # every prime of multiplicative order k modulo q is congruent to 1 mod k
     rng = random.Random(9)
     for _ in range(60):
         q = rng.randrange(2, 40)
-        k = rng.randrange(2, 14)
-        for r in primitive_prime_divisors(SignedBase(q, 1), k):
-            assert r % k == 1
+        for k, x in _base_by_order(q, rng.randrange(2, 14)).items():
+            if k > 1:
+                assert all(r % k == 1 for r in factorize(x).primes())
 
 
 def test_odd_prime_power():
@@ -184,6 +194,14 @@ def test_odd_prime_power():
                    (0, "only odd prime powers"), (-3, "only odd prime powers"),
                    (15, "is not a prime power")):
         with pytest.raises(UsageError, match=msg):
+            odd_prime_power(q)
+    # decided without factorizing: prime powers past the trial primes by
+    # their integer roots, and composites of two 18-digit primes at once
+    assert odd_prime_power(1009 ** 3) == (1009, 3)
+    assert odd_prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
+    big = (10**18 + 3) * (3 * 10**18 + 37)
+    for q in (big, 3 * big, (10**18 + 3) ** 2 * (3 * 10**18 + 37), 1009 * 1013):
+        with pytest.raises(UsageError, match="is not a prime power"):
             odd_prime_power(q)
 
 
@@ -222,29 +240,29 @@ def _gcd_identity_case(q: int, k: int, l: int):
 
 
 def _quotient_identity_case(q: int, eps: int, k: int, l: int, n: int):
-    base = SignedBase(q, eps)
+    def term(i):
+        return q ** i - eps ** i
     # gcd taken against q - eps: the quotient is congruent to +-k mod q - eps
     # (against k instead the claim is false, e.g. q=7, eps=1, k=4)
-    assert math.gcd(base.term(k) // (q - eps), q - eps) == math.gcd(q - eps, k)
+    assert math.gcd(term(k) // (q - eps), q - eps) == math.gcd(q - eps, k)
     if math.gcd(k, l) == 1:
-        lk = base.term(l * k)
-        assert lk % base.term(k) == 0
-        assert (lk // base.term(k)) % (base.term(l) // (q - eps)) == 0
-        a = base.term(l) // math.gcd(n, q - eps)
-        b = lk // math.gcd(n, base.term(k))
-        assert base.term(l) % math.gcd(n, q - eps) == 0
+        lk = term(l * k)
+        assert lk % term(k) == 0
+        assert (lk // term(k)) % (term(l) // (q - eps)) == 0
+        a = term(l) // math.gcd(n, q - eps)
+        b = lk // math.gcd(n, term(k))
+        assert term(l) % math.gcd(n, q - eps) == 0
         assert b % a == 0
 
 
 def _r_part_identity_case(q: int, eps: int, k: int):
-    base = SignedBase(q, eps)
-    term = base.term(k)
+    term = q ** k - eps ** k
     for r in (3, 5, 7, 11, 13, 17, 19, 23):
         if (q - eps) % r == 0:
             assert r_part(term, r) == r_part(k, r) * r_part(q - eps, r)
         if term % r == 0:
             kk = k // r_part(k, r)
-            assert base.term(kk) % r == 0
+            assert (q ** kk - eps ** kk) % r == 0
     if (q - eps) % 4 == 0 and k % 2 == 1:
         assert two_part(term) == two_part(k) * two_part(q - eps)
 

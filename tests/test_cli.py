@@ -264,13 +264,24 @@ def test_invalid_settings_rejected():
 
 
 def test_factor_cache_round_trip(tmp_path):
+    # verify factorizes its order bound 312 = 2^3 3 13; the closed forms and
+    # the check on q factorize nothing
     cache = tmp_path / "factors.txt"
-    code, first, _ = run_cli("spectrum", "PSL(3,49)", "--cache", str(cache))
+    code, first, _ = run_cli("verify", "PSL(3,3)", "--cache", str(cache))
     assert code == 0
-    assert cache.exists() and cache.stat().st_size > 0
-    code, second, _ = run_cli("spectrum", "PSL(3,49)", "--cache", str(cache))
+    assert "312: 2^3 3 13" in cache.read_text()
+    code, second, _ = run_cli("verify", "PSL(3,3)", "--cache", str(cache))
     assert code == 0
     assert first == second
+
+
+def test_large_composite_q_is_refused_at_once():
+    # q = (10^18 + 3)(3 10^18 + 37): factorizing it would take rho about
+    # 10^9 steps; a timeout turns a hang into a failure
+    q = (10**18 + 3) * (3 * 10**18 + 37)
+    code, out, err = run_cli("spectrum", f"PSL(3,{q})", timeout=30)
+    assert (code, out) == (2, b"")
+    assert f"q = {q} is not a prime power" in err
 
 
 def test_factor_cache_missing_directory(tmp_path):

@@ -13,7 +13,9 @@ import pytest
 
 from groupspec.arith import UsageError, factorize, odd_prime_power
 from groupspec.coset import graph_coset
+import groupspec.oracle.batch as oracle_batch
 from groupspec.oracle.batch import (
+    LANE_MIN,
     _kronecker,
     decode_batch,
     det_batch,
@@ -22,7 +24,6 @@ from groupspec.oracle.batch import (
     identity_batch,
     is_identity_batch,
     is_scalar_batch,
-    lane_mul,
     mat_mul,
     mat_pow,
     nullspace_batch,
@@ -49,9 +50,7 @@ from groupspec.oracle.groups import (
     sample_matrices,
     sampler_name,
 )
-import groupspec.oracle.orders as oracle_orders
 from groupspec.oracle.orders import (
-    LANE_MIN,
     order_bound_fact,
     orders_batch,
     tau_coset_orders_batch,
@@ -308,21 +307,27 @@ def test_mat_mul_matches_gather_loop():
 
 
 def test_lane_mul_matches_mat_mul():
-    # lanes-last products on every path: int16 and int64 over F_p (n = 2 is
-    # below the switch for p = 181 and above it for p = 191), the int16 and
-    # int32 Kronecker products (F_9 at n = 4 and 5, F_25, F_27 at n = 4) and
-    # the MUL/ADD tables (F_27 at n = 5, F_81)
+    # from LANE_MIN matrices on, mat_mul multiplies lanes last; the same
+    # products in chunks of 9 take np.matmul. Every path: int16 and int64
+    # over F_p (n = 2 is below the switch for p = 181 and above it for
+    # p = 191), the int16 and int32 Kronecker products (F_9 at n = 4 and 5,
+    # F_25, F_27 at n = 4) and the MUL/ADD tables (F_27 at n = 5, F_81)
+    count = LANE_MIN + 9
     for q, ns in ((3, (1, 6)), (181, (2,)), (191, (1, 2, 6)), (9, (4, 5)), (25, (3,)),
                   (27, (4, 5)), (81, (2,))):
         F = FiniteField(*odd_prime_power(q))
         rng = np.random.default_rng(q)
         for n in ns:
-            A = rng.integers(0, q, size=(9, n, n)).astype(np.int16)
-            B = rng.integers(0, q, size=(9, n, n)).astype(np.int16)
+            A = rng.integers(0, q, size=(count, n, n)).astype(np.int16)
+            B = rng.integers(0, q, size=(count, n, n)).astype(np.int16)
             A[0] = B[0] = q - 1
-            lanes = lane_mul(F, np.moveaxis(A, 0, -1).copy(), np.moveaxis(B, 0, -1).copy())
-            assert lanes.dtype == np.int16 and lanes.shape == (n, n, 9)
-            assert (np.moveaxis(lanes, -1, 0) == mat_mul(F, A, B)).all(), (q, n)
+            got = mat_mul(F, A, B)
+            assert got.dtype == np.int16 and got.shape == (count, n, n)
+            assert got.transpose(1, 2, 0).flags.c_contiguous    # lanes last
+            chunks = np.concatenate([mat_mul(F, A[lo:lo + 9], B[lo:lo + 9])
+                                     for lo in range(0, count, 9)])
+            assert (got == chunks).all(), (q, n)
+            assert (mat_mul(F, A, A) == mat_mul(F, A, A.copy())).all()
 
 
 def test_det_inv_batch_properties():
@@ -525,30 +530,31 @@ def test_orders_batch_against_naive_powers(n, q, count, projective):
 
 @pytest.mark.parametrize("count", [LANE_MIN - 1, LANE_MIN + 64])
 def test_order_tree_layout_follows_the_lane_count(monkeypatch, count):
-    # below LANE_MIN lanes the tree multiplies (L, n, n) stacks with mat_mul
-    # only; from LANE_MIN on it starts lanes last with lane_mul, and goes
-    # back to mat_mul once lanes leave it: the signed permutations have
-    # orders 2^a 3^b and leave every other prime's subtree
+    # below LANE_MIN lanes the tree's products are (L, n, n) np.matmul only;
+    # from LANE_MIN on they start lanes last on C-contiguous (n, n, L)
+    # operands, and go back to np.matmul once lanes leave: the signed
+    # permutations have orders 2^a 3^b and leave every other prime's subtree
     F = make_field("GL", 13)
     mats = _small_order_conjugates(F, 3, count, np.random.default_rng(count))
-    calls = {"lane_mul": 0, "mat_mul": 0}
+    product, seen = oracle_batch._product, {True: [], False: []}
 
-    def counted(name):
-        fn = getattr(oracle_orders, name)
-
-        def mul(*args):
-            calls[name] += 1
-            return fn(*args)
-        return mul
-    for name in calls:
-        monkeypatch.setattr(oracle_orders, name, counted(name))
+    def spy(F, A, B, lanes_last):
+        if lanes_last:
+            seen[True].append(A.shape[-1])
+            for X in (A, B):
+                assert X.shape[:2] == (3, 3) and X.flags.c_contiguous
+        else:
+            seen[False].append(A.shape[0])
+        return product(F, A, B, lanes_last)
+    monkeypatch.setattr(oracle_batch, "_product", spy)
     bound = order_bound_fact(3, 13, 13)
     got = orders_batch(F, mats, bound, projective=True)
     assert (got == _naive_orders(F, mats, is_scalar_batch, bound.value)).all()
+    assert seen[False] and max(seen[False]) < LANE_MIN
     if count < LANE_MIN:
-        assert calls["lane_mul"] == 0 and calls["mat_mul"] > 0
+        assert not seen[True]
     else:
-        assert calls["lane_mul"] > 0 and calls["mat_mul"] > 0
+        assert max(seen[True]) == count and min(seen[True]) >= LANE_MIN
 
 
 def test_projective_order_divides_matrix_order():
@@ -1113,6 +1119,15 @@ def test_unitary_transfer():
     lin = brute_spectrum("GL", 3, 3, mode="full", order_kind="tau_coset")
     uni = brute_spectrum("GU", 3, 3, mode="full", order_kind="tau_coset")
     assert lin["attained"] == uni["attained"]
+
+
+def test_unitary_tau_wing_with_diagonal_classes():
+    # GU_3(5) has d = gcd(3, 6) = 3, so the det-class filter keeps the
+    # matrices whose norm-one determinant lies in the d-th powers
+    rep = brute_spectrum("GU", 3, 5, mode="sample", order_kind="tau_coset",
+                         samples=600, seed=1)
+    assert rep["attained"] == sorted(graph_coset(3, 5).all_values()) \
+        == [2, 4, 6, 8, 10, 12, 20]
 
 
 def test_verify_tau_coset_full():

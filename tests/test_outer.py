@@ -171,3 +171,39 @@ def test_admissible_extensions_stay_inside_socle():
             assert not is_unsupported(ext)
             for g in ext.maximal_elements():
                 assert omega.contains(g)
+
+
+# The smallest socles that reach the rows nothing above reaches, and the
+# half-field diagnostic. A generator with a diagonal part (d ...) has a
+# coset with no closed form, so extension_spectrum gives UNSUPPORTED and
+# its admissibility verdict stays unchecked.
+UNREACHED_ROWS = [
+    (8, 2401, 1, ["d f^2 t"], ("A-v",), 2),
+    (14, 169, 1, ["d^7 f t"], ("A-vi+",), 2),
+    (50, 49, 1, ["d f"], ("A-vi-",), 2),
+    (12, 625, 1, ["d^3 f^2 t", "f", "f t", "f^2 t"],
+     ("C-field", "C-field-tau", "C-field-tau-eta"), 6),
+    (8, 289, 1, ["d f t", "f", "f t"], ("C-field", "C-field-tau", "C-kappa+"), 4),
+    (8, 961, 1, ["d f", "f", "f t"], ("C-field", "C-field-tau", "C-kappa-"), 4),
+    (3, 125, -1, ["f^2"], ("U-psi",), 2),
+    (14, 13, 1, [], (), 1),
+]
+
+
+@pytest.mark.parametrize("n,q,eps,gens,rows,total", UNREACHED_ROWS)
+def test_admissible_rows_at_their_smallest_socles(n, q, eps, gens, rows, total):
+    spec = S("PSL", n, q, eps)
+    rep = admissible_generators(spec)
+    assert [str(g) for g in rep.generators] == gens
+    assert rep.rows == rows
+    assert (rep.class_total, rep.class_nontrivial) == (total, total - 1)
+    half_field = (n, q) == (14, 13)
+    assert rep.diagnostics == (
+        ("half-field row skipped: (n)_2 < (p-1)_2 holds but (m)_2 != 2",)
+        if half_field else ())
+    omega = spectrum_linear(spec)
+    for gen in rep.generators:
+        ext = extension_spectrum(gen)
+        assert is_unsupported(ext) == (gen.i != 0), str(gen)
+        if not is_unsupported(ext):
+            assert all(omega.contains(g) for g in ext.maximal_elements())

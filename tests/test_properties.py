@@ -6,8 +6,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from groupspec.arith import (SignedBase, co_pi_part, factorize, pi_part, r_part,
-                             two_part)
+from groupspec.arith import co_pi_part, factorize, pi_part, r_part, two_part
 from groupspec.coset import CosetSpectrum, Piece
 from groupspec.outer import OutElement
 from groupspec.spectra import Spectrum, _support, _supported, normalize
@@ -62,15 +61,6 @@ def test_factorize_round_trip(n):
     assert f.value == n
     for p, e in f:
         assert e >= 1 and n % p**e == 0 and n % p**(e + 1) != 0
-
-
-@given(st.integers(min_value=2, max_value=60),
-       st.sampled_from([1, -1]),
-       st.integers(min_value=1, max_value=12))
-def test_signed_base_term_sign(q, eps, k):
-    term = SignedBase(q, eps).term(k)
-    assert term == q**k - eps**k
-    assert term >= 0
 
 
 @given(st.integers(min_value=2, max_value=100),
