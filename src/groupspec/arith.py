@@ -297,8 +297,12 @@ def save_factor_cache(path: str) -> int:
 
 
 def _iroot(x: int, k: int) -> int:
-    """floor(x^(1/k)) for x >= 1, by Newton's method from above."""
-    r = 1 << -(-x.bit_length() // k)
+    """floor(x^(1/k)) for x >= 1, by Newton's method. It starts from the float
+    estimate 2^(log2(x) / k); one step from any r > 0 lands at or above the
+    root (by the AM-GM inequality), and from there Newton descends to it."""
+    e = math.log2(x) / k
+    r = max(int(2 ** (e % 1) * (1 << 52)) << int(e) >> 52, 1)
+    r = ((k - 1) * r + x // r ** (k - 1)) // k
     while True:
         s = ((k - 1) * r + x // r ** (k - 1)) // k
         if s >= r:
@@ -311,8 +315,9 @@ def odd_prime_power(q: int):
 
     Decided without factorizing q, on which rho spends about sqrt(r) steps
     for the least prime r of q: a prime p < 1000 dividing q must be its only
-    prime; otherwise every prime of q exceeds 1000, so m < log_1000 q and
-    q = p^m exactly when some such integer m-th root of q is prime."""
+    prime; otherwise every prime of q exceeds 1000, so m < log_1000 q. Then
+    q = p^m exactly when taking exact k-th roots for prime k, while one
+    exists, ends at a prime."""
     if q % 2 == 0 or q < 3:
         raise UsageError(f"q = {q}: only odd prime powers are covered")
     p = next((p for p in _TRIAL_PRIMES if q % p == 0), None)
@@ -321,10 +326,11 @@ def odd_prime_power(q: int):
         if m is not None:
             return p, m
     else:
-        m = 1
-        while 1000 ** m < q:
-            r = _iroot(q, m)
-            if r ** m == q and is_prime(r):
-                return r, m
-            m += 1
+        root, m = q, 1
+        # 1000^k < q for every prime k < log_1000 q <= bit length / 9
+        for k in _primes_below(q.bit_length() // 9 + 2):
+            while 1000 ** k < root and (r := _iroot(root, k)) ** k == root:
+                root, m = r, m * k
+        if is_prime(root):
+            return root, m
     raise UsageError(f"q = {q} is not a prime power")

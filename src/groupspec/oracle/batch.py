@@ -42,6 +42,17 @@ tables, one column of A against one row of B at a time. Elimination over an
 extension gathers from MUL/ADD/SUB. Determinants alone use forward
 elimination below each pivot; inverses use the full Gauss-Jordan sweep. Ranks and null spaces share one reduced row echelon
 sweep whose pivot columns differ from lane to lane.
+
+Elimination runs lanes last at every lane count: det_inv_batch copies its
+input to a C-contiguous (n, n, B) array, so the pivot search, the zero-pivot
+fix-up, the pivots and the row updates all work on contiguous lane vectors,
+and inverses come back as the (B, n, n) view. Unlike the products it needs
+no crossover. Against the (B, n, n) elimination on a 2-core VM, best of 41
+interleaved runs: 2,760 5x5 determinants over F_3 took 0.63 ms against
+1.41 ms, 11,232 3x3 inverses 1.85 ms against 6.05 ms, and F_9, F_25, F_191
+and F_23 ran 1.7-2.4x faster; from 1 to 64 lanes the two stayed within 13%
+of each other (0.06-0.26 ms a call). The reduced row echelon sweep keeps
+its (B, k, n) layout.
 """
 
 from __future__ import annotations
@@ -233,7 +244,8 @@ def _field_ops(F: FiniteField):
 def det_inv_batch(F: FiniteField, A: np.ndarray, need_inv: bool = True):
     """Determinants, and inverses when need_inv, by batched elimination.
 
-    Returns (det, inv, ok); inv is None unless need_inv. Determinants alone
+    Returns (det, inv, ok); inv is None unless need_inv, and otherwise the
+    (B, n, n) view of a lanes-last (n, n, B) array. Determinants alone
     need only forward elimination below each pivot; inverses need the full
     Gauss-Jordan sweep. A zero pivot gets the first row below it with a
     nonzero entry in that column added in, which changes neither det nor
@@ -242,34 +254,42 @@ def det_inv_batch(F: FiniteField, A: np.ndarray, need_inv: bool = True):
     """
     _require_tables(F)
     add, mul, msub = _field_ops(F)
-    M = np.array(A, np.int16 if _narrow(F) else np.int32, copy=True)
-    B, n, _ = M.shape
-    inv = identity_batch(F, n, B).astype(M.dtype) if need_inv else None
+    # an explicit copy: for B = 1 or n = 1 the transpose is already
+    # C-contiguous, and the elimination below writes into M
+    M = np.array(A.transpose(1, 2, 0), np.int16 if _narrow(F) else np.int32,
+                 order="C", copy=True)
+    n, _, B = M.shape
+    inv = np.eye(n, dtype=M.dtype)[:, :, None].repeat(B, axis=2) if need_inv else None
     det = np.ones(B, M.dtype)
     for col in range(n):
-        rel = np.argmax(M[:, col:, col] != 0, axis=1)
-        fix = np.flatnonzero(rel)
-        if len(fix):
-            src = col + rel[fix]
-            M[fix, col, col:] = add(M[fix, col, col:], M[fix, src, col:])
+        zero = np.flatnonzero(M[col, col] == 0)
+        if len(zero):
+            # the first nonzero entry below a zero pivot; rel = 0: none
+            rel = np.argmax(M[col:, col, zero] != 0, axis=0)
+            found = np.flatnonzero(rel)  # a first boolean index would add 128 KiB RSS
+            fix, src = zero[found], col + rel[found]
+            M[col, col:, fix] = add(M[col, col:, fix], M[src, col:, fix])
             if need_inv:
-                inv[fix, col] = add(inv[fix, col], inv[fix, src])
-        pv = M[:, col, col]
+                inv[col, :, fix] = add(inv[col, :, fix], inv[src, :, fix])
+        pv = M[col, col]
         det = mul(det, pv)                   # a lane with no pivot gets det 0
         ipv = F.INV[pv]                      # INV[0] = 0 keeps dead lanes typed
-        if not need_inv:
-            fac = mul(M[:, col + 1:, col], ipv[:, None])
-            M[:, col + 1:, col + 1:] = msub(M[:, col + 1:, col + 1:], fac[:, :, None],
-                                            M[:, col:col + 1, col + 1:])
-            continue
-        M[:, col] = mul(ipv[:, None], M[:, col])
-        inv[:, col] = mul(ipv[:, None], inv[:, col])
-        fac = M[:, :, col].copy()
-        fac[:, col] = 0
-        M = msub(M, fac[:, :, None], M[:, col:col + 1, :])
-        inv = msub(inv, fac[:, :, None], inv[:, col:col + 1, :])
+        # columns up to col are never read again: update only col + 1:
+        if need_inv:
+            M[col, col + 1:] = mul(ipv, M[col, col + 1:])
+            inv[col] = mul(ipv, inv[col])
+            fac = M[:, col].copy()
+            fac[col] = 0
+            inv = msub(inv, fac[:, None], inv[col])
+            rows = slice(None)
+        else:
+            fac = mul(M[col + 1:, col], ipv)
+            rows = slice(col + 1, None)
+        M[rows, col + 1:] = msub(M[rows, col + 1:], fac[:, None], M[col, col + 1:])
     det = det.astype(np.int16, copy=False)
-    return det, inv.astype(np.int16, copy=False) if need_inv else None, det != 0
+    if need_inv:
+        inv = inv.astype(np.int16, copy=False).transpose(2, 0, 1)
+    return det, inv, det != 0
 
 
 def det_batch(F: FiniteField, A: np.ndarray) -> np.ndarray:

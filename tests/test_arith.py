@@ -7,9 +7,11 @@ import random
 
 import pytest
 
+import groupspec.arith as arith
 from groupspec.arith import (
     Factorization,
     UsageError,
+    _iroot,
     co_pi_part,
     factorize,
     is_prime,
@@ -203,6 +205,58 @@ def test_odd_prime_power():
     for q in (big, 3 * big, (10**18 + 3) ** 2 * (3 * 10**18 + 37), 1009 * 1013):
         with pytest.raises(UsageError, match="is not a prime power"):
             odd_prime_power(q)
+
+
+def test_iroot_is_the_floor_root():
+    rng = random.Random(11)
+    for _ in range(400):
+        k = rng.randrange(1, 80)
+        r = rng.randrange(1, 10 ** rng.randrange(1, 120))
+        for x in (r ** k - 1, r ** k, r ** k + 1, rng.randrange(1, 10 ** 400)):
+            if x >= 1:
+                got = _iroot(x, k)
+                assert got ** k <= x < (got + 1) ** k, (x, k)
+
+
+def test_odd_prime_power_beyond_the_trial_primes():
+    for p in (1009, 2**61 - 1):
+        for m in (1, 2, 4, 6, 9):
+            assert odd_prime_power(p ** m) == (p, m)
+    for q in (1009 ** 3 * 1013, (2**61 - 1) ** 3 * 1013, 1013 ** 6 * 1009 ** 3):
+        with pytest.raises(UsageError, match="is not a prime power"):
+            odd_prime_power(q)
+
+
+class _CountingInt(int):
+    """An int that counts its floor divisions: one per Newton step."""
+    steps = 0
+
+    def __floordiv__(self, other):
+        _CountingInt.steps += 1
+        return int(self) // other
+
+
+def test_odd_prime_power_root_search_is_short(monkeypatch):
+    # a 2,000-digit q with no prime below 1000 and no exact root: one root
+    # per prime k < log_1000 q, each a few Newton steps from its float
+    # estimate (all 666 k and 78,383 steps when every k started at
+    # 2^ceil(bits / k)); the primality test of q is stubbed out
+    q = 10 ** 1999 + 1
+    while any(q % p == 0 for p in range(3, 1000, 2)):
+        q += 2
+    ks = []
+
+    def spy(x, k):
+        ks.append(k)
+        return _iroot(_CountingInt(x), k)
+
+    monkeypatch.setattr(arith, "_iroot", spy)
+    monkeypatch.setattr(arith, "is_prime", lambda n: False)
+    _CountingInt.steps = 0
+    with pytest.raises(UsageError, match="is not a prime power"):
+        odd_prime_power(q)
+    assert ks == [k for k in range(2, 667) if is_prime(k)]
+    assert _CountingInt.steps <= 3 * len(ks)
 
 
 def test_factor_cache_round_trip(tmp_path):

@@ -433,6 +433,91 @@ def test_det_forward_elimination_matches_gauss_jordan(p, m, n):
             assert int(d) == _leibniz_det(F, g)
 
 
+# det_inv_batch as it stood eliminating on (B, n, n) stacks, each row
+# operation reading a lane's entries n^2 apart: the reference for the
+# lanes-last elimination, with the same pivot rule.
+def _det_inv_row_major(F, A, need_inv=True):
+    add, mul, msub = oracle_batch._field_ops(F)
+    M = np.array(A, np.int16 if oracle_batch._narrow(F) else np.int32, copy=True)
+    B, n, _ = M.shape
+    inv = identity_batch(F, n, B).astype(M.dtype) if need_inv else None
+    det = np.ones(B, M.dtype)
+    for col in range(n):
+        rel = np.argmax(M[:, col:, col] != 0, axis=1)
+        fix = np.flatnonzero(rel)
+        if len(fix):
+            src = col + rel[fix]
+            M[fix, col, col:] = add(M[fix, col, col:], M[fix, src, col:])
+            if need_inv:
+                inv[fix, col] = add(inv[fix, col], inv[fix, src])
+        pv = M[:, col, col]
+        det = mul(det, pv)
+        ipv = F.INV[pv]
+        if not need_inv:
+            fac = mul(M[:, col + 1:, col], ipv[:, None])
+            M[:, col + 1:, col + 1:] = msub(M[:, col + 1:, col + 1:], fac[:, :, None],
+                                            M[:, col:col + 1, col + 1:])
+            continue
+        M[:, col] = mul(ipv[:, None], M[:, col])
+        inv[:, col] = mul(ipv[:, None], inv[:, col])
+        fac = M[:, :, col].copy()
+        fac[:, col] = 0
+        M = msub(M, fac[:, :, None], M[:, col:col + 1, :])
+        inv = msub(inv, fac[:, :, None], inv[:, col:col + 1, :])
+    det = det.astype(np.int16, copy=False)
+    return det, inv.astype(np.int16, copy=False) if need_inv else None, det != 0
+
+
+@pytest.mark.parametrize("p,m", FIELDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_det_inv_batch_matches_row_major_elimination(p, m, n):
+    F = FiniteField(p, m)
+    rng = np.random.default_rng(1000 * p + 10 * m + n)
+    base = rng.integers(0, F.q, size=(1005, n, n)).astype(np.int16)
+    base[0] = 0                                 # zero matrix
+    base[1, :, 0] = 0                           # zero column
+    base[2, -1] = base[2, 0]                    # repeated row
+    base[3] = np.eye(n, dtype=np.int16)[::-1]   # every pivot off the diagonal
+    base[4, 0, 0] = 0                           # zero leading pivot
+    base[500:] *= rng.random((505, n, n)) >= 0.4    # zero pivots past the first
+    for count in (1, 3, 255, 257, 1000):
+        # single lanes and triples cover each planted lane
+        for lo in range(0, 5 if count < 5 else 1, count):
+            A = base[lo:lo + count]
+            for need_inv in (False, True):
+                det, inv, ok = det_inv_batch(F, A, need_inv)
+                want_det, want_inv, want_ok = _det_inv_row_major(F, A, need_inv)
+                assert det.dtype == np.int16 and det.shape == (count,)
+                assert ok.dtype == bool and ok.shape == (count,)
+                assert (det == want_det).all() and (ok == want_ok).all()
+                if need_inv:
+                    assert inv.dtype == np.int16 and inv.shape == (count, n, n)
+                    assert (inv[ok] == want_inv[ok]).all(), (count, lo)
+                else:
+                    assert inv is None
+
+
+@pytest.mark.parametrize("need_inv", [False, True])
+def test_det_inv_batch_leaves_its_input_alone(need_inv):
+    # for one lane, or n = 1, the (n, n, B) transpose of a C-contiguous stack
+    # is itself C-contiguous: only an explicit copy keeps the elimination out
+    # of the caller's matrices
+    F = FiniteField(3)
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 4):
+        pool = rng.integers(0, 3, size=(LANE_MIN + 9, n, n)).astype(np.int16)
+        lanes_last = mat_mul(F, pool, pool)
+        assert lanes_last.transpose(1, 2, 0).flags.c_contiguous
+        for B in (1, 2, 300):
+            mats = pool[:B].copy()
+            mask = np.arange(len(pool)) % 2 == 0
+            mask[2 * B:] = False
+            for A in (mats, pool[mask], mats[0][None], lanes_last, lanes_last[:B]):
+                before = A.copy()
+                det_inv_batch(F, A, need_inv)
+                assert (A == before).all(), (n, B, A.shape)
+
+
 def test_encode_decode_round_trip():
     rng = random.Random(4)
     X = _random_mats(FiniteField(5, 1), 30, 3, rng)
