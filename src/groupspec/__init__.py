@@ -1,7 +1,7 @@
 """groupspec: element-order spectra of finite classical groups and their outer cosets.
 
 Submodules:
-  arith    exact integer helpers (pi-parts, factorization, primitive prime divisors)
+  arith    exact integer helpers (pi-parts, factorization, cyclotomic values)
   spectra  closed-form spectra of the simple and near-simple classical groups
   coset    spectra of graph / field / graph-field cosets and the tau criterion
   outer    outer automorphism group algebra and admissibility of cyclic extensions

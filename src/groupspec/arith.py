@@ -38,6 +38,19 @@ def lcm_list(values) -> int:
     return out
 
 
+def cyclotomic_values(q: int, top: int) -> list:
+    """[Phi_1(q), ..., Phi_top(q)]: Phi_e(q) is q^e - 1 divided by the
+    Phi_d(q) of the proper divisors d of e."""
+    phi: list = []
+    for e in range(1, top + 1):
+        x = q ** e - 1
+        for d in range(1, e // 2 + 1):
+            if e % d == 0:
+                x //= phi[d - 1]
+        phi.append(x)
+    return phi
+
+
 def two_part(a: int) -> int:
     """(a)_2: largest power of 2 dividing a."""
     return a & -a
@@ -243,6 +256,13 @@ def factorize(n: int) -> Factorization:
     return result
 
 
+def remember(fact: Factorization) -> Factorization:
+    """Enter fact into the factorization memo under its value; return it."""
+    with _factor_lock:
+        _factor_cache[fact.value] = fact
+    return fact
+
+
 def load_factor_cache(path: str) -> int:
     """Load "n: p1^e1 p2 ..." lines; returns the number of entries loaded.
 
@@ -277,8 +297,7 @@ def load_factor_cache(path: str) -> int:
         fact = Factorization(tuple(sorted(pairs)))
         if fact.value != n:
             raise UsageError(f"cache line does not multiply back to {n}")
-        with _factor_lock:
-            _factor_cache[n] = fact
+        remember(fact)
         count += 1
     return count
 

@@ -6,6 +6,7 @@ not lose digits); --pretty switches to a short human-readable rendering.
 
 Group grammar: FAMILY(dim,q) where dim is the matrix dimension and q the
 field size, e.g. PSL(3,5), PSU(4,3), Sp(4,3), OmegaOdd(7,3), POmega+(8,3).
+The symbols, and the dimension each takes, are the rows of spectra.SYMBOLS.
 
 Settings precedence: flags, then GROUPSPEC_* environment variables, then the
 JSON config file named by GROUPSPEC_CONFIG, then built-in defaults.
@@ -24,22 +25,12 @@ import sys
 
 from .arith import (DEFAULT_ENUM_BOUND, BoundError, UsageError, load_factor_cache,
                     odd_prime_power, save_factor_cache)
-from .spectra import GroupSpec, TableBoundError, spectrum
+from .spectra import SYMBOLS, GroupSpec, TableBoundError, spectrum
 
 DEFAULTS = {"seed": 0, "threads": 1, "enum_bound": DEFAULT_ENUM_BOUND,
             "samples": 100_000, "cache": None}
 ENV_PREFIX = "GROUPSPEC_"
 BIG_INT = 2 ** 53 - 1
-
-# longest token first so Omega- never matches the Omega prefix of OmegaOdd
-FAMILY_TOKENS = (
-    ("OmegaOdd", "OmegaOdd", 1),
-    ("POmega+", "POmegaEven", 1), ("POmega-", "POmegaEven", -1),
-    ("Omega+", "OmegaEven", 1), ("Omega-", "OmegaEven", -1),
-    ("PSL", "PSL", 1), ("PSU", "PSL", -1),
-    ("PGL", "PGL", 1), ("PGU", "PGL", -1),
-    ("PSp", "PSp", 1), ("Sp", "Sp", 1),
-)
 
 
 class ParseError(UsageError):
@@ -53,14 +44,13 @@ def parse_group(text: str):
     s, k = text, 0
     while k < len(s) and s[k] == " ":
         k += 1
-    token = family = eps = None
-    for tok, fam, e in FAMILY_TOKENS:
-        if s.startswith(tok, k):
-            token, family, eps = tok, fam, e
-            k += len(tok)
+    for row in SYMBOLS:
+        if s.startswith(row[0], k):
             break
-    if token is None:
+    else:
         raise ParseError(text, k, "unknown family name")
+    token, family, eps, a, b, _ = row
+    k += len(token)
 
     def skip():
         nonlocal k
@@ -96,17 +86,9 @@ def parse_group(text: str):
         raise ParseError(text, k, "trailing input")
 
     p, m = odd_prime_power(q)
-
-    if family in ("PSL", "PGL"):
-        n = dim
-    elif family in ("Sp", "PSp", "OmegaEven", "POmegaEven"):
-        if dim % 2:
-            raise UsageError(f"{token} needs even dimension, got {dim}")
-        n = dim // 2
-    else:                                  # OmegaOdd
-        if dim % 2 == 0:
-            raise UsageError(f"{token} needs odd dimension, got {dim}")
-        n = (dim - 1) // 2
+    n, rest = divmod(dim - b, a)
+    if rest:
+        raise UsageError(f"{token} needs {'odd' if b else 'even'} dimension, got {dim}")
     return GroupSpec(family, n, p, m, eps), f"{token}({dim},{q})"
 
 

@@ -3,7 +3,8 @@
 Every order divides B = p^ceil(log_p n) * lcm(q^i - 1, i <= n), so orders are
 computed from B rather than by iterating powers: for each prime power r^e || B
 the matrix T = X^(B / r^e) has order r^j with j minimal such that T^(r^j) is
-trivial, and the order is the product of those r^j.
+trivial, and the order is the product of those r^j. B is factored one
+cyclotomic value Phi_e(q), e <= n, at a time (order_bound_fact), never whole.
 
 The T are reached down a product tree over the prime powers of B, so that
 they share their squarings. A node for a set S of primes holds
@@ -22,10 +23,11 @@ a lanes-last product makes free.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from ..arith import Factorization, factorize, lcm_list
+from ..arith import Factorization, cyclotomic_values, factorize, lcm_list, remember
 from .batch import (det_inv_batch, is_identity_batch, is_scalar_batch,
                     mat_mul, mat_pow, transpose)
 from .field import FiniteField
@@ -38,15 +40,39 @@ def order_bound(n: int, q: int, p: int) -> int:
     return p ** t * lcm_list([q ** i - 1 for i in range(1, n + 1)])
 
 
+@lru_cache(maxsize=None)
 def order_bound_fact(n: int, q: int, p: int) -> Factorization:
-    return factorize(order_bound(n, q, p))
+    """The factorization of order_bound(n, q, p), entered in the factorize
+    memo. It is put together from the factorizations of the Phi_e(q), e <= n,
+    each far smaller than the bound: q^i - 1 is the product of the Phi_e(q)
+    with e | i, and a prime's exponent in the lcm is the largest of its
+    exponents in those products. p divides no Phi_e(q) and keeps p^t."""
+    parts = [dict(factorize(x)) for x in cyclotomic_values(q, n)]
+    exps: dict = {}
+    for i in range(1, n + 1):
+        here: dict = {}
+        for e in range(1, i + 1):
+            if i % e == 0:
+                for r, k in parts[e - 1].items():
+                    here[r] = here.get(r, 0) + k
+        for r, k in here.items():
+            exps[r] = max(exps.get(r, 0), k)
+    t = 0
+    while p ** t < n:
+        t += 1
+    if t:
+        exps[p] = t
+    return remember(Factorization(tuple(sorted(exps.items()))))
 
 
 def orders_batch(F: FiniteField, X: np.ndarray, bound: Factorization,
                  projective: bool = False) -> np.ndarray:
-    """Orders of X in GL (projective=False) or PGL (projective=True)."""
+    """Orders of X in GL (projective=False) or PGL (projective=True). Every
+    order divides the bound, so they are int64 while it is below 2^62 (the
+    doubled orders of tau_coset_orders_batch fit too) and Python ints, in an
+    object array, otherwise."""
     trivial = is_scalar_batch if projective else is_identity_batch
-    out = np.ones(X.shape[0], np.int64)
+    out = np.ones(X.shape[0], np.int64 if bound.value < 2 ** 62 else object)
     _order_tree(F, X, np.arange(X.shape[0]), list(bound), trivial, out)
     return out
 
@@ -62,8 +88,10 @@ def _order_tree(F, Y, lanes, primes, trivial, out):
     if len(primes) > 1:
         powers = [r ** e for r, e in primes]
         total = math.prod(powers)
+        # math.log takes ints of any size; a quotient past 1.8e308 would not
+        # fit the float that a division makes
         half = min(range(1, len(primes)),
-                   key=lambda h: abs(math.log(total / math.prod(powers[:h]) ** 2)))
+                   key=lambda h: abs(math.log(total) - 2 * math.log(math.prod(powers[:h]))))
         left = math.prod(powers[:half])
         _order_tree(F, mat_pow(F, Y, total // left), lanes, primes[:half], trivial, out)
         _order_tree(F, mat_pow(F, Y, left), lanes, primes[half:], trivial, out)

@@ -33,7 +33,7 @@ import numpy as np
 from ..arith import DEFAULT_ENUM_BOUND, UsageError
 from ..coset import graph_coset
 from ..spectra import GroupSpec, divisors, spectrum
-from .batch import decode_batch, det_batch, encode_batch
+from .batch import _require_tables, decode_batch, det_batch, encode_batch
 from .groups import enumerate_matrices, make_field, sample_matrices, sampler_name
 from .orders import order_bound_fact, orders_batch, tau_images
 
@@ -121,6 +121,9 @@ def brute_spectrum(kind: str, n: int, q: int, *,
         used = len(mats)
         sampler = "enumeration"
     else:
+        # the samplers would draw with scalar arithmetic before the first
+        # kernel refused the field
+        _require_tables(F)
         bound = order_bound_fact(n, F.q, F.p)
         blocks = (samples + BLOCK - 1) // BLOCK
         streams = np.random.SeedSequence(seed).spawn(blocks)

@@ -17,17 +17,22 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import (BoundError, UsageError, factorize, is_prime, lcm_list,
-                    odd_prime_power, p_power_exponent, r_part, two_part)
+from .arith import (BoundError, UsageError, cyclotomic_values, factorize, is_prime,
+                    lcm_list, odd_prime_power, p_power_exponent, r_part, two_part)
 
-FAMILIES = (
-    "PSL", "PGL",
-    "Sp", "PSp", "OmegaOdd",
-    "OmegaEven", "POmegaEven",
+# The group grammar, one row per symbol: (symbol, family, eps, a, b, least n),
+# where the matrix dimension is a*n + b. Longest symbol first, so that a
+# parser trying the rows in turn never stops at a prefix of a longer symbol.
+SYMBOLS = (
+    ("OmegaOdd", "OmegaOdd", 1, 2, 1, 1),
+    ("POmega+", "POmegaEven", 1, 2, 0, 2), ("POmega-", "POmegaEven", -1, 2, 0, 2),
+    ("Omega+", "OmegaEven", 1, 2, 0, 2), ("Omega-", "OmegaEven", -1, 2, 0, 2),
+    ("PSL", "PSL", 1, 1, 0, 2), ("PSU", "PSL", -1, 1, 0, 2),
+    ("PGL", "PGL", 1, 1, 0, 2), ("PGU", "PGL", -1, 1, 0, 2),
+    ("PSp", "PSp", 1, 2, 0, 1), ("Sp", "Sp", 1, 2, 0, 1),
 )
-
-# families where eps distinguishes a twisted form
-_EPS_FAMILIES = ("PSL", "PGL", "OmegaEven", "POmegaEven")
+FAMILIES = tuple(dict.fromkeys(row[1] for row in SYMBOLS))
+_ROWS = {(row[1], row[2]): row for row in SYMBOLS}
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,8 @@ class GroupSpec:
     """A classical group: family symbol, rank parameter n, field q = p^m, sign eps.
 
     n is the subscript index of the family symbol: PSL_n, Sp_2n, Omega_{2n+1},
-    Omega_2n^eps. The matrix dimension therefore differs by family.
+    Omega_2n^eps. The matrix dimension a*n + b, the least n and the printed
+    symbol come from the row of SYMBOLS for (family, eps).
     """
 
     family: str
@@ -53,12 +59,11 @@ class GroupSpec:
             raise UsageError("field exponent m must be positive")
         if self.eps not in (1, -1):
             raise UsageError("eps must be +1 or -1")
-        if self.family not in _EPS_FAMILIES and self.eps != 1:
+        if (self.family, self.eps) not in _ROWS:
             raise UsageError(f"{self.family} takes no sign")
-        min_n = {"PSL": 2, "PGL": 2, "Sp": 1, "PSp": 1,
-                 "OmegaOdd": 1, "OmegaEven": 2, "POmegaEven": 2}[self.family]
-        if self.n < min_n:
-            raise UsageError(f"{self.family} needs n >= {min_n}")
+        least = _ROWS[self.family, self.eps][5]
+        if self.n < least:
+            raise UsageError(f"{self.family} needs n >= {least}")
 
     @property
     def q(self) -> int:
@@ -72,23 +77,12 @@ class GroupSpec:
     @property
     def dimension(self) -> int:
         """Matrix dimension of the natural module."""
-        if self.family in ("PSL", "PGL"):
-            return self.n
-        if self.family in ("Sp", "PSp", "OmegaEven", "POmegaEven"):
-            return 2 * self.n
-        return 2 * self.n + 1
+        _, _, _, a, b, _ = _ROWS[self.family, self.eps]
+        return a * self.n + b
 
     def __str__(self):
-        if self.family in ("PSL", "PGL"):
-            twist = "U" if self.eps == -1 else "L"
-            return f"{self.family[:-1]}{twist}_{self.n}({self.q})"
-        if self.family in ("OmegaEven", "POmegaEven"):
-            sign = "+" if self.eps == 1 else "-"
-            prefix = "POmega" if self.family == "POmegaEven" else "Omega"
-            return f"{prefix}{sign}_{2 * self.n}({self.q})"
-        if self.family == "OmegaOdd":
-            return f"Omega_{2 * self.n + 1}({self.q})"
-        return f"{self.family}_{2 * self.n}({self.q})"
+        symbol = _ROWS[self.family, self.eps][0].removesuffix("Odd")
+        return f"{symbol}_{self.dimension}({self.q})"
 
 
 @dataclass(frozen=True)
@@ -242,13 +236,8 @@ def _coprime_base(p: int, q: int, top: int) -> tuple:
     primes of order e (Zsigmondy's primitive prime divisors), and every
     prime of p^t (q^j - 1) with j <= top lies in exactly one base element.
     """
-    base, phi = [p], [0]
-    for e in range(1, top + 1):
-        x = q ** e - 1
-        for d in range(1, e // 2 + 1):
-            if e % d == 0:
-                x //= phi[d]
-        phi.append(x)
+    base = [p]
+    for e, x in enumerate(cyclotomic_values(q, top), 1):
         g = math.gcd(x, e)
         while g > 1:
             x //= g

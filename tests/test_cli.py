@@ -165,6 +165,29 @@ def test_full_verify_beyond_the_bound_exits_3(monkeypatch, capsys):
                            "(retry with --mode sample, or raise --enum-bound)\n")
 
 
+@pytest.mark.parametrize("q", [47, 1021])
+def test_sampling_over_a_field_without_tables_exits_2(q, monkeypatch, capsys):
+    # GU_3(q) lives over F_{q^2}, past the tables; the sampler used to draw
+    # with scalar arithmetic first, for seconds, and PSU(3,1021) overflowed
+    def computed_too_early(*args, **kwargs):
+        raise AssertionError("computed before the field was refused")
+    for name in ("order_bound_fact", "sample_matrices"):
+        monkeypatch.setattr(oracle_spectrum, name, computed_too_early)
+    assert cli.main(["verify", f"PSU(3,{q})", "--mode", "sample"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: field of size {q * q} is too large for the matrix oracle\n"
+
+
+def test_sampling_a_bound_of_large_primes_finishes():
+    # factoring the whole order bound of PSL_12(2039) ran past 60 s; its
+    # cyclotomic parts take milliseconds
+    code, out, _ = run_cli("verify", "PSL(12,2039)", "--mode", "sample",
+                           "--samples", "8", timeout=60)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "PASS"
+
+
 def test_closed_form_beyond_the_table_bound_exits_3(capsys):
     for argv in (["spectrum", "PSL(5000,3)"], ["spectrum", "PSL(200,3)"],
                  ["spectrum", "Sp(112,3)"], ["coset-spectrum", "PSL(5000,3)"]):

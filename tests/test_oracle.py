@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from groupspec.arith import UsageError, factorize, odd_prime_power
+from groupspec.arith import Factorization, UsageError, factorize, is_prime, odd_prime_power
 from groupspec.coset import graph_coset
 import groupspec.oracle.batch as oracle_batch
 from groupspec.oracle.batch import (
@@ -51,6 +51,7 @@ from groupspec.oracle.groups import (
     sampler_name,
 )
 from groupspec.oracle.orders import (
+    order_bound,
     order_bound_fact,
     orders_batch,
     tau_coset_orders_batch,
@@ -667,6 +668,48 @@ def test_tau_coset_orders_are_even():
     bound = order_bound_fact(3, 3, 3)
     orders = tau_coset_orders_batch(F, mats, bound)
     assert (orders % 2 == 0).all()
+
+
+@pytest.mark.parametrize("n,q", [(8, 1021), (7, 2039)])
+def test_orders_past_the_int64_range_are_exact(n, q):
+    # both bounds pass 2^63, so the orders are Python ints; in int64 they
+    # wrapped around to negative values, and a prime of the GL_7(2039) bound
+    # past 2^63 could not be multiplied in at all
+    F = make_field("GL", q)
+    bound = order_bound_fact(n, q, q)
+    assert bound.value >= 2 ** 63
+    mats = sample_matrices("GL", n, q, 16, np.random.default_rng(n * q))
+    for projective in (False, True):
+        trivial = is_scalar_batch if projective else is_identity_batch
+        got = orders_batch(F, mats, bound, projective=projective).tolist()
+        assert max(got) >= 2 ** 63
+        for X, v in zip(mats, got):
+            assert v > 0 and bound.value % v == 0
+            assert trivial(F, mat_pow(F, X[None], v))[0]
+            for r in factorize(v).primes():
+                assert not trivial(F, mat_pow(F, X[None], v // r))[0]
+
+
+def test_order_tree_splits_a_bound_past_the_float_range():
+    # the split score once divided the product of the primes by its left
+    # part, a quotient past 1.8e308 that no float holds
+    F = FiniteField(3, 1)
+    X = np.diag([2, 1, 1]).astype(np.int16)[None]
+    bound = Factorization(((2, 1), (10 ** 400 + 1, 1)))
+    assert orders_batch(F, X, bound).tolist() == [2]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 23, 25, 27, 49, 81, 121, 125,
+                               169, 191, 343, 1021, 2039])
+def test_order_bound_fact_factors_the_bound(q):
+    # a product equal to the bound, of primes only, is factorize(order_bound)
+    # by unique factorization
+    p, _ = odd_prime_power(q)
+    for n in range(1, 9):
+        fact = order_bound_fact.__wrapped__(n, q, p)
+        assert fact.value == order_bound(n, q, p), (n, q)
+        assert all(is_prime(r) for r in fact.primes()), (n, q)
+        assert factorize(fact.value) is fact
 
 
 # ---------------------------------------------------------------------------
