@@ -10,11 +10,42 @@ from __future__ import annotations
 import math
 import random
 import threading
-from dataclasses import dataclass
+from operator import attrgetter
 
 
 class UsageError(ValueError):
     """Bad arguments at an API or CLI boundary."""
+
+
+class Record:
+    """A frozen record. Its fields are named in __slots__ and set once by the
+    subclass's own __init__, which ends with self.__post_init__() where the
+    record validates; equality, hash, repr and copies go by the fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)  # a tuple, or one bare value
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
 class BoundError(RuntimeError):
@@ -105,23 +136,33 @@ def co_pi_part(a: int, b: int) -> int:
 # Miller-Rabin bases: the first 12 primes decide primality only for
 # n < 318665857834031151167461 ~ 3.18 * 10^23, the least composite that passes
 # them all (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-# Math. Comp., 2017). Above it, as for a large CLI input q, is_prime is a
-# strong probable-prime test.
+# Math. Comp., 2017). Above it is_prime runs the Baillie-PSW test: a strong
+# test to base 2 and a strong Lucas test with Selfridge's parameters
+# (Baillie and Wagstaff, "Lucas pseudoprimes", Math. Comp., 1980). No
+# composite is known to pass both.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PROVED = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for r in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for r in _MR_WITNESSES:
         if n % r == 0:
             return n == r
+    if n < _MR_PROVED:
+        return _strong_probable_prime(n, _MR_WITNESSES)
+    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin to every base in bases, for odd n above them."""
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -132,6 +173,57 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test for odd n > 37 free of primes up to 37, with P = 1
+    and Q = (1 - D) / 4 for the first D in 5, -7, 9, -11, ... with (D/n) = -1.
+    Writing n + 1 = d 2^s, n passes if U_d = 0 or V_(d 2^r) = 0 for some
+    r < s. The sequences are walked down the bits of d with U_2k = U_k V_k,
+    V_2k = V_k^2 - 2 Q^k, U_(k+1) = (U_k + V_k) / 2 and V_(k+1) =
+    (D U_k + V_k) / 2, the halving taken mod n."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would have (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # 1 < gcd(D, n) <= |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U, V = (U + n * (U & 1)) // 2, (V + n * (V & 1)) // 2
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:
@@ -179,11 +271,14 @@ def _primes_below(limit: int) -> tuple:
 _TRIAL_PRIMES = _primes_below(1000)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Prime factorization as ((prime, exponent), ...) sorted by prime."""
 
-    pairs: tuple
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple):
+        object.__setattr__(self, "pairs", pairs)
+        self.__post_init__()
 
     def __post_init__(self):
         primes = [p for p, _ in self.pairs]

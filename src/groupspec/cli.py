@@ -289,7 +289,7 @@ def cmd_admissible(args, cfg):
 
 
 def cmd_verify(args, cfg):
-    from .oracle.spectrum import tau_delta_probe, verify_group, verify_tau_coset
+    from .oracle import check_enum_bound, check_order_kind, verify_target
     spec, shown = parse_group(args.group)
     kind = args.order_kind
     mode = args.mode
@@ -297,9 +297,18 @@ def cmd_verify(args, cfg):
     tau = kind in ("tau_coset", "tau_delta_coset")
     if tau and (spec.family not in ("PSL", "PGL") or spec.eps != 1):
         raise UsageError("tau coset verification covers PSL/PGL over eps = +1")
+    # the oracle's refusals that need no matrices, made before numpy loads
     if kind == "tau_delta_coset":
         if mode == "full":
             raise UsageError("the tau delta probe is sampling-only")
+        check_order_kind("GL", spec.n, spec.q, kind)
+    else:
+        group = "GL" if tau else verify_target(spec, kind)[0]
+        if (mode or "full") == "full":
+            check_enum_bound(group, spec.dimension, spec.q, cfg["enum_bound"])
+
+    from .oracle.spectrum import tau_delta_probe, verify_group, verify_tau_coset
+    if kind == "tau_delta_coset":
         report = tau_delta_probe(spec.n, spec.q, samples=cfg["samples"], seed=cfg["seed"], threads=cfg["threads"])
     elif kind == "tau_coset":
         report = verify_tau_coset(spec.n, spec.q, mode=mode or "full", samples=cfg["samples"], seed=cfg["seed"], enum_bound=cfg["enum_bound"], threads=cfg["threads"])

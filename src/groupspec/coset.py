@@ -20,9 +20,8 @@ whether a closed form applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .arith import UsageError, odd_part, odd_prime_power, p_power_exponent, two_part
+from .arith import Record, UsageError, odd_part, odd_prime_power, p_power_exponent, two_part
 from .spectra import (GroupSpec, Spectrum, normalize,
                       spectrum_linear, spectrum_orthogonal_semisimple,
                       spectrum_symplectic)
@@ -54,11 +53,15 @@ def is_unsupported(x) -> bool:
     return x is UNSUPPORTED
 
 
-@dataclass(frozen=True)
-class Piece:
-    multiplier: int
-    base: Spectrum
-    constraint: str = "none"
+class Piece(Record):
+    __slots__ = ("multiplier", "base", "constraint")
+
+    def __init__(self, multiplier: int, base: Spectrum, constraint: str = "none"):
+        set_ = object.__setattr__
+        set_(self, "multiplier", multiplier)
+        set_(self, "base", base)
+        set_(self, "constraint", constraint)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.multiplier < 1:
@@ -89,12 +92,14 @@ class Piece:
         return tuple(self.multiplier * g for g in kept)
 
 
-@dataclass(frozen=True)
-class CosetSpectrum:
+class CosetSpectrum(Record):
     """Union of pieces over a fixed characteristic p."""
 
-    pieces: tuple
-    p: int
+    __slots__ = ("pieces", "p")
+
+    def __init__(self, pieces: tuple, p: int):
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "p", p)
 
     def membership(self, a: int) -> bool:
         return any(piece.membership(a, self.p) for piece in self.pieces)
@@ -191,12 +196,15 @@ def graph_coset(n: int, q: int) -> CosetSpectrum:
 # tau criterion
 
 
-@dataclass(frozen=True)
-class TauCriterionResult:
-    verdict: str             # "equal" or "witness"
-    case: int | None
-    witness: int | None
-    triggered: tuple         # ((case, witness), ...) for every matching case
+class TauCriterionResult(Record):
+    __slots__ = ("verdict", "case", "witness", "triggered")
+
+    def __init__(self, verdict: str, case: int | None, witness: int | None, triggered: tuple):
+        set_ = object.__setattr__
+        set_(self, "verdict", verdict)      # "equal" or "witness"
+        set_(self, "case", case)
+        set_(self, "witness", witness)
+        set_(self, "triggered", triggered)  # ((case, witness), ...) for every matching case
 
     @property
     def tau_admissible(self) -> bool:

@@ -35,36 +35,13 @@ import threading
 
 import numpy as np
 
-from ..arith import DEFAULT_ENUM_BOUND, BoundError, UsageError, odd_prime_power
+from ..arith import DEFAULT_ENUM_BOUND, UsageError, odd_prime_power
+from . import KINDS, _check_kind, check_enum_bound, group_order
 from .batch import (decode_batch, det_inv_batch, encode_batch, identity_batch,
                     mat_mul, nullspace_batch)
 from .field import FiniteField
 
-KINDS = ("GL", "SL", "GU", "SU", "Sp")
-
 ENUM_DRAW_LIMIT = 120_000
-
-
-def _check_kind(kind: str, n: int) -> None:
-    if kind not in KINDS:
-        raise UsageError(f"unknown group kind {kind!r}")
-    if kind == "Sp" and n % 2:
-        raise UsageError("Sp needs even dimension")
-
-
-def group_order(kind: str, n: int, q: int) -> int:
-    _check_kind(kind, n)
-    if kind == "GL":
-        return math.prod(q ** n - q ** i for i in range(n))
-    if kind == "SL":
-        return group_order("GL", n, q) // (q - 1)
-    if kind == "GU":
-        return (q ** (n * (n - 1) // 2)
-                * math.prod(q ** i - (-1) ** i for i in range(1, n + 1)))
-    if kind == "SU":
-        return group_order("GU", n, q) // (q + 1)
-    r = n // 2                                               # Sp
-    return q ** (r * r) * math.prod(q ** (2 * i) - 1 for i in range(1, r + 1))
 
 
 def make_field(kind: str, q: int) -> FiniteField:
@@ -84,12 +61,7 @@ def enumerate_matrices(kind: str, n: int, q: int,
                        enum_bound: int = DEFAULT_ENUM_BOUND) -> tuple:
     """(field, stacked matrices) for the whole group. Cached per (kind, n, q),
     after the bound check, so a call over the bound fails cached or not."""
-    order = group_order(kind, n, q)
-    if kind in ("GL", "SL"):
-        if q ** (n * n) > enum_bound:
-            raise BoundError(f"{q}^{n * n} candidate matrices exceed the bound {enum_bound}")
-    elif order > enum_bound:
-        raise BoundError(f"|{kind}_{n}({q})| = {order} exceeds the bound {enum_bound}")
+    order = check_enum_bound(kind, n, q, enum_bound)
     key = (kind, n, q)
     with _enum_lock:
         hit = _enum_cache.get(key)

@@ -24,7 +24,6 @@ are reproducible and independent of the thread count.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,22 +32,12 @@ import numpy as np
 from ..arith import DEFAULT_ENUM_BOUND, UsageError
 from ..coset import graph_coset
 from ..spectra import GroupSpec, divisors, spectrum
+from . import check_order_kind, verify_target
 from .batch import _require_tables, decode_batch, det_batch, encode_batch
 from .groups import enumerate_matrices, make_field, sample_matrices, sampler_name
 from .orders import order_bound_fact, orders_batch, tau_images
 
-ORDER_KINDS = ("plain", "projective", "tau_coset", "tau_delta_coset")
 BLOCK = 65536
-
-# closed-form comparison target per (family, eps): oracle group, order kind
-VERIFY_MAP = {
-    ("PSL", 1): ("SL", "projective"),
-    ("PGL", 1): ("GL", "projective"),
-    ("PSL", -1): ("SU", "projective"),
-    ("PGL", -1): ("GU", "projective"),
-    ("PSp", 1): ("Sp", "projective"),
-    ("Sp", 1): ("Sp", "plain"),
-}
 
 
 def _attained(F, rows, bound, order_kind: str) -> set:
@@ -93,17 +82,8 @@ def brute_spectrum(kind: str, n: int, q: int, *,
     """Attained value set of a matrix group, by full enumeration or sampling."""
     if mode not in ("full", "sample"):
         raise UsageError("mode must be 'full' or 'sample'")
-    if order_kind not in ORDER_KINDS:
-        raise UsageError(f"unknown order kind {order_kind!r}")
+    d = check_order_kind(kind, n, q, order_kind)
     tau = order_kind.startswith("tau")
-    if tau and kind not in ("GL", "GU"):
-        raise UsageError("tau coset orders are measured inside GL or GU")
-    d = math.gcd(n, q + 1 if kind == "GU" else q - 1)
-    if order_kind == "tau_delta_coset" and d == 1:
-        # no row lands in the wing: an enumeration would find it empty and
-        # the draw loop would never end
-        raise UsageError(f"the tau delta coset of {kind}_{n}({q}) is its tau coset: "
-                         f"gcd(n, q {'+' if kind == 'GU' else '-'} 1) = 1")
     start = time.monotonic()
     F = make_field(kind, q)
     attained: set = set()
@@ -183,13 +163,7 @@ def verify_group(spec: GroupSpec, *, mode: str = "full", samples: int = 100_000,
     matrix cover); passing "plain" measures raw matrix orders instead, which
     agrees only when the cover has trivial center.
     """
-    target = VERIFY_MAP.get((spec.family, spec.eps))
-    if target is None:
-        raise UsageError(f"no matrix oracle for family {spec.family}")
-    kind, default_kind = target
-    order_kind = order_kind or default_kind
-    if order_kind not in ("plain", "projective"):
-        raise UsageError("group verification uses plain or projective orders")
+    kind, order_kind = verify_target(spec, order_kind)
     # for eps = -1, q is the hermitian base
     report = brute_spectrum(kind, spec.dimension, spec.q, mode=mode,
                             order_kind=order_kind, samples=samples, seed=seed,

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..arith import p_power_exponent, r_part
+from ..arith import Record, p_power_exponent, r_part
 from ..coset import UNSUPPORTED
 from ..spectra import GroupSpec, _partitions
 from .field import FiniteField, embed_subfield, poly_mul
@@ -41,12 +40,15 @@ BIG_FIELD_LIMIT = 1 << 22
 DRAWS = 500                     # random exponent vectors per partition
 
 
-@dataclass(frozen=True)
-class Witness:
-    matrix: np.ndarray          # over F_q
-    group_kind: str             # "SL" or "GL"
-    target: int
-    description: str
+class Witness(Record):
+    __slots__ = ("matrix", "group_kind", "target", "description")
+
+    def __init__(self, matrix: np.ndarray, group_kind: str, target: int, description: str):
+        set_ = object.__setattr__
+        set_(self, "matrix", matrix)            # over F_q
+        set_(self, "group_kind", group_kind)    # "SL" or "GL"
+        set_(self, "target", target)
+        set_(self, "description", description)
 
 
 def _min_poly_coeffs(big: FiniteField, alpha: int, degree: int, q: int, rev: dict):

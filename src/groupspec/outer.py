@@ -13,9 +13,8 @@ admissible cyclic subgroups by their generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .arith import (UsageError, co_pi_part, odd_part, p_power_exponent, pi_part,
+from .arith import (Record, UsageError, co_pi_part, odd_part, p_power_exponent, pi_part,
                     two_part)
 from .coset import TauCriterionResult, tau_criterion
 from .spectra import GroupSpec
@@ -23,28 +22,25 @@ from .spectra import GroupSpec
 OUT_ENUM_BOUND = 10 ** 5
 
 
-@dataclass(frozen=True)
-class OutElement:
+class OutElement(Record):
     """phi^a tau^c delta^i in Out(PSL_n^eps(q)), q = p^m."""
 
-    eps: int
-    n: int
-    p: int
-    m: int
-    a: int
-    c: int = 0
-    i: int = 0
+    __slots__ = ("eps", "n", "p", "m", "a", "c", "i")
 
-    def __post_init__(self):
-        if self.eps not in (1, -1):
+    def __init__(self, eps: int, n: int, p: int, m: int, a: int, c: int = 0, i: int = 0):
+        if eps not in (1, -1):
             raise UsageError("eps must be +1 or -1")
-        phi_order = self.m if self.eps == 1 else 2 * self.m
-        a, c, i = self.a, self.c % 2, self.i
-        if self.eps == -1 and c:
-            a, c = a + self.m, 0  # tau = phi^m on the unitary side
-        object.__setattr__(self, "a", a % phi_order)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "i", i % self.d)
+        c %= 2
+        if eps == -1 and c:
+            a, c = a + m, 0  # tau = phi^m on the unitary side
+        set_ = object.__setattr__
+        set_(self, "eps", eps)
+        set_(self, "n", n)
+        set_(self, "p", p)
+        set_(self, "m", m)
+        set_(self, "a", a % (m if eps == 1 else 2 * m))
+        set_(self, "c", c)
+        set_(self, "i", i % math.gcd(n, p ** m - eps))
 
     @property
     def q(self) -> int:
@@ -180,20 +176,23 @@ def _class_reps(subs, elems: list) -> list:
     return reps
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    socle: GroupSpec
-    d: int
-    b: int
-    eta: OutElement
-    phi_hat: OutElement
-    psi: OutElement
-    tau: TauCriterionResult
-    generators: tuple          # maximal admissible cyclic subgroup generators
-    rows: tuple                # which dispatch rows produced them
-    diagnostics: tuple
-    class_total: int | None    # admissible classes including the trivial one
-    class_nontrivial: int | None
+class AdmissibilityReport(Record):
+    """generators: the maximal admissible cyclic subgroups, by generator, and
+    rows the dispatch rows that produced them; class_total counts admissible
+    classes with the trivial one, class_nontrivial without."""
+
+    __slots__ = ("socle", "d", "b", "eta", "phi_hat", "psi", "tau", "generators",
+                 "rows", "diagnostics", "class_total", "class_nontrivial")
+
+    def __init__(self, socle: GroupSpec, d: int, b: int, eta: OutElement,
+                 phi_hat: OutElement, psi: OutElement, tau: TauCriterionResult,
+                 generators: tuple, rows: tuple, diagnostics: tuple,
+                 class_total: int | None, class_nontrivial: int | None):
+        # built once per call: a loop over the fields costs nothing here
+        for name, value in zip(self.__slots__, (socle, d, b, eta, phi_hat, psi, tau,
+                                                generators, rows, diagnostics,
+                                                class_total, class_nontrivial)):
+            object.__setattr__(self, name, value)
 
 
 def _two_power_split(n: int, p: int) -> bool:

@@ -14,10 +14,9 @@ always odd here; even q is rejected up front (arith.odd_prime_power).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import (BoundError, UsageError, cyclotomic_values, factorize, is_prime,
+from .arith import (BoundError, Record, UsageError, cyclotomic_values, factorize, is_prime,
                     lcm_list, odd_prime_power, p_power_exponent, r_part, two_part)
 
 # The group grammar, one row per symbol: (symbol, family, eps, a, b, least n),
@@ -35,8 +34,7 @@ FAMILIES = tuple(dict.fromkeys(row[1] for row in SYMBOLS))
 _ROWS = {(row[1], row[2]): row for row in SYMBOLS}
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """A classical group: family symbol, rank parameter n, field q = p^m, sign eps.
 
     n is the subscript index of the family symbol: PSL_n, Sp_2n, Omega_{2n+1},
@@ -44,11 +42,16 @@ class GroupSpec:
     symbol come from the row of SYMBOLS for (family, eps).
     """
 
-    family: str
-    n: int
-    p: int
-    m: int
-    eps: int = 1
+    __slots__ = ("family", "n", "p", "m", "eps")
+
+    def __init__(self, family: str, n: int, p: int, m: int, eps: int = 1):
+        set_ = object.__setattr__
+        set_(self, "family", family)
+        set_(self, "n", n)
+        set_(self, "p", p)
+        set_(self, "m", m)
+        set_(self, "eps", eps)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -85,14 +88,17 @@ class GroupSpec:
         return f"{symbol}_{self.dimension}({self.q})"
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Divisor-closed set of positive integers, held as its maximal elements.
 
     generators are strictly descending and pairwise non-dividing.
     """
 
-    generators: tuple
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: tuple):
+        object.__setattr__(self, "generators", generators)
+        self.__post_init__()
 
     def __post_init__(self):
         gens = self.generators

@@ -89,6 +89,75 @@ def test_is_prime_spot_values():
     assert not is_prime(10**12 + 1)
 
 
+@pytest.mark.parametrize("n, p", [
+    # the least strong pseudoprimes to the first 12 and 13 prime bases
+    (318665857834031151167461, 399165290221),
+    (3317044064679887385961981, 1287836182261),
+])
+def test_is_prime_rejects_the_twelve_base_pseudoprimes(n, p):
+    assert n % p == 0 and 1 < p < n
+    assert arith._strong_probable_prime(n, arith._MR_WITNESSES)
+    assert not is_prime(n)
+
+
+def test_is_prime_on_large_mersenne_primes():
+    assert is_prime(2**127 - 1)
+    assert is_prime(2**521 - 1)
+    assert not is_prime(2**523 - 1)         # no Mersenne prime between M521 and M607
+    assert not is_prime((2**127 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    # the composites that pass the strong Lucas test alone (OEIS A217255)
+    passed = [n for n in range(39, 10**5, 2)
+              if all(n % r for r in arith._MR_WITNESSES)
+              and arith._strong_lucas_probable_prime(n) and not is_prime(n)]
+    assert passed == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                      40309, 58519, 75077, 97439]
+
+
+def test_baillie_psw_agrees_with_twelve_bases_below_1e6():
+    # is_prime runs Baillie-PSW only above the 12-base bound; below it both
+    # tests are exact, so they must agree with each other and with a sieve
+    limit = 10**6
+    sieve = bytearray(limit)
+    for p in arith._primes_below(limit):
+        sieve[p] = 1
+    assert tuple(n for n in range(10**5) if is_prime(n)) == arith._primes_below(10**5)
+    for n in range(39, limit, 2):
+        if all(n % r for r in arith._MR_WITNESSES):
+            # both tests start with the strong test to base 2
+            base2 = arith._strong_probable_prime(n, (2,))
+            want = sieve[n] == 1
+            assert (base2 and arith._strong_probable_prime(n, arith._MR_WITNESSES)) == want, n
+            assert (base2 and arith._strong_lucas_probable_prime(n)) == want, n
+
+
+def test_products_of_30_digit_primes_are_composite():
+    rng = random.Random(20)
+
+    def prime_near(x, step=1, also=lambda p: True):
+        while not (is_prime(x) and also(x)):
+            x += step
+        return x
+
+    lo = 10**29
+    for _ in range(6):
+        p = prime_near(rng.randrange(lo, 10 * lo) | 1, 2)
+        q = prime_near(rng.randrange(lo, 10 * lo) | 1, 2)
+        assert not is_prime(p * q)
+        assert not is_prime(p * p)
+    # p (2p - 1), the shape of both pseudoprimes above
+    p = prime_near(rng.randrange(lo, 10 * lo) | 1, 2, lambda p: is_prime(2 * p - 1))
+    assert not is_prime(p * (2 * p - 1))
+    # a Carmichael number (6k + 1)(12k + 1)(18k + 1) past the 12-base bound
+    k = prime_near(rng.randrange(10**9, 10**10), 1,
+                   lambda k: all(is_prime(c * k + 1) for c in (6, 12, 18)))
+    n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+    assert n > arith._MR_PROVED and pow(2, n - 1, n) == 1
+    assert not is_prime(n)
+
+
 def test_factorize_examples():
     assert dict(factorize(80)) == {2: 4, 5: 1}
     assert dict(factorize(6560)) == {2: 5, 5: 1, 41: 1}

@@ -145,6 +145,15 @@ def test_bad_q_gets_one_message_everywhere(q, capsys):
         assert capsys.readouterr().err == f"error: {msg}\n"
 
 
+def test_composite_q_past_the_twelve_base_bound_exits_2():
+    # 1287836182261 * 2575672364521 passes the strong test to every prime
+    # base up to 41
+    q = 3317044064679887385961981
+    code, out, err = run_cli("spectrum", f"PSL(3,{q})", timeout=60)
+    assert (code, out) == (2, b"")
+    assert err == f"error: q = {q} is not a prime power\n"
+
+
 def test_bound_exit_code():
     code, _, err = run_cli("verify", "PSL(3,3)", "--mode", "full", "--enum-bound", "100")
     assert code == 3
@@ -355,6 +364,47 @@ def test_closed_form_commands_skip_numpy():
                           env=clean_env())
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == b"[0, 0, 0, 0, 0, 0, 2] False\n"
+
+
+def test_verify_refusals_skip_numpy():
+    # refusals decided from the arguments alone come before the oracle loads
+    script = (
+        "import contextlib, io, sys\n"
+        "from groupspec.cli import main\n"
+        "calls = [['verify', 'PSL(5,3)', '--mode', 'full'],\n"
+        "         ['verify', 'PGL(4,7)', '--mode', 'full'],\n"
+        "         ['verify', 'PSL(60,3)', '--mode', 'full', '--order-kind', 'tau_coset'],\n"
+        "         ['verify', 'PSL(3,3)', '--order-kind', 'tau_delta_coset']]\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    codes = [main(argv) for argv in calls]\n"
+        "print(codes, 'numpy' in sys.modules, repr(out.getvalue()))\n"
+        "print(err.getvalue(), end='')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=clean_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    retry = "(retry with --mode sample, or raise --enum-bound)"
+    assert proc.stdout.decode().splitlines() == [
+        "[3, 3, 3, 2] False ''",
+        f"error: 3^25 candidate matrices exceed the bound 30000000 {retry}",
+        f"error: 7^16 candidate matrices exceed the bound 30000000 {retry}",
+        f"error: 3^3600 candidate matrices exceed the bound 30000000 {retry}",
+        "error: the tau delta coset of GL_3(3) is its tau coset: gcd(n, q - 1) = 1"]
+
+
+def test_cold_imports_load_nothing_unused():
+    # -S: no site packages, so no .pth file of the host imports anything
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import sys\n"
+        "import groupspec.cli, groupspec.coset, groupspec.outer, groupspec.oracle\n"
+        "print([m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          env=clean_env({"PYTHONPATH": src}))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"[]\n"
 
 
 def test_spectrum_skips_coset_and_outer():

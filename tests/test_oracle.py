@@ -11,7 +11,8 @@ import random
 import numpy as np
 import pytest
 
-from groupspec.arith import Factorization, UsageError, factorize, is_prime, odd_prime_power
+from groupspec.arith import (BoundError, Factorization, UsageError, factorize, is_prime,
+                            odd_prime_power)
 from groupspec.coset import graph_coset
 import groupspec.oracle.batch as oracle_batch
 from groupspec.oracle.batch import (
@@ -42,7 +43,6 @@ from groupspec.oracle.field import (
 import groupspec.oracle.groups as oracle_groups
 from groupspec.oracle.groups import (
     KINDS,
-    BoundError,
     _nullspace,
     enumerate_matrices,
     group_order,
@@ -1304,6 +1304,18 @@ def test_witness_full_closure_psl33():
     for target in sorted(spectrum_linear(spec).all_values()):
         wit = witness_for_value(spec, target)
         assert verify_witness(spec, wit) == target
+
+
+def test_witness_is_a_frozen_record():
+    wit = witness_for_value(S("PSL", 3, 3), 13)
+    assert (wit.group_kind, wit.target) == ("SL", 13)
+    assert repr(wit).startswith("Witness(matrix=array([[")
+    assert repr(wit).endswith(f", group_kind='SL', target=13, description={wit.description!r})")
+    for field in ("matrix", "target"):
+        with pytest.raises(AttributeError):
+            setattr(wit, field, None)
+        with pytest.raises(AttributeError):
+            delattr(wit, field)
 
 
 def test_witness_unsupported_for_unitary():
