@@ -51,6 +51,14 @@ class Record:
 class BoundError(RuntimeError):
     """An enumeration would exceed the configured bound."""
 
+    hint = "retry with --mode sample, or raise --enum-bound"
+
+
+class FactorBudgetError(BoundError):
+    """factorize spent the Pollard rho steps it was given."""
+
+    hint = "no flag raises the budget"
+
 
 # default for the bound a BoundError enforces on matrix enumeration
 DEFAULT_ENUM_BOUND = 30_000_000
@@ -226,8 +234,9 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    # returns a non-trivial factor of composite odd n
+def _brent_rho(n: int, rng: random.Random, budget: list) -> int:
+    # returns a non-trivial factor of composite odd n, taking the 2r steps
+    # of each round from budget[0] before it runs them
     if n % 2 == 0:
         return 2
     while True:
@@ -238,6 +247,9 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         x = ys = y
         while g == 1:
             x = y
+            budget[0] -= 2 * r
+            if budget[0] < 0:
+                raise FactorBudgetError(f"{n} is not factored within its budget of rho steps")
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
@@ -310,19 +322,21 @@ _factor_cache: dict = {}
 _factor_lock = threading.Lock()
 
 
-def _factor_into(n: int, acc: dict, rng: random.Random):
+def _factor_into(n: int, acc: dict, rng: random.Random, budget: list):
     if n == 1:
         return
     if is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return
-    d = _brent_rho(n, rng)
-    _factor_into(d, acc, rng)
-    _factor_into(n // d, acc, rng)
+    d = _brent_rho(n, rng, budget)
+    _factor_into(d, acc, rng, budget)
+    _factor_into(n // d, acc, rng, budget)
 
 
-def factorize(n: int) -> Factorization:
-    """Complete factorization; deterministic for a given input."""
+def factorize(n: int, budget: list | None = None) -> Factorization:
+    """Complete factorization; deterministic for a given input. The calls
+    passed one budget, a one-item list of Pollard rho steps, spend from it
+    (a memo hit spends none); past it they raise FactorBudgetError."""
     if n < 1:
         raise UsageError("factorize needs a positive integer")
     if n == 1:
@@ -344,7 +358,7 @@ def factorize(n: int) -> Factorization:
             acc[m] = acc.get(m, 0) + 1
         else:
             # fixed seed keeps rho deterministic run to run
-            _factor_into(m, acc, random.Random(0xF1A7 ^ (m & 0xFFFF)))
+            _factor_into(m, acc, random.Random(0xF1A7 ^ (m & 0xFFFF)), budget or [math.inf])
     result = Factorization(tuple(sorted(acc.items())))
     with _factor_lock:
         _factor_cache[n] = result

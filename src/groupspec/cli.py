@@ -25,7 +25,7 @@ import sys
 
 from .arith import (DEFAULT_ENUM_BOUND, BoundError, UsageError, load_factor_cache,
                     odd_prime_power, save_factor_cache)
-from .spectra import SYMBOLS, GroupSpec, TableBoundError, spectrum
+from .spectra import SYMBOLS, GroupSpec, spectrum
 
 DEFAULTS = {"seed": 0, "threads": 1, "enum_bound": DEFAULT_ENUM_BOUND,
             "samples": 100_000, "cache": None}
@@ -289,31 +289,13 @@ def cmd_admissible(args, cfg):
 
 
 def cmd_verify(args, cfg):
-    from .oracle import check_enum_bound, check_order_kind, verify_target
+    from .oracle import verify_request
     spec, shown = parse_group(args.group)
-    kind = args.order_kind
-    mode = args.mode
-
-    tau = kind in ("tau_coset", "tau_delta_coset")
-    if tau and (spec.family not in ("PSL", "PGL") or spec.eps != 1):
-        raise UsageError("tau coset verification covers PSL/PGL over eps = +1")
-    # the oracle's refusals that need no matrices, made before numpy loads
-    if kind == "tau_delta_coset":
-        if mode == "full":
-            raise UsageError("the tau delta probe is sampling-only")
-        check_order_kind("GL", spec.n, spec.q, kind)
-    else:
-        group = "GL" if tau else verify_target(spec, kind)[0]
-        if (mode or "full") == "full":
-            check_enum_bound(group, spec.dimension, spec.q, cfg["enum_bound"])
-
-    from .oracle.spectrum import tau_delta_probe, verify_group, verify_tau_coset
-    if kind == "tau_delta_coset":
-        report = tau_delta_probe(spec.n, spec.q, samples=cfg["samples"], seed=cfg["seed"], threads=cfg["threads"])
-    elif kind == "tau_coset":
-        report = verify_tau_coset(spec.n, spec.q, mode=mode or "full", samples=cfg["samples"], seed=cfg["seed"], enum_bound=cfg["enum_bound"], threads=cfg["threads"])
-    else:
-        report = verify_group(spec, mode=mode or "full", samples=cfg["samples"], seed=cfg["seed"], enum_bound=cfg["enum_bound"], threads=cfg["threads"], order_kind=kind)
+    # every refusal the arguments decide, made before numpy loads
+    verify_request(spec, args.order_kind, args.mode, cfg["enum_bound"])
+    from .oracle.spectrum import verify_group
+    report = verify_group(spec, mode=args.mode, order_kind=args.order_kind,
+                          **{k: cfg[k] for k in ("samples", "seed", "enum_bound", "threads")})
 
     if not args.pretty:
         # wall clock would break byte-for-byte output stability
@@ -327,19 +309,16 @@ def cmd_verify(args, cfg):
         lines.append("violations: " + " ".join(map(str, report["violations"])))
     if report.get("missing"):
         lines.append("missing: " + " ".join(map(str, report["missing"])))
-    if kind == "tau_delta_coset":
+    if "new_values" in report:
         lines.append("new values: " + " ".join(map(str, report["new_values"])))
     return payload, lines, 0 if verdict == "PASS" else 1
 
 
 def cmd_gamma_check(args, cfg):
-    import numpy as np
-    from .oracle.field import FiniteField
-    from .oracle.wall import det_square_class, wall_check
     q = args.q
     if q is None:
         raise UsageError("gamma-check needs --q")
-    F = FiniteField(*odd_prime_power(q))
+    p, m = odd_prime_power(q)
     rows = []
     for chunk in args.matrix.split(";"):
         entries = [e for e in re.split(r"[,\s]+", chunk.strip()) if e]
@@ -352,6 +331,10 @@ def cmd_gamma_check(args, cfg):
         raise UsageError("matrix must be square (semicolon-separated rows)")
     if any(not 0 <= e < q for r in rows for e in r):
         raise UsageError(f"matrix entries must lie in [0, {q})")
+    import numpy as np
+    from .oracle.field import FiniteField
+    from .oracle.wall import det_square_class, wall_check
+    F = FiniteField(p, m)
     h = np.array(rows, np.int16)
     # one Smith form answers every question but the determinant class
     wall = wall_check(F, h)
@@ -447,13 +430,8 @@ def main(argv=None) -> int:
         if cfg["cache"]:
             save_factor_cache(cfg["cache"])
         return code
-    except TableBoundError as exc:
-        print(f"error: {exc} (no closed form is computed at this size, and no flag "
-              "raises the bound)", file=sys.stderr)
-        return 3
     except BoundError as exc:
-        print(f"error: {exc} (retry with --mode sample, or raise --enum-bound)",
-              file=sys.stderr)
+        print(f"error: {exc} ({exc.hint})", file=sys.stderr)
         return 3
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

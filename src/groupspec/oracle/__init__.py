@@ -2,8 +2,9 @@
 matrix arithmetic, group enumeration/sampling, element orders, conjugacy
 invariants and spectrum comparisons against the closed forms.
 
-The submodules need numpy; this module holds without it the refusals made
-from the arguments alone, which the CLI checks before it imports them.
+The submodules need numpy. This module holds, without it, every refusal the
+arguments decide: verify_request for verify_group, brute_request for one
+brute_spectrum. The CLI calls verify_request before it imports numpy.
 """
 
 import math
@@ -12,6 +13,7 @@ from ..arith import BoundError, UsageError
 
 KINDS = ("GL", "SL", "GU", "SU", "Sp")
 ORDER_KINDS = ("plain", "projective", "tau_coset", "tau_delta_coset")
+TABLE_LIMIT_Q = 2048             # the largest field given arithmetic tables
 
 # closed-form comparison target per (family, eps): oracle group, order kind
 VERIFY_MAP = {
@@ -58,11 +60,16 @@ def check_enum_bound(kind: str, n: int, q: int, enum_bound: int) -> int:
     return order
 
 
-def check_order_kind(kind: str, n: int, q: int, order_kind: str) -> int:
-    """d = gcd(n, q -+ 1), once order_kind is known to be measurable in
-    kind_n(q): the tau wings only in GL or GU, the tau delta wing if d > 1."""
+def brute_request(kind: str, n: int, q: int, order_kind: str, mode: str,
+                  enum_bound: int) -> int:
+    """d = gcd(n, q -+ 1), once brute_spectrum can measure order_kind in
+    kind_n(q) in mode. Refused in this order: an unknown order kind or mode,
+    a tau wing outside GL or GU, the tau delta wing when d = 1, a sample over
+    a field without tables, a full enumeration past enum_bound."""
     if order_kind not in ORDER_KINDS:
         raise UsageError(f"unknown order kind {order_kind!r}")
+    if mode not in ("full", "sample"):
+        raise UsageError("mode must be 'full' or 'sample'")
     if order_kind.startswith("tau") and kind not in ("GL", "GU"):
         raise UsageError("tau coset orders are measured inside GL or GU")
     d = math.gcd(n, q + 1 if kind == "GU" else q - 1)
@@ -71,16 +78,32 @@ def check_order_kind(kind: str, n: int, q: int, order_kind: str) -> int:
         # the draw loop would never end
         raise UsageError(f"the tau delta coset of {kind}_{n}({q}) is its tau coset: "
                          f"gcd(n, q {'+' if kind == 'GU' else '-'} 1) = 1")
+    if mode == "full":
+        check_enum_bound(kind, n, q, enum_bound)
+    elif (size := q * q if kind in ("GU", "SU") else q) > TABLE_LIMIT_Q:
+        raise UsageError(f"field of size {size} is too large for the matrix oracle")
     return d
 
 
-def verify_target(spec, order_kind: str | None) -> tuple:
-    """(group kind, order kind) that verify_group measures for spec."""
+def verify_request(spec, order_kind: str | None, mode: str | None,
+                   enum_bound: int) -> tuple:
+    """(group kind, order kind, mode) of verify_group for spec: by default the
+    family's order kind, and sampling for the tau delta wing only. Refused
+    in this order: an unknown order kind, a tau wing outside PSL and PGL over
+    eps = +1, the tau delta wing in full mode, a family without an oracle,
+    then what brute_request refuses."""
+    if order_kind not in (None, *ORDER_KINDS):
+        raise UsageError(f"unknown order kind {order_kind!r}")
+    tau = order_kind in ("tau_coset", "tau_delta_coset")
+    if tau and (spec.family not in ("PSL", "PGL") or spec.eps != 1):
+        raise UsageError("tau coset verification covers PSL/PGL over eps = +1")
+    if order_kind == "tau_delta_coset" and mode == "full":
+        raise UsageError("the tau delta probe is sampling-only")
     target = VERIFY_MAP.get((spec.family, spec.eps))
     if target is None:
         raise UsageError(f"no matrix oracle for family {spec.family}")
-    kind, default_kind = target
-    order_kind = order_kind or default_kind
-    if order_kind not in ("plain", "projective"):
-        raise UsageError("group verification uses plain or projective orders")
-    return kind, order_kind
+    kind = "GL" if tau else target[0]
+    order_kind = order_kind or target[1]
+    mode = mode or ("sample" if order_kind == "tau_delta_coset" else "full")
+    brute_request(kind, spec.dimension, spec.q, order_kind, mode, enum_bound)
+    return kind, order_kind, mode

@@ -33,8 +33,7 @@ import itertools
 import numpy as np
 
 from ..arith import UsageError, factorize, is_prime
-
-TABLE_LIMIT_Q = 2048
+from . import TABLE_LIMIT_Q
 NARROW = 1 << 15                 # int16 sums and products below this are exact
 KRONECKER_LIMIT = 1 << 17        # largest B^m of an extension-field mat_mul by
                                  # Kronecker substitution (oracle.batch)

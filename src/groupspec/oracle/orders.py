@@ -4,7 +4,8 @@ Every order divides B = p^ceil(log_p n) * lcm(q^i - 1, i <= n), so orders are
 computed from B rather than by iterating powers: for each prime power r^e || B
 the matrix T = X^(B / r^e) has order r^j with j minimal such that T^(r^j) is
 trivial, and the order is the product of those r^j. B is factored one
-cyclotomic value Phi_e(q), e <= n, at a time (order_bound_fact), never whole.
+cyclotomic value Phi_e(q), e <= n, at a time (order_bound_fact), never whole,
+and within a budget of rho steps, FACTOR_STEPS, past which it refuses.
 
 The T are reached down a product tree over the prime powers of B, so that
 they share their squarings. A node for a set S of primes holds
@@ -27,27 +28,31 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..arith import Factorization, cyclotomic_values, factorize, lcm_list, remember
+from ..arith import Factorization, FactorBudgetError, cyclotomic_values, factorize, remember
 from .batch import (det_inv_batch, is_identity_batch, is_scalar_batch,
                     mat_mul, mat_pow, transpose)
 from .field import FiniteField
 
 
-def order_bound(n: int, q: int, p: int) -> int:
-    t = 0
-    while p ** t < n:
-        t += 1
-    return p ** t * lcm_list([q ** i - 1 for i in range(1, n + 1)])
+# Pollard rho steps that one order_bound_fact may take in all, a few seconds.
+# PSL_72(3), the largest linear n with a closed form over F_3, takes 4,493,408
+FACTOR_STEPS = 1 << 23
 
 
 @lru_cache(maxsize=None)
 def order_bound_fact(n: int, q: int, p: int) -> Factorization:
-    """The factorization of order_bound(n, q, p), entered in the factorize
-    memo. It is put together from the factorizations of the Phi_e(q), e <= n,
-    each far smaller than the bound: q^i - 1 is the product of the Phi_e(q)
+    """The factorization of the order bound B of GL_n(q), q a power of p,
+    entered in the factorize memo. It is put together from the Phi_e(q),
+    e <= n, each far smaller than B: q^i - 1 is the product of the Phi_e(q)
     with e | i, and a prime's exponent in the lcm is the largest of its
     exponents in those products. p divides no Phi_e(q) and keeps p^t."""
-    parts = [dict(factorize(x)) for x in cyclotomic_values(q, n)]
+    budget, parts = [FACTOR_STEPS], []
+    for e, x in enumerate(cyclotomic_values(q, n), 1):
+        try:
+            parts.append(dict(factorize(x, budget)))
+        except FactorBudgetError:
+            raise FactorBudgetError(f"the order bound of n = {n} needs Phi_{e}({q}) factored, "
+                                    f"past its budget of {FACTOR_STEPS} rho steps") from None
     exps: dict = {}
     for i in range(1, n + 1):
         here: dict = {}

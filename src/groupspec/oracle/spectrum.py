@@ -8,14 +8,14 @@ order_kind selects what is measured per matrix g:
                    restricted to the det classes mapping into tau * PSL
   tau_delta_coset  the same value, with g in the classes of tau delta * PSL
 
+verify_group runs all four kinds: the refusals of oracle.verify_request
+first, then the closed form, and only then brute_spectrum and the verdict.
+
 Both modes measure a tau wing one way: the projective orders of the images
 Y = g g^-T, doubled. A full enumeration measures each distinct Y once: the
 images of all blocks are keyed by encode_batch and deduplicated together
 (GL_3(5): 1,488,000 g, 88,506 distinct Y). Sampled draws repeat too rarely
 for that to pay, so sampling measures the images of each batch as drawn.
-When d = gcd(n, q -+ 1) is 1 the tau delta wing is the tau wing and no row
-passes the tau delta det-class test, so both modes refuse tau_delta_coset
-before enumerating or drawing anything.
 
 Sampling is block organized: the sample count is split into fixed blocks of
 65536 draws, each fed from its own spawned SeedSequence stream, so results
@@ -29,11 +29,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..arith import DEFAULT_ENUM_BOUND, UsageError
+from ..arith import DEFAULT_ENUM_BOUND
 from ..coset import graph_coset
 from ..spectra import GroupSpec, divisors, spectrum
-from . import check_order_kind, verify_target
-from .batch import _require_tables, decode_batch, det_batch, encode_batch
+from . import brute_request, verify_request
+from .batch import decode_batch, det_batch, encode_batch
 from .groups import enumerate_matrices, make_field, sample_matrices, sampler_name
 from .orders import order_bound_fact, orders_batch, tau_images
 
@@ -80,31 +80,23 @@ def brute_spectrum(kind: str, n: int, q: int, *,
                    enum_bound: int = DEFAULT_ENUM_BOUND,
                    threads: int = 1) -> dict:
     """Attained value set of a matrix group, by full enumeration or sampling."""
-    if mode not in ("full", "sample"):
-        raise UsageError("mode must be 'full' or 'sample'")
-    d = check_order_kind(kind, n, q, order_kind)
+    d = brute_request(kind, n, q, order_kind, mode, enum_bound)
     tau = order_kind.startswith("tau")
     start = time.monotonic()
     F = make_field(kind, q)
-    attained: set = set()
+    bound = order_bound_fact(n, F.q, F.p)
 
     if mode == "full":
-        # the enumeration checks enum_bound before anything costs time
         F, mats = enumerate_matrices(kind, n, q, enum_bound=enum_bound)
-        bound = order_bound_fact(n, F.q, F.p)
         rows = mats
         if tau:
             mats = mats[_det_class_mask(F, mats, kind, q, d, order_kind)]
             rows = _distinct_tau_images(F, mats, n)
-        for lo in range(0, len(rows), BLOCK):
-            attained |= _attained(F, rows[lo:lo + BLOCK], bound, order_kind)
+        attained = set().union(*(_attained(F, rows[lo:lo + BLOCK], bound, order_kind)
+                                 for lo in range(0, len(rows), BLOCK)))
         used = len(mats)
         sampler = "enumeration"
     else:
-        # the samplers would draw with scalar arithmetic before the first
-        # kernel refused the field
-        _require_tables(F)
-        bound = order_bound_fact(n, F.q, F.p)
         blocks = (samples + BLOCK - 1) // BLOCK
         streams = np.random.SeedSequence(seed).spawn(blocks)
 
@@ -125,11 +117,9 @@ def brute_spectrum(kind: str, n: int, q: int, *,
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                for part in pool.map(run_block, range(blocks)):
-                    attained |= part
+                attained = set().union(*pool.map(run_block, range(blocks)))
         else:
-            for i in range(blocks):
-                attained |= run_block(i)
+            attained = set().union(*map(run_block, range(blocks)))
         used = samples
         sampler = sampler_name(kind, n, q)
 
@@ -144,64 +134,51 @@ def brute_spectrum(kind: str, n: int, q: int, *,
     }
 
 
-def _judge(report: dict, formula, missing) -> None:
-    """Add to report the attained values outside formula (violations), in
-    full mode the values missing() that were never attained, and the verdict."""
-    report["violations"] = sorted(v for v in report["attained"] if v not in formula)
-    if report["mode"] == "full":
-        report["missing"] = sorted(missing())
-    failed = report["violations"] or report.get("missing")
-    report["verdict"] = "FAIL" if failed else "PASS"
-
-
-def verify_group(spec: GroupSpec, *, mode: str = "full", samples: int = 100_000,
+def verify_group(spec: GroupSpec, *, mode: str | None = None, samples: int = 100_000,
                  seed: int = 0, enum_bound: int = DEFAULT_ENUM_BOUND,
                  threads: int = 1, order_kind: str | None = None) -> dict:
-    """Compare the closed-form spectrum of spec against the matrix oracle.
-
-    order_kind normally comes from the family (projective orders of the
-    matrix cover); passing "plain" measures raw matrix orders instead, which
-    agrees only when the cover has trivial center.
-    """
-    kind, order_kind = verify_target(spec, order_kind)
-    # for eps = -1, q is the hermitian base
-    report = brute_spectrum(kind, spec.dimension, spec.q, mode=mode,
-                            order_kind=order_kind, samples=samples, seed=seed,
-                            enum_bound=enum_bound, threads=threads)
-    formula = spectrum(spec)
-    _judge(report, formula, lambda: formula.all_values()
-           - set().union(*map(divisors, report["attained"])))
-    report["formula"] = list(formula.generators)
-    report["target"] = str(spec)
-    return report
+    """Compare a closed form for spec against the matrix oracle. order_kind
+    defaults to the family's (projective orders of the matrix cover); "plain"
+    agrees only when the cover has trivial center. "tau_coset" checks the
+    graph coset of PSL_n(q); "tau_delta_coset" samples tau delta * PSL for
+    orders the socle lacks, and there PASS means that one was found. mode
+    defaults to sample for the tau delta wing and to full otherwise."""
+    return _verify(spec, order_kind, mode, samples=samples, seed=seed,
+                   enum_bound=enum_bound, threads=threads)
 
 
 def verify_tau_coset(n: int, q: int, *, mode: str = "full",
                      samples: int = 100_000, seed: int = 0,
                      enum_bound: int = DEFAULT_ENUM_BOUND,
                      threads: int = 1) -> dict:
-    """Check the graph-coset spectrum formula against measured coset orders."""
-    report = brute_spectrum("GL", n, q, mode=mode, order_kind="tau_coset",
-                            samples=samples, seed=seed,
-                            enum_bound=enum_bound, threads=threads)
-    coset = graph_coset(n, q)
-    _judge(report, coset, lambda: coset.all_values() - set(report["attained"]))
-    report["formula"] = coset.to_jsonable()
-    report["target"] = f"tau coset of PSL_{n}({q})"
-    return report
+    """verify_group for the graph coset of PSL_n(q). It calls the runner, not
+    verify_group, so a wrapper put on both names counts each verify once."""
+    return _verify(GroupSpec.from_q("PSL", n, q), "tau_coset", mode, samples=samples,
+                   seed=seed, enum_bound=enum_bound, threads=threads)
 
 
-def tau_delta_probe(n: int, q: int, *, samples: int = 100_000, seed: int = 0,
-                    threads: int = 1) -> dict:
-    """Sample the other graph wing tau delta * PSL and look for orders that the
-    socle does not have. PASS means such an order was found."""
-    socle = spectrum(GroupSpec.from_q("PSL", n, q))
-    report = brute_spectrum("GL", n, q, mode="sample",
-                            order_kind="tau_delta_coset",
-                            samples=samples, seed=seed, threads=threads)
-    new = sorted(v for v in report["attained"] if v not in socle)
-    report["socle"] = list(socle.generators)
-    report["new_values"] = new
-    report["verdict"] = "PASS" if new else "FAIL"
-    report["target"] = f"tau delta coset of PSL_{n}({q})"
+def _verify(spec: GroupSpec, order_kind, mode, **run) -> dict:
+    kind, order_kind, mode = verify_request(spec, order_kind, mode, run["enum_bound"])
+    coset = order_kind == "tau_coset"
+    delta = order_kind == "tau_delta_coset"
+    # module globals, so that tests can replace them
+    formula = (graph_coset(spec.n, spec.q) if coset else
+               spectrum(GroupSpec("PSL", spec.n, spec.p, spec.m) if delta else spec))
+    # for eps = -1, q is the hermitian base
+    report = brute_spectrum(kind, spec.dimension, spec.q, mode=mode,
+                            order_kind=order_kind, **run)
+    attained = report["attained"]
+    outside = sorted(v for v in attained if v not in formula)
+    if delta:
+        return dict(report, socle=list(formula.generators), new_values=outside,
+                    verdict="PASS" if outside else "FAIL",
+                    target=f"tau delta coset of PSL_{spec.n}({spec.q})")
+    report["violations"] = outside
+    if mode == "full":
+        # a coset's values are not closed under divisors, a group's are
+        reached = set(attained) if coset else set().union(*map(divisors, attained))
+        report["missing"] = sorted(formula.all_values() - reached)
+    report.update(verdict="FAIL" if outside or report.get("missing") else "PASS",
+                  formula=formula.to_jsonable() if coset else list(formula.generators),
+                  target=f"tau coset of PSL_{spec.n}({spec.q})" if coset else str(spec))
     return report

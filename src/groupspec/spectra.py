@@ -289,6 +289,8 @@ TABLE_LIMIT = 400_000
 class TableBoundError(BoundError):
     """A closed form whose lcm table would make more than TABLE_LIMIT values."""
 
+    hint = "no closed form is computed at this size, and no flag raises the bound"
+
     def __init__(self, n: int):
         super().__init__(f"the closed-form lcm table for n = {n} passes its "
                          f"bound of {TABLE_LIMIT} values")

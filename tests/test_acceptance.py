@@ -13,7 +13,7 @@ from groupspec.arith import factorize, r_part, two_part
 from groupspec.coset import graph_coset, tau_criterion
 from groupspec.oracle.batch import det_inv_batch, encode_batch, mat_mul, transpose
 from groupspec.oracle.groups import enumerate_matrices
-from groupspec.oracle.spectrum import brute_spectrum, tau_delta_probe, verify_group
+from groupspec.oracle.spectrum import brute_spectrum, verify_group
 from groupspec.oracle.wall import gamma_membership
 from groupspec.oracle.witness import witness_report
 from groupspec.outer import admissible_generators
@@ -221,7 +221,8 @@ def test_11_gcd_identity_suites():
 
 def test_12_tau_delta_probe_finds_new_order():
     t0 = time.monotonic()
-    rep = tau_delta_probe(4, 3, samples=100_000, seed=0)
+    rep = verify_group(GroupSpec.from_q("PSL", 4, 3), order_kind="tau_delta_coset",
+                       samples=100_000, seed=0)
     assert rep["verdict"] == "PASS"
     assert rep["new_values"]
     socle = spectrum_linear(GroupSpec.from_q("PSL", 4, 3))

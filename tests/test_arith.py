@@ -192,6 +192,25 @@ def test_factorize_large_factors(n, expect):
     assert factorize(n) is fact
 
 
+def test_factorize_spends_a_shared_budget(monkeypatch):
+    # every call passed one budget spends from it, a memo hit spends nothing,
+    # and the steps one factoring takes are the same run to run
+    monkeypatch.setattr(arith, "_factor_cache", {})
+    n = 999983 * 1000003
+    budget = [10 ** 9]
+    fact = factorize(n, budget)
+    spent = 10 ** 9 - budget[0]
+    assert dict(fact) == {999983: 1, 1000003: 1} and spent > 0
+    assert factorize(n, budget) is fact and budget == [10 ** 9 - spent]
+    monkeypatch.setattr(arith, "_factor_cache", {})
+    assert factorize(n, [spent]) == fact
+    monkeypatch.setattr(arith, "_factor_cache", {})
+    with pytest.raises(arith.FactorBudgetError, match=f"{n} is not factored") as err:
+        factorize(n, [spent - 1])
+    assert isinstance(err.value, arith.BoundError)
+    assert n not in arith._factor_cache
+
+
 def test_factorization_str():
     # same shape as the cache file lines
     assert str(factorize(80)) == "2^4 5"

@@ -197,6 +197,33 @@ def test_sampling_a_bound_of_large_primes_finishes():
     assert json.loads(out)["verdict"] == "PASS"
 
 
+def test_sampling_past_the_table_bound_exits_3_before_any_matrix(monkeypatch, capsys):
+    # PSL_80(3) spent seconds on its order bound and its draws before the
+    # closed form refused it
+    def computed_too_early(*args, **kwargs):
+        raise AssertionError("made matrices before the closed form")
+    for name in ("order_bound_fact", "sample_matrices"):
+        monkeypatch.setattr(oracle_spectrum, name, computed_too_early)
+    start = time.perf_counter()
+    assert cli.main(["verify", "PSL(80,3)", "--mode", "sample", "--samples", "1"]) == 3
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: the closed-form lcm table for n = 80 passes its bound of "
+                       "400000 values (no closed form is computed at this size, and no "
+                       "flag raises the bound)\n")
+
+
+def test_order_bound_past_its_budget_exits_3():
+    # factoring Phi_17(1021) took seconds and Phi_19(1021) did not finish;
+    # neither flag of the enumeration bound would help, so none is named
+    code, out, err = run_cli("verify", "PSL(20,1021)", "--mode", "sample", "--samples", "1",
+                             timeout=60)
+    assert (code, out) == (3, b"")
+    assert err == ("error: the order bound of n = 20 needs Phi_17(1021) factored, past its "
+                   "budget of 8388608 rho steps (no flag raises the budget)\n")
+
+
 def test_closed_form_beyond_the_table_bound_exits_3(capsys):
     for argv in (["spectrum", "PSL(5000,3)"], ["spectrum", "PSL(200,3)"],
                  ["spectrum", "Sp(112,3)"], ["coset-spectrum", "PSL(5000,3)"]):
@@ -391,6 +418,28 @@ def test_verify_refusals_skip_numpy():
         f"error: 7^16 candidate matrices exceed the bound 30000000 {retry}",
         f"error: 3^3600 candidate matrices exceed the bound 30000000 {retry}",
         "error: the tau delta coset of GL_3(3) is its tau coset: gcd(n, q - 1) = 1"]
+
+
+def test_field_and_gamma_check_refusals_skip_numpy():
+    # a field without tables and a malformed matrix are known from the text
+    script = (
+        "import contextlib, io, sys\n"
+        "from groupspec.cli import main\n"
+        "calls = [['verify', 'PSU(3,47)', '--mode', 'sample'],\n"
+        "         ['gamma-check', '--q', '3', '1,0;0']]\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    codes = [main(argv) for argv in calls]\n"
+        "print(codes, 'numpy' in sys.modules, repr(out.getvalue()))\n"
+        "print(err.getvalue(), end='')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=clean_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines() == [
+        "[2, 2] False ''",
+        "error: field of size 2209 is too large for the matrix oracle",
+        "error: matrix must be square (semicolon-separated rows)"]
 
 
 def test_cold_imports_load_nothing_unused():

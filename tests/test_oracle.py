@@ -11,8 +11,9 @@ import random
 import numpy as np
 import pytest
 
-from groupspec.arith import (BoundError, Factorization, UsageError, factorize, is_prime,
-                            odd_prime_power)
+import groupspec.arith as arith
+from groupspec.arith import (BoundError, FactorBudgetError, Factorization, UsageError,
+                             factorize, is_prime, lcm_list, odd_prime_power)
 from groupspec.coset import graph_coset
 import groupspec.oracle.batch as oracle_batch
 from groupspec.oracle.batch import (
@@ -41,6 +42,8 @@ from groupspec.oracle.field import (
     poly_trim,
 )
 import groupspec.oracle.groups as oracle_groups
+import groupspec.oracle.orders as oracle_orders
+from groupspec.oracle import brute_request, verify_request
 from groupspec.oracle.groups import (
     KINDS,
     _nullspace,
@@ -51,7 +54,6 @@ from groupspec.oracle.groups import (
     sampler_name,
 )
 from groupspec.oracle.orders import (
-    order_bound,
     order_bound_fact,
     orders_batch,
     tau_coset_orders_batch,
@@ -59,7 +61,6 @@ from groupspec.oracle.orders import (
 from groupspec.oracle.spectrum import (
     BLOCK,
     brute_spectrum,
-    tau_delta_probe,
     verify_group,
     verify_tau_coset,
 )
@@ -76,7 +77,7 @@ from groupspec.oracle.witness import (
     witness_for_value,
     witness_report,
 )
-from groupspec.spectra import GroupSpec, spectrum_linear
+from groupspec.spectra import GroupSpec, TableBoundError, spectrum_linear
 
 S = GroupSpec.from_q
 
@@ -699,6 +700,14 @@ def test_order_tree_splits_a_bound_past_the_float_range():
     assert orders_batch(F, X, bound).tolist() == [2]
 
 
+def order_bound(n: int, q: int, p: int) -> int:
+    """p^t lcm(q^i - 1, i <= n), with p^t the least power of p not below n."""
+    t = 0
+    while p ** t < n:
+        t += 1
+    return p ** t * lcm_list([q ** i - 1 for i in range(1, n + 1)])
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 23, 25, 27, 49, 81, 121, 125,
                                169, 191, 343, 1021, 2039])
 def test_order_bound_fact_factors_the_bound(q):
@@ -777,7 +786,7 @@ def test_tau_delta_without_a_second_wing_is_refused(monkeypatch, kind, n, q):
             brute_spectrum(kind, n, q, mode=mode, order_kind="tau_delta_coset", samples=50)
     if kind == "GL":
         with pytest.raises(UsageError, match="tau delta coset"):
-            tau_delta_probe(n, q, samples=50)
+            verify_group(S("PSL", n, q), order_kind="tau_delta_coset", samples=50)
 
 
 def test_full_verify_checks_the_enumeration_bound_first(monkeypatch):
@@ -793,6 +802,67 @@ def test_full_verify_checks_the_enumeration_bound_first(monkeypatch):
         verify_group(S("PSL", 60, 3), mode="full")
     with pytest.raises(BoundError):
         verify_tau_coset(60, 3, mode="full")
+
+
+@pytest.mark.parametrize("fam, n, q, eps, order_kind, mode, error, message", [
+    # each input fails its own check and the later ones too, so the first
+    # check in verify_request's order names the refusal
+    ("OmegaOdd", 3, 3, 1, "wrong", "fast", UsageError, "unknown order kind 'wrong'"),
+    ("PSL", 4, 3, -1, "tau_delta_coset", "full", UsageError, r"covers PSL/PGL over eps = \+1"),
+    ("PSL", 3, 3, 1, "tau_delta_coset", "full", UsageError, "the tau delta probe is sampling-only"),
+    ("OmegaOdd", 3, 3, 1, None, "fast", UsageError, "no matrix oracle for family OmegaOdd"),
+    ("PSL", 5, 4099, 1, None, "fast", UsageError, "mode must be 'full' or 'sample'"),
+    ("PSL", 5, 4099, 1, "tau_delta_coset", None, UsageError, "is its tau coset"),
+    ("PSL", 3, 47, -1, None, "sample", UsageError, "field of size 2209 is too large"),
+    ("PSL", 5, 3, 1, "tau_coset", "full", BoundError, r"3\^25 candidate matrices"),
+])
+def test_verify_request_refuses_in_its_order(fam, n, q, eps, order_kind, mode, error, message):
+    with pytest.raises(error, match=message):
+        verify_request(S(fam, n, q, eps), order_kind, mode, 30_000_000)
+
+
+def test_verify_request_defaults():
+    assert verify_request(S("PSL", 2, 3), None, None, 10 ** 6) == ("SL", "projective", "full")
+    assert verify_request(S("PGL", 2, 3, -1), None, "sample", 1) == ("GU", "projective", "sample")
+    assert verify_request(S("Sp", 2, 3), None, None, 10 ** 6) == ("Sp", "plain", "full")
+    assert verify_request(S("PSL", 4, 3), "tau_delta_coset", None, 1) \
+        == ("GL", "tau_delta_coset", "sample")
+    assert verify_request(S("PGL", 2, 3), "tau_coset", None, 10 ** 6) \
+        == ("GL", "tau_coset", "full")
+    # a tau wing outside GL or GU is refused by brute_request, on which the
+    # tau wings of PSL and PGL never land
+    with pytest.raises(UsageError, match="measured inside GL or GU"):
+        brute_request("SL", 3, 3, "tau_coset", "sample", 1)
+
+
+def test_sampling_past_the_table_bound_computes_no_matrix(monkeypatch):
+    # the closed form comes before the oracle: PSL_80(3) spent seconds on
+    # its order bound and its draws before the table bound refused it
+    import groupspec.oracle.spectrum as oracle_spectrum
+
+    def computed_too_early(*args, **kwargs):
+        raise AssertionError("made matrices before the closed form")
+    for name in ("brute_spectrum", "order_bound_fact", "sample_matrices"):
+        monkeypatch.setattr(oracle_spectrum, name, computed_too_early)
+    for order_kind in (None, "tau_coset", "tau_delta_coset"):
+        with pytest.raises(TableBoundError):
+            verify_group(S("PSL", 80, 3), mode="sample", samples=1, order_kind=order_kind)
+
+
+@pytest.mark.parametrize("n, q", [(8, 1021), (12, 2039), (60, 3)])
+def test_order_bound_fits_its_budget(monkeypatch, n, q):
+    # the large inputs to the oracle that CI runs, factored from an empty memo
+    monkeypatch.setattr(arith, "_factor_cache", {})
+    assert order_bound_fact.__wrapped__(n, q, q).value == order_bound(n, q, q)
+
+
+def test_order_bound_past_its_budget_is_refused(monkeypatch):
+    # e and q name the value whose factoring passed the budget
+    monkeypatch.setattr(arith, "_factor_cache", {})
+    monkeypatch.setattr(oracle_orders, "FACTOR_STEPS", 1000)
+    with pytest.raises(FactorBudgetError, match=r"n = 12 needs Phi_9\(2039\) factored, "
+                                                r"past its budget of 1000 rho steps$"):
+        order_bound_fact.__wrapped__(12, 2039, 2039)
 
 
 def test_make_field_matches_kind():
@@ -1278,7 +1348,7 @@ def test_thread_count_does_not_change_results(fam, n, q, samples, threads):
 
 
 def test_tau_delta_probe_reports_new_values():
-    rep = tau_delta_probe(4, 3, samples=30000, seed=0)
+    rep = verify_group(S("PSL", 4, 3), order_kind="tau_delta_coset", samples=30000, seed=0)
     omega = spectrum_linear(S("PSL", 4, 3))
     for v in rep["new_values"]:
         assert not omega.contains(v)
