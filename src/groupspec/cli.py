@@ -331,6 +331,8 @@ def cmd_gamma_check(args, cfg):
         raise UsageError("matrix must be square (semicolon-separated rows)")
     if any(not 0 <= e < q for r in rows for e in r):
         raise UsageError(f"matrix entries must lie in [0, {q})")
+    from .oracle import require_table_field
+    require_table_field(q)
     import numpy as np
     from .oracle.field import FiniteField
     from .oracle.wall import det_square_class, wall_check

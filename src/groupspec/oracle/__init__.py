@@ -48,6 +48,13 @@ def group_order(kind: str, n: int, q: int) -> int:
     return q ** (r * r) * math.prod(q ** (2 * i) - 1 for i in range(1, r + 1))
 
 
+def require_table_field(size: int) -> None:
+    """Refuse a field of more than TABLE_LIMIT_Q elements, which has no
+    arithmetic tables."""
+    if size > TABLE_LIMIT_Q:
+        raise UsageError(f"field of size {size} is too large for the matrix oracle")
+
+
 def check_enum_bound(kind: str, n: int, q: int, enum_bound: int) -> int:
     """|kind_n(q)|, once its enumeration (q^(n^2) candidates for GL and SL)
     is known to stay within enum_bound."""
@@ -80,8 +87,8 @@ def brute_request(kind: str, n: int, q: int, order_kind: str, mode: str,
                          f"gcd(n, q {'+' if kind == 'GU' else '-'} 1) = 1")
     if mode == "full":
         check_enum_bound(kind, n, q, enum_bound)
-    elif (size := q * q if kind in ("GU", "SU") else q) > TABLE_LIMIT_Q:
-        raise UsageError(f"field of size {size} is too large for the matrix oracle")
+    else:
+        require_table_field(q * q if kind in ("GU", "SU") else q)
     return d
 
 
@@ -89,14 +96,15 @@ def verify_request(spec, order_kind: str | None, mode: str | None,
                    enum_bound: int) -> tuple:
     """(group kind, order kind, mode) of verify_group for spec: by default the
     family's order kind, and sampling for the tau delta wing only. Refused
-    in this order: an unknown order kind, a tau wing outside PSL and PGL over
-    eps = +1, the tau delta wing in full mode, a family without an oracle,
-    then what brute_request refuses."""
+    in this order: an unknown order kind, a tau wing outside PSL(n,q) (the
+    wings are cosets of PSL_n(q), so PGL and PSU have none to measure), the
+    tau delta wing in full mode, a family without an oracle, then what
+    brute_request refuses."""
     if order_kind not in (None, *ORDER_KINDS):
         raise UsageError(f"unknown order kind {order_kind!r}")
     tau = order_kind in ("tau_coset", "tau_delta_coset")
-    if tau and (spec.family not in ("PSL", "PGL") or spec.eps != 1):
-        raise UsageError("tau coset verification covers PSL/PGL over eps = +1")
+    if tau and (spec.family != "PSL" or spec.eps != 1):
+        raise UsageError("tau coset verification covers PSL(n,q) only")
     if order_kind == "tau_delta_coset" and mode == "full":
         raise UsageError("the tau delta probe is sampling-only")
     target = VERIFY_MAP.get((spec.family, spec.eps))

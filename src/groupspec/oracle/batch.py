@@ -8,7 +8,7 @@ the product is the sum over j of the broadcast products
 A[:, j, None, :] B[None, j, :, :], n multiply-adds of contiguous lane
 vectors, where np.matmul on (L, n, n) runs a generic loop per matrix. The
 result is returned as the (L, n, n) view of the (n, n, L) product, so in a
-chain of products (the squarings of mat_pow) only the first operand is
+chain of products (the squarings of mat_pows) only the first operand is
 copied. Operands over F_{p^m} are copied too: handing their strided lanes
 straight to the table gathers saved about 4% on the Kronecker path but cost
 1.8x through MUL/ADD (F_81). Every other shape takes np.matmul. The two differ only in that sum:
@@ -19,12 +19,28 @@ at 64 lanes lanes last lost, 0.022 ms against 0.015 ms, its n Python-level
 broadcasts outweighing one np.matmul call; for n = 2 to 6 the two meet
 between 128 and 256 lanes, and over whole oracle passes 256 beat 128 and 512.
 
-Prime fields take the integer path. A product is an int16 sum reduced
-through the field's table MOD[x] = x % p whenever n (p-1)^2 < 2^15, so that
-no sum overflows; elimination keeps its matrices in int16 and reduces
-through MOD whenever p^2 <= 2^15. Wider cases multiply in int64 and eliminate
-in int32, reducing with % p. The width follows from n and p alone, and all of
-it is exact integer arithmetic.
+Prime fields multiply integers. Entries are encodings in [0, p), so every
+product of two entries and every partial sum of an inner product is an integer
+of at most n (p-1)^2, in any order of summation. Below LANE_MIN matrices, from
+n = FLOAT_MIN_N = 8 on and while n (p-1)^2 < FLOAT_EXACT = 2^53, np.matmul
+runs in float64, the one type for which numpy calls BLAS. A float64 holds every
+integer below 2^53 exactly, and BLAS forms an inner product from these
+products and sums alone, so each of its roundings, fused multiply-adds
+included, is exact: the result is the integer product whatever the blocking,
+summation order or thread count. Every table field passes the bound: at
+p = 2039 it holds for n < 2^31. The float64 product is then reduced like an
+integer one. Otherwise a product is an int16 sum reduced through the field's
+table MOD[x] = x % p whenever n (p-1)^2 < 2^15, so that no sum overflows, and
+an int64 sum reduced with % p beyond that. Elimination keeps its matrices in
+int16 and reduces through MOD whenever p^2 <= 2^15, and works in int32 with
+% p otherwise. The widths follow from n and p alone. The float64 crossover
+was measured on a 2-core VM with one BLAS thread, median of 41 interleaved
+runs, reduction included, over F_3, F_23 and F_2039: at n = 8 float64 was
+level with the integer product at 4 matrices and 1.6-3x faster from 16 to
+255, while a single matrix stayed 10-20% slower (about 1 us a product) up to
+n = 12. Over the order trees of 64 to 200 sampled GL_8(3) and GL_8(23)
+matrices it was 1.5-2.3x faster. Below n = 8 float64 won only from 16 to 64
+matrices on.
 
 A product over a proper extension F_{p^m} is one integer product by
 Kronecker substitution (Harvey, "Faster polynomial multiplication via
@@ -121,6 +137,10 @@ def _kronecker(p: int, m: int, modulus: tuple, n: int):
 
 # from this many matrices on, mat_mul multiplies lanes last (see above)
 LANE_MIN = 256
+# from this inner dimension on, prime-field products below LANE_MIN matrices
+# go through float64 BLAS, exact while n (p-1)^2 < FLOAT_EXACT (see above)
+FLOAT_MIN_N = 8
+FLOAT_EXACT = 1 << 53
 
 
 def mat_mul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -158,10 +178,17 @@ def _product(F: FiniteField, A: np.ndarray, B: np.ndarray, lanes_last: bool):
     dot = functools.partial(_dot, lanes_last=True) if lanes_last else np.matmul
     if F.m == 1:
         p = F.p
-        if n * (p - 1) ** 2 < NARROW:
+        peak = n * (p - 1) ** 2                # the largest entry of the sum
+        if not lanes_last and n >= FLOAT_MIN_N and peak < FLOAT_EXACT:
+            Af = A.astype(np.float64)
+            P = np.matmul(Af, Af if B is A else B.astype(np.float64))
+        elif peak < NARROW:
             return F.MOD.take(dot(A, B))
-        prod = dot(A.astype(np.int64), B.astype(np.int64))
-        return (prod % p).astype(np.int16)
+        else:
+            P = dot(A.astype(np.int64), B.astype(np.int64))
+        if peak < NARROW:
+            return F.MOD.take(P.astype(np.int16))
+        return (P.astype(np.int64) % p).astype(np.int16)
     kron = _kronecker(F.p, F.m, F.modulus, n)
     if kron is not None:
         K, split, LO, HI = kron
@@ -174,24 +201,37 @@ def _product(F: FiniteField, A: np.ndarray, B: np.ndarray, lanes_last: bool):
     return _dot(A, B, lanes_last, lambda a, b: F.MUL[a, b], lambda a, b: F.ADD[a, b])
 
 
-def mat_pow(F: FiniteField, A: np.ndarray, e: int) -> np.ndarray:
-    """A^e by square-and-multiply; always a fresh array, never A itself.
-    A zeroth power is a (B, n, n) or single identity."""
-    if e < 0:
+def mat_pows(F: FiniteField, A: np.ndarray, exps) -> list:
+    """[A^e for e in exps] from one square-and-multiply chain: at bit i the
+    base A^(2^i) is multiplied into the power of every exponent with bit i
+    set, then squared once, so the exponents share their squarings. Each
+    power is a fresh array, never A nor another power; a zeroth power is a
+    (B, n, n) or single identity."""
+    if any(e < 0 for e in exps):
         raise UsageError("negative matrix power")
-    if e == 0:
-        if A.ndim == 3:
-            return identity_batch(F, A.shape[-1], A.shape[0])
-        return np.eye(A.shape[-1], dtype=np.int16)
-    out = None
+    wanted = sorted(set(exps))
+    powers = {}
     base = A
-    while True:
-        if e & 1:
-            out = base if out is None else mat_mul(F, out, base)
-        e >>= 1
-        if not e:
-            return out.copy() if out is A else out
-        base = mat_mul(F, base, base)
+    for i in range(max(wanted).bit_length()):
+        if i:
+            base = mat_mul(F, base, base)
+        for e in wanted:
+            if e >> i & 1:
+                powers[e] = mat_mul(F, powers[e], base) if e in powers else base
+    out = []
+    for e in exps:
+        if e == 0:
+            out.append(identity_batch(F, A.shape[-1], A.shape[0]) if A.ndim == 3
+                       else np.eye(A.shape[-1], dtype=np.int16))
+            continue
+        X = powers[e]
+        out.append(X.copy() if X is A or any(X is Y for Y in out) else X)
+    return out
+
+
+def mat_pow(F: FiniteField, A: np.ndarray, e: int) -> np.ndarray:
+    """A^e; always a fresh array, never A itself."""
+    return mat_pows(F, A, (e,))[0]
 
 
 def transpose(A: np.ndarray) -> np.ndarray:

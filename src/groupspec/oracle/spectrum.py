@@ -162,8 +162,7 @@ def _verify(spec: GroupSpec, order_kind, mode, **run) -> dict:
     coset = order_kind == "tau_coset"
     delta = order_kind == "tau_delta_coset"
     # module globals, so that tests can replace them
-    formula = (graph_coset(spec.n, spec.q) if coset else
-               spectrum(GroupSpec("PSL", spec.n, spec.p, spec.m) if delta else spec))
+    formula = graph_coset(spec.n, spec.q) if coset else spectrum(spec)
     # for eps = -1, q is the hermitian base
     report = brute_spectrum(kind, spec.dimension, spec.q, mode=mode,
                             order_kind=order_kind, **run)

@@ -249,9 +249,12 @@ def test_usage_exit_codes():
 
 @pytest.mark.parametrize("group, kind, message", [
     ("PSL(3,3)", "tau_delta_coset", "is its tau coset"),     # d = gcd(3, 2) = 1
-    ("Sp(4,3)", "tau_delta_coset", "covers PSL/PGL over eps = +1"),
-    ("PSU(4,3)", "tau_delta_coset", "covers PSL/PGL over eps = +1"),
-    ("PSU(4,3)", "tau_coset", "covers PSL/PGL over eps = +1"),
+    ("Sp(4,3)", "tau_delta_coset", "covers PSL(n,q)"),
+    ("PSU(4,3)", "tau_delta_coset", "covers PSL(n,q)"),
+    ("PSU(4,3)", "tau_coset", "covers PSL(n,q)"),
+    # the tau wings are cosets of PSL: PGL's report measured PSL's wing
+    ("PGL(3,3)", "tau_coset", "covers PSL(n,q)"),
+    ("PGL(4,3)", "tau_delta_coset", "covers PSL(n,q)"),
 ])
 def test_tau_kinds_outside_their_groups_exit_2(group, kind, message):
     # a timeout turns a hang into a failure instead of stalling the suite
@@ -421,12 +424,17 @@ def test_verify_refusals_skip_numpy():
 
 
 def test_field_and_gamma_check_refusals_skip_numpy():
-    # a field without tables and a malformed matrix are known from the text
+    # a field without tables and a malformed matrix are known from the text;
+    # gamma-check refuses q past TABLE_LIMIT_Q after the parse, where from
+    # 2^15 on its entries once overflowed int16 with a traceback
     script = (
         "import contextlib, io, sys\n"
         "from groupspec.cli import main\n"
         "calls = [['verify', 'PSU(3,47)', '--mode', 'sample'],\n"
-        "         ['gamma-check', '--q', '3', '1,0;0']]\n"
+        "         ['gamma-check', '--q', '3', '1,0;0'],\n"
+        "         ['gamma-check', '--q', '4099', '1,0;0,4098'],\n"
+        "         ['gamma-check', '--q', '32771', '1,0;0,32770'],\n"
+        "         ['gamma-check', '--q', '32771', '1,0;0']]\n"
         "out, err = io.StringIO(), io.StringIO()\n"
         "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         "    codes = [main(argv) for argv in calls]\n"
@@ -437,8 +445,11 @@ def test_field_and_gamma_check_refusals_skip_numpy():
                           env=clean_env())
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().splitlines() == [
-        "[2, 2] False ''",
+        "[2, 2, 2, 2, 2] False ''",
         "error: field of size 2209 is too large for the matrix oracle",
+        "error: matrix must be square (semicolon-separated rows)",
+        "error: field of size 4099 is too large for the matrix oracle",
+        "error: field of size 32771 is too large for the matrix oracle",
         "error: matrix must be square (semicolon-separated rows)"]
 
 

@@ -17,6 +17,7 @@ from groupspec.arith import (BoundError, FactorBudgetError, Factorization, Usage
 from groupspec.coset import graph_coset
 import groupspec.oracle.batch as oracle_batch
 from groupspec.oracle.batch import (
+    FLOAT_MIN_N,
     LANE_MIN,
     _kronecker,
     decode_batch,
@@ -28,6 +29,7 @@ from groupspec.oracle.batch import (
     is_scalar_batch,
     mat_mul,
     mat_pow,
+    mat_pows,
     nullspace_batch,
     rank_batch,
     transpose,
@@ -394,6 +396,80 @@ def test_mat_pow_matches_iterated_mul():
         cur = mat_mul(F, cur, A)
     assert (mat_pow(F, A[0], 0) == np.eye(3, dtype=np.int16)).all()
     assert not np.shares_memory(mat_pow(F, A, 1), A)    # callers write into it
+
+
+@pytest.mark.parametrize("q", [3, 9])
+@pytest.mark.parametrize("count", [LANE_MIN - 1, LANE_MIN + 9])
+def test_mat_pows_equals_separate_powers(q, count):
+    # one squaring chain for several exponents, on both sides of LANE_MIN;
+    # no power shares memory with A or with another power, since callers
+    # write into them
+    F = make_field("GL", q)
+    A = sample_matrices("GL", 3, q, count, np.random.default_rng(count))
+    for exps in [(1, 1), (1, 6), (5, 1), (4, 4, 4), (8, 2), (16, 1024), (3, 12),
+                 (0, 7), (2 ** 63 + 5, 2 ** 62), (2 ** 70, 3)]:
+        got = mat_pows(F, A, exps)
+        assert len(got) == len(exps)
+        for e, X in zip(exps, got):
+            assert X.shape == A.shape and (X == mat_pow(F, A, e)).all(), exps
+            assert not np.shares_memory(X, A)
+        for X, Y in itertools.combinations(got, 2):
+            assert not np.shares_memory(X, Y)
+    single = mat_pows(F, A[0], (1, 2))
+    assert (single[0] == A[0]).all() and (single[1] == mat_mul(F, A[0], A[0])).all()
+    with pytest.raises(UsageError, match="negative"):
+        mat_pows(F, A, (2, -1))
+
+
+@pytest.mark.parametrize("p", [3, 2039])
+@pytest.mark.parametrize("n", [FLOAT_MIN_N - 1, FLOAT_MIN_N])
+def test_float_products_are_exact_at_the_largest_entries(monkeypatch, p, n):
+    # every entry p - 1 makes every inner product its largest, n (p-1)^2;
+    # from FLOAT_MIN_N on the product is a float64 np.matmul, below it an
+    # integer one, and both equal the exact int64 product
+    F = FiniteField(p, 1)
+    matmul, seen = np.matmul, []
+
+    def spy(A, B):
+        seen.append(A.dtype)
+        return matmul(A, B)
+    monkeypatch.setattr(np, "matmul", spy)
+    for shape in [(n, n), (1, n, n), (5, n, n)]:
+        A = np.full(shape, p - 1, np.int16)
+        want = (A.astype(np.int64) @ A.astype(np.int64)) % p
+        for B in (A, A.copy()):             # a square casts its operand once
+            seen.clear()
+            got = mat_mul(F, A, B)
+            assert got.dtype == np.int16 and (got == want).all()
+            assert (seen == [np.float64]) == (n >= FLOAT_MIN_N), seen
+
+
+def test_float_products_keep_orders(monkeypatch):
+    # orders from the float64 products equal those of the integer products
+    F = make_field("GL", 5)
+    bound = order_bound_fact(FLOAT_MIN_N, 5, 5)
+    mats = sample_matrices("GL", FLOAT_MIN_N, 5, 24, np.random.default_rng(8))
+    got = [orders_batch(F, mats, bound, projective=pr) for pr in (False, True)]
+    monkeypatch.setattr(oracle_batch, "FLOAT_MIN_N", 10 ** 9)
+    for pr, g in zip((False, True), got):
+        assert (orders_batch(F, mats, bound, projective=pr) == g).all()
+
+
+def test_order_tree_shares_one_squaring_chain_per_node(monkeypatch):
+    # each node raises Y to both children's exponents in one chain: 38.7
+    # products per matrix on this GL_5(3) sample, against 53.4 with a chain
+    # for each child
+    F = make_field("GL", 3)
+    mats = sample_matrices("GL", 5, 3, 2000, np.random.default_rng(1))
+    product, rows = oracle_batch.mat_mul, [0]
+
+    def counted(F, A, B):
+        out = product(F, A, B)
+        rows[0] += out.size // 25
+        return out
+    monkeypatch.setattr(oracle_batch, "mat_mul", counted)
+    orders_batch(F, mats, order_bound_fact(5, 3, 3), projective=True)
+    assert rows[0] / len(mats) < 40
 
 
 # 181^2 is just inside 2^15, so elimination over F_181 stays in int16; 191^2
@@ -808,7 +884,8 @@ def test_full_verify_checks_the_enumeration_bound_first(monkeypatch):
     # each input fails its own check and the later ones too, so the first
     # check in verify_request's order names the refusal
     ("OmegaOdd", 3, 3, 1, "wrong", "fast", UsageError, "unknown order kind 'wrong'"),
-    ("PSL", 4, 3, -1, "tau_delta_coset", "full", UsageError, r"covers PSL/PGL over eps = \+1"),
+    ("PSL", 4, 3, -1, "tau_delta_coset", "full", UsageError, r"covers PSL\(n,q\) only"),
+    ("PGL", 4, 3, 1, "tau_delta_coset", "full", UsageError, r"covers PSL\(n,q\) only"),
     ("PSL", 3, 3, 1, "tau_delta_coset", "full", UsageError, "the tau delta probe is sampling-only"),
     ("OmegaOdd", 3, 3, 1, None, "fast", UsageError, "no matrix oracle for family OmegaOdd"),
     ("PSL", 5, 4099, 1, None, "fast", UsageError, "mode must be 'full' or 'sample'"),
@@ -827,7 +904,7 @@ def test_verify_request_defaults():
     assert verify_request(S("Sp", 2, 3), None, None, 10 ** 6) == ("Sp", "plain", "full")
     assert verify_request(S("PSL", 4, 3), "tau_delta_coset", None, 1) \
         == ("GL", "tau_delta_coset", "sample")
-    assert verify_request(S("PGL", 2, 3), "tau_coset", None, 10 ** 6) \
+    assert verify_request(S("PSL", 2, 3), "tau_coset", None, 10 ** 6) \
         == ("GL", "tau_coset", "full")
     # a tau wing outside GL or GU is refused by brute_request, on which the
     # tau wings of PSL and PGL never land
