@@ -8,9 +8,11 @@ so matrix arithmetic can be vectorized, and do their scalar arithmetic
 through O(q) Python lists taken from them: mul, inv and pow through exp/log,
 and add in a proper extension through Zech logarithms, 1 + g^k = g^Z(k)
 (Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory, 1990).
-Only large fields, and fields built with tables=False, multiply as
-polynomials over the prime field; so does the table set-up itself, which
-needs mul and pow before the tables exist.
+The GU row sampler in oracle.groups reads the same lists (_exp, _log, _zech,
+_neg, _inv) directly, without a method call per element. Only large fields,
+and fields built with tables=False, multiply as polynomials over the prime
+field; so does the table set-up itself, which needs mul and pow before the
+tables exist.
 
 This module also holds the package's one polynomial kit: poly_trim, poly_add,
 poly_neg, poly_mul, poly_divmod, poly_monic, poly_eval, poly_gcd and
@@ -22,7 +24,9 @@ over a big extension for minimal polynomials.
 The default modulus is the first monic irreducible found when the non-leading
 coefficients (c_0, ..., c_{m-1}) are enumerated lexicographically, so F_9 is
 built over x^2 + 1; the search runs once per (p, m). An explicit modulus can
-be passed for cross checks.
+be passed for cross checks. The primitive element is likewise found once per
+(p, m, modulus) and process, by the first field that asks, with that field's
+own pow; only the integer is cached, never a field or its tables.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from . import TABLE_LIMIT_Q
 NARROW = 1 << 15                 # int16 sums and products below this are exact
 KRONECKER_LIMIT = 1 << 17        # largest B^m of an extension-field mat_mul by
                                  # Kronecker substitution (oracle.batch)
+_primitives: dict = {}           # (p, m, modulus) -> primitive element
 
 
 # --- polynomials over a field F: little-endian tuples of F's encodings ------
@@ -183,7 +188,6 @@ class FiniteField:
                 raise UsageError("modulus is reducible")
         self.modulus = tuple(modulus)
         self.tables = (self.q <= TABLE_LIMIT_Q) if tables is None else tables
-        self._primitive = None
         self._log = None                 # set once the tables exist
         if self.tables:
             self._build_tables()
@@ -277,7 +281,9 @@ class FiniteField:
     @property
     def primitive(self) -> int:
         """Smallest encoding generating the multiplicative group."""
-        if self._primitive is None:
+        key = (self.p, self.m, self.modulus)
+        g = _primitives.get(key)
+        if g is None:
             fact = factorize(self.q - 1)
             g = 1                        # primitive only in F_2
             while g < self.q:
@@ -286,8 +292,8 @@ class FiniteField:
                 g += 1
             else:
                 raise AssertionError("no primitive element")  # unreachable
-            self._primitive = g
-        return self._primitive
+            _primitives[key] = g
+        return g
 
     # --- numpy lookup tables ---
 

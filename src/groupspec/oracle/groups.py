@@ -22,7 +22,12 @@ which leave the stream exactly as one draw per candidate would. Sp redraws v
 only while all its coefficients are zero, so its whole stream is parsed first
 and every step then runs once for all matrices, with a batched null space.
 GU redraws on the norm of v, so where one matrix's draws end depends on its
-arithmetic: it stays one matrix at a time, in scalar field arithmetic.
+arithmetic: it stays one matrix at a time. Its field arithmetic reads lists
+instead of calling the field per element: products and sums through the
+field's exp, log and Zech-logarithm lists, and the conjugate x^q0 and the
+norm x^(q0 + 1) through two lists of q entries built once per
+sample_matrices call (q0 = sqrt q, so over F_81 conjugation is x^9, not the
+Frobenius x^3). Like every other sampler it needs the field's tables.
 
 Small groups are instead sampled by drawing indices into the cached
 enumeration; the report strings name which path was taken.
@@ -37,8 +42,8 @@ import numpy as np
 
 from ..arith import DEFAULT_ENUM_BOUND, UsageError, odd_prime_power
 from . import KINDS, _check_kind, check_enum_bound, group_order
-from .batch import (decode_batch, det_inv_batch, encode_batch, identity_batch,
-                    mat_mul, nullspace_batch)
+from .batch import (_require_tables, decode_batch, det_inv_batch, encode_batch,
+                    identity_batch, mat_mul, nullspace_batch)
 from .field import FiniteField
 
 ENUM_DRAW_LIMIT = 120_000
@@ -154,6 +159,7 @@ def sample_matrices(kind: str, n: int, q: int, count: int, rng,
     F = field if field is not None else make_field(kind, q)
     if count == 0:
         return np.zeros((0, n, n), np.int16)
+    _require_tables(F)
     if kind in ("GL", "SL"):
         return _sample_linear(F, n, count, rng, kind)
     if allow_enum_draw and group_order(kind, n, q) <= ENUM_DRAW_LIMIT:
@@ -162,9 +168,11 @@ def sample_matrices(kind: str, n: int, q: int, count: int, rng,
     if kind == "Sp":
         return _sample_sp(F, n, count, rng)
     q0 = math.isqrt(F.q)
+    conj = [F.pow(x, q0) for x in range(F.q)]
+    norm = [F.pow(x, q0 + 1) for x in range(F.q)]
     coeffs = _Coefficients(rng, F.q)
     per_matrix = n * (n + 1) // 2
-    out = np.stack([_sample_gu_one(F, n, q0, coeffs, (count - 1 - m) * per_matrix)
+    out = np.stack([_sample_gu_one(F, n, conj, norm, coeffs, (count - 1 - m) * per_matrix)
                     for m in range(count)])
     if kind == "SU":
         det = det_inv_batch(F, out, need_inv=False)[0]
@@ -220,9 +228,29 @@ class _Coefficients:
         return out
 
 
+def _combine(F: FiniteField, cs: list, vecs: list, n: int) -> list:
+    """sum_k cs[k] vecs[k] over F, read from its exp, log and Zech lists:
+    x + y = g^lx (1 + g^(ly - lx)) = g^(lx + Z(ly - lx)), a negative index
+    wrapping mod q - 1."""
+    exp, log, zech = F._exp, F._log, F._zech
+    out = [0] * n
+    for c, vec in zip(cs, vecs):
+        if c:
+            lc = log[c]
+            for j, y in enumerate(vec):
+                if y:
+                    t = exp[lc + log[y]]
+                    x = out[j]
+                    if x:
+                        z = zech[log[t] - log[x]]
+                        t = exp[log[x] + z] if z >= 0 else 0
+                    out[j] = t
+    return out
+
+
 def _nullspace(F: FiniteField, rows: list, n: int) -> list:
     """Basis of the solution space of <row, v> = 0 (plain dot, no twisting)."""
-    mul, sub = F.mul, F.sub
+    exp, log, neg, inv = F._exp, F._log, F._neg, F._inv
     M = [list(r) for r in rows]
     pivots = {}
     r = 0
@@ -235,12 +263,11 @@ def _nullspace(F: FiniteField, rows: list, n: int) -> list:
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
-        ipv = F.inv(M[r][c])
-        M[r] = [mul(ipv, x) if x else 0 for x in M[r]]
+        lp = log[inv[M[r][c]]]
+        M[r] = [exp[lp + log[x]] if x else 0 for x in M[r]]
         for i in range(len(M)):
             if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(M[i], M[r])]
+                M[i] = _combine(F, (1, neg[M[i][c]]), (M[i], M[r]), n)
         pivots[c] = r
         r += 1
     basis = []
@@ -249,31 +276,31 @@ def _nullspace(F: FiniteField, rows: list, n: int) -> list:
         v = [0] * n
         v[fc] = 1
         for c, pr in pivots.items():
-            v[c] = F.neg(M[pr][fc])
+            v[c] = neg[M[pr][fc]]
         basis.append(v)
     return basis
 
 
-def _sample_gu_one(F: FiniteField, n: int, q0: int, coeffs: _Coefficients,
-                   later: int) -> np.ndarray:
+def _sample_gu_one(F: FiniteField, n: int, conj: list, norm: list,
+                   coeffs: _Coefficients, later: int) -> np.ndarray:
     """One GU matrix; the matrices after it read at least `later` coefficients."""
-    add, mul, pow_ = F.add, F.mul, F.pow
+    exp, log, zech = F._exp, F._log, F._zech
     rows: list = []
     for i in range(n):
-        cond = [[pow_(x, q0) for x in r] for r in rows]      # conjugate rows
-        basis = _nullspace(F, cond, n)
+        basis = _nullspace(F, [[conj[x] for x in r] for r in rows], n)
         # each later row reads at least one candidate, of its null dimension
         ahead = later + (n - 1 - i) * (n - i) // 2
         while True:
-            v = [0] * n
-            for c, vec in zip(coeffs.take(len(basis), ahead), basis):
-                if c:
-                    v = [add(x, mul(c, y)) if y else x for x, y in zip(v, vec)]
-            norm = 0
+            v = _combine(F, coeffs.take(len(basis), ahead), basis, n)
+            s = 0                                    # <v, v>, summed as in _combine
             for x in v:
                 if x:
-                    norm = add(norm, pow_(x, q0 + 1))       # x * conj(x)
-            if norm == 1:
+                    t = norm[x]
+                    if s:
+                        z = zech[log[t] - log[s]]
+                        t = exp[log[s] + z] if z >= 0 else 0
+                    s = t
+            if s == 1:
                 rows.append(v)
                 break
     return np.array(rows, np.int16)

@@ -25,7 +25,6 @@ are reproducible and independent of the thread count.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,8 +42,10 @@ BLOCK = 65536
 def _attained(F, rows, bound, order_kind: str) -> set:
     """The values rows attain: |g|, |gZ|, or for a tau wing, where rows are
     the images Y = g g^-T, the coset orders 2 |Y Z|."""
-    vals = np.unique(orders_batch(F, rows, bound, projective=order_kind != "plain"))
-    return {(2 if order_kind.startswith("tau") else 1) * int(v) for v in vals}
+    # not np.unique, which imports numpy.ma on numpy >= 2.3; a set also takes
+    # the object orders of a bound past int64
+    vals = set(orders_batch(F, rows, bound, projective=order_kind != "plain").tolist())
+    return {(2 if order_kind.startswith("tau") else 1) * v for v in vals}
 
 
 def _distinct_tau_images(F, mats, n):
@@ -52,7 +53,11 @@ def _distinct_tau_images(F, mats, n):
     deduplicated across the blocks by their encode_batch keys."""
     keys = [encode_batch(tau_images(F, mats[lo:lo + BLOCK]), F.q)
             for lo in range(0, len(mats), BLOCK)]
-    return decode_batch(np.unique(np.concatenate([np.zeros(0, np.int64), *keys])), F.q, n)
+    keys = np.sort(np.concatenate([np.zeros(0, np.int64), *keys]))
+    # sorted distinct keys, as np.unique gives them without loading numpy.ma
+    first = np.ones(len(keys), bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return decode_batch(keys[first], F.q, n)
 
 
 def _det_class_mask(F, mats, kind: str, q: int, d: int, order_kind: str):
@@ -115,7 +120,9 @@ def brute_spectrum(kind: str, n: int, q: int, *,
                 got += len(mats)
             return out
 
-        if threads > 1:
+        if threads > 1 and blocks > 1:
+            # loaded here: concurrent.futures brings logging and queue with it
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 attained = set().union(*pool.map(run_block, range(blocks)))
         else:

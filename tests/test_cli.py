@@ -91,6 +91,17 @@ def test_verify_full_golden():
         b'"target":"PSL_3(3)","threads":1,"verdict":"PASS","violations":[]}\n')
 
 
+def test_verify_psu_3_9_sample_golden():
+    # the GU row sampler over F_81, where conjugation is x^9
+    code, out, err = run_cli("verify", "PSU(3,9)", "--mode", "sample", "--samples", "512")
+    assert code == 0, err
+    assert out == (
+        b'{"attained":[3,4,5,6,8,10,15,16,20,30,40,73,80],"formula":[80,73,30],'
+        b'"group":"SU_3(9)","kind":"SU","mode":"sample","n":3,"order_kind":"projective",'
+        b'"q":9,"sampler":"row-solve+row-scale","samples":512,"seed":0,"spec":"PSU(3,9)",'
+        b'"target":"PSU_3(9)","threads":1,"verdict":"PASS","violations":[]}\n')
+
+
 def test_output_is_deterministic():
     first = run_cli("verify", "PSL(2,5)", "--mode", "sample", "--samples", "2000")
     second = run_cli("verify", "PSL(2,5)", "--mode", "sample", "--samples", "2000")
@@ -465,6 +476,29 @@ def test_cold_imports_load_nothing_unused():
                           env=clean_env({"PYTHONPATH": src}))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == b"[]\n"
+
+
+def test_verify_loads_no_masked_arrays_or_thread_pools():
+    # np.unique loads numpy.ma on numpy >= 2.3, and concurrent.futures brings
+    # logging and queue; numpy 1.24 imports numpy.ma itself, so the check is
+    # against what was loaded after numpy
+    script = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "from groupspec.cli import main\n"
+        "before = set(sys.modules)\n"
+        "calls = [['verify', 'PSU(3,3)', '--mode', 'full'],\n"
+        "         ['verify', 'PSL(3,3)', '--order-kind', 'tau_coset', '--mode', 'full'],\n"
+        "         ['verify', 'PSU(3,5)', '--mode', 'sample', '--samples', '64']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in calls]\n"
+        "added = set(sys.modules) - before\n"
+        "print(codes, sorted(m for m in ('numpy.ma', 'concurrent.futures') if m in added))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=clean_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"[0, 0, 0] []\n"
 
 
 def test_spectrum_skips_coset_and_outer():

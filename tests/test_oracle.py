@@ -175,6 +175,49 @@ def test_field_primitive_element():
     assert FiniteField(2).primitive == 1
 
 
+def _smallest_primitive(F):
+    # by definition: the first encoding with no proper divisor d of q - 1
+    # where a^d = 1; multiplying out every power where q is small
+    if F.q <= 81:
+        return next(a for a in range(1, F.q) if _mult_order(F, a) == F.q - 1)
+    proper = [d for d in range(1, F.q - 1) if (F.q - 1) % d == 0]
+    return next(a for a in range(1, F.q) if all(F.pow(a, d) != 1 for d in proper))
+
+
+def test_primitive_element_is_found_once_per_modulus(monkeypatch):
+    import groupspec.oracle.field as field
+    calls = []
+    real = field.factorize
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+    monkeypatch.setattr(field, "_primitives", {})
+    monkeypatch.setattr(field, "factorize", counted)
+    # F_{3^7} is past TABLE_LIMIT_Q; F_9 over x^2 + x + 2 is not the default
+    fields = [FiniteField(3, 2), FiniteField(5, 2), FiniteField(3, 3), FiniteField(3, 4),
+              FiniteField(5, 4, tables=False), FiniteField(3, 7),
+              FiniteField(3, 2, modulus=(2, 1, 1))]
+    assert not fields[4].tables and not fields[5].tables
+    assert [F.primitive for F in fields] == [_smallest_primitive(F) for F in fields]
+    assert [F.primitive for F in fields] == [4, 7, 3, 10, 30, 3, 3]
+    keys = {(F.p, F.m, F.modulus) for F in fields}
+    assert set(field._primitives) == keys and len(keys) == len(fields)
+    # one search per (p, m, modulus): later fields, with tables or not, reuse it
+    assert len(calls) == len(fields)
+    for F in fields:
+        for tables in (True, False):
+            if F.q <= 625:
+                G = FiniteField(F.p, F.m, modulus=F.modulus, tables=tables)
+                assert G.primitive == F.primitive
+    assert len(calls) == len(fields)
+    # and a search from scratch over either arithmetic finds the same element
+    for tables in (False, True):
+        monkeypatch.setattr(field, "_primitives", {})
+        assert FiniteField(5, 4, tables=tables).primitive == 30
+        assert FiniteField(3, 2, modulus=(2, 1, 1), tables=tables).primitive == 3
+
+
 def test_field_alternate_modulus_is_isomorphic():
     # different irreducible moduli give the same multiplicative order multiset
     default = FiniteField(3, 2)
@@ -985,6 +1028,11 @@ SAMPLER_DIGESTS = {
     ("Sp", 4, 5): "cb978b7ce301448e99ff7e7185ab73be8490218bc920346d6adb535015e7924d",
     ("Sp", 6, 3): "6c1bf9545fa3815d5461d98cdde8e635d42f0936f3921668679adac8e9cf5071",
     ("Sp", 4, 9): "e001e057e794c8a47f2f0420494e0c681c736c89ffdeae529d4761edc7e3970b",
+    # recorded while the GU row sampler still called F.add, F.mul and F.pow
+    # per element; (GU, 3, 9) is over F_81, where conjugation is x^9, not x^3
+    ("SU", 3, 5): "a3c1493532b2cbd0f9f334e577f205bd2bdd76b0d40396096ddf58a58980f1bc",
+    ("GU", 3, 7): "ffedda3d75aef028bec89ea55574ac2caaf4e4a6d540793566a7d927a95607df",
+    ("GU", 3, 9): "02f55e0998b93a9eafcf010cecaee5b0fec5d1feaa77bc29653ed2e0c6a4c377",
 }
 
 
@@ -994,6 +1042,12 @@ def test_sampler_draws_are_pinned(kind, n, q):
     out = sample_matrices(kind, n, q, 8, np.random.default_rng(20160905))
     assert out.shape == (8, n, n) and out.dtype == np.int16
     assert hashlib.sha256(out.tobytes()).hexdigest() == SAMPLER_DIGESTS[kind, n, q]
+
+
+def test_sampling_over_a_field_without_tables_is_refused():
+    # GU_3(47) lives over F_2209: the row sampler reads the field's lists
+    with pytest.raises(UsageError, match="field of size 2209 is too large"):
+        sample_matrices("GU", 3, 47, 2, np.random.default_rng(0))
 
 
 def test_sample_matrices_checks_its_arguments():
@@ -1520,7 +1574,10 @@ def test_field_modulus_independence():
         FiniteField(3, 2, modulus=(2, 1, 1)))
 
 
-def test_sampling_partition_independence():
+def test_sampling_partition_independence(monkeypatch):
+    import concurrent.futures
     a = brute_spectrum("SL", 2, 5, mode="sample", samples=9000, seed=5, threads=1)
+    # one block: no thread pool is started, whatever the thread count
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
     b = brute_spectrum("SL", 2, 5, mode="sample", samples=9000, seed=5, threads=4)
     assert a["attained"] == b["attained"]
