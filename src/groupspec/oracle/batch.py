@@ -29,11 +29,10 @@ products and sums alone, so each of its roundings, fused multiply-adds
 included, is exact: the result is the integer product whatever the blocking,
 summation order or thread count. Every table field passes the bound: at
 p = 2039 it holds for n < 2^31. The float64 product is then reduced like an
-integer one. Otherwise a product is an int16 sum reduced through the field's
-table MOD[x] = x % p whenever n (p-1)^2 < 2^15, so that no sum overflows, and
-an int64 sum reduced with % p beyond that. Elimination keeps its matrices in
-int16 and reduces through MOD whenever p^2 <= 2^15, and works in int32 with
-% p otherwise. The widths follow from n and p alone. The float64 crossover
+integer one. Otherwise a product is an int16 sum whenever n (p-1)^2 < 2^15,
+so that no sum overflows, and an int64 sum reduced with % p beyond that.
+Elimination keeps its matrices in int16 whenever p^2 <= 2^15, and works in
+int32 with % p otherwise. The widths follow from n and p alone. The float64 crossover
 was measured on a 2-core VM with one BLAS thread, median of 41 interleaved
 runs, reduction included, over F_3, F_23 and F_2039: at n = 8 float64 was
 level with the integer product at 4 matrices and 1.6-3x faster from 16 to
@@ -41,6 +40,27 @@ level with the integer product at 4 matrices and 1.6-3x faster from 16 to
 n = 12. Over the order trees of 64 to 200 sampled GL_8(3) and GL_8(23)
 matrices it was 1.5-2.3x faster. Below n = 8 float64 won only from 16 to 64
 matrices on.
+
+Every int16 result over a prime field, a product or an elimination step
+(add, mul and a - f b + p (p-1), whose entries are at most 2 (p-1), (p-1)^2
+and p^2 - 1), is reduced by _reduce, which knows the largest entry it can be
+given. From REDUCE_MIN = 4096 entries on it divides by p with a multiply and
+a shift (Granlund and Montgomery, "Division by invariant integers using
+multiplication", PLDI 1994): x // p = (x m) >> s, then x - p (x // p), four
+in-place int16 ufunc calls. _barrett takes m = ceil(2^s / p) for the least
+shift s that gives the right quotient for every x in [0, peak], checked one
+by one, and keeps it only if peak m < 2^15, so that no intermediate leaves
+int16; its answer is cached per (p, peak). A shift passes for products
+over F_3 up to n = 47, F_5 up to n = 10, F_7 up to n = 5 and F_13 up to
+n = 2, and for the elimination products and msub only over F_3, F_5, F_7,
+F_11, F_13 and F_19. Where none passes, and on arrays below REDUCE_MIN
+entries, the result is instead gathered from the field's table
+MOD[x] = x % p, shared by every field of that p. On a 2-core VM, best of 15,
+the gather took 99 us and the multiply-shift 33 us on 102,400 entries over
+F_3 (peak 20), and 150 against 27 us over F_5; at 1,600 entries the gather
+was 2.2-3.8 us against 2.9-5.3 us, and the two met near 3,200 entries, since
+four ufunc calls cost about 2.5 us of fixed overhead against the gather's
+0.6 us.
 
 A product over a proper extension F_{p^m} is one integer product by
 Kronecker substitution (Harvey, "Faster polynomial multiplication via
@@ -141,6 +161,41 @@ LANE_MIN = 256
 # go through float64 BLAS, exact while n (p-1)^2 < FLOAT_EXACT (see above)
 FLOAT_MIN_N = 8
 FLOAT_EXACT = 1 << 53
+# from this many entries on, an int16 reduction mod p multiplies and shifts
+# instead of gathering from MOD (see above)
+REDUCE_MIN = 4096
+
+
+@functools.cache
+def _barrett(p: int, peak: int):
+    """(m, s) with (x m) >> s == x // p for every x in [0, peak] and
+    peak m < 2^15, or None when there is none. m = ceil(2^s / p), the least
+    multiplier that can work for a shift s, and each s is checked on every x
+    in [0, peak]."""
+    x = np.arange(peak + 1, dtype=np.int64)
+    s = 0
+    while True:
+        m = -(-(1 << s) // p)
+        if peak * m >= NARROW:
+            return None
+        if ((x * m >> s) == x // p).all():
+            return m, s
+        s += 1
+
+
+def _reduce(F: FiniteField, x: np.ndarray, peak: int) -> np.ndarray:
+    """x mod p for a fresh int16 array x over a prime field, whose entries
+    lie in [0, peak] with peak < 2^15; x itself is overwritten and returned
+    when it is reduced in place."""
+    mult = _barrett(F.p, peak) if x.size >= REDUCE_MIN else None
+    if mult is None:
+        return F.MOD.take(x)
+    m, s = mult
+    t = x * m                                  # at most peak m < 2^15
+    t >>= s                                    # x // p
+    t *= F.p
+    x -= t
+    return x
 
 
 def mat_mul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -183,11 +238,11 @@ def _product(F: FiniteField, A: np.ndarray, B: np.ndarray, lanes_last: bool):
             Af = A.astype(np.float64)
             P = np.matmul(Af, Af if B is A else B.astype(np.float64))
         elif peak < NARROW:
-            return F.MOD.take(dot(A, B))
+            return _reduce(F, dot(A, B), peak)
         else:
             P = dot(A.astype(np.int64), B.astype(np.int64))
         if peak < NARROW:
-            return F.MOD.take(P.astype(np.int16))
+            return _reduce(F, P.astype(np.int16), peak)
         return (P.astype(np.int64) % p).astype(np.int16)
     kron = _kronecker(F.p, F.m, F.modulus, n)
     if kron is not None:
@@ -259,22 +314,23 @@ def is_scalar_batch(F: FiniteField, X: np.ndarray) -> np.ndarray:
 
 def _narrow(F: FiniteField) -> bool:
     """Whether elimination over F stays in int16: always through the tables of
-    a proper extension, and through MOD when p^2 <= 2^15."""
+    a proper extension, and through _reduce when p^2 <= 2^15."""
     return F.m > 1 or F.p * F.p <= NARROW
 
 
 def _field_ops(F: FiniteField):
     """(add, mul, msub) on arrays of encodings, msub(a, f, b) = a - f b.
 
-    Prime fields with p^2 <= 2^15 work in int16 and reduce through MOD;
-    msub adds p (p - 1) to keep its index in [0, p^2). Wider prime fields use
+    Prime fields with p^2 <= 2^15 work in int16 and reduce through _reduce;
+    msub adds p (p - 1) to keep its entries in [0, p^2). Wider prime fields use
     int32 arithmetic mod p. Proper extensions gather from ADD/MUL/SUB."""
     if F.m == 1:
         p = F.p
         if _narrow(F):
-            MOD, lift = F.MOD, p * (p - 1)
-            return (lambda a, b: MOD.take(a + b), lambda a, b: MOD.take(a * b),
-                    lambda a, f, b: MOD.take(a - f * b + lift))
+            lift = p * (p - 1)
+            return (lambda a, b: _reduce(F, a + b, 2 * (p - 1)),
+                    lambda a, b: _reduce(F, a * b, (p - 1) ** 2),
+                    lambda a, f, b: _reduce(F, a - f * b + lift, p * p - 1))
         return (lambda a, b: (a + b) % p, lambda a, b: a * b % p,
                 lambda a, f, b: (a - f * b) % p)
     return (lambda a, b: F.ADD[a, b], lambda a, b: F.MUL[a, b],

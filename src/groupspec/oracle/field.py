@@ -135,8 +135,9 @@ def poly_powmod(F, base, e: int, f) -> tuple:
 
 @functools.cache
 def _mod_table(p):
-    """MOD[x] = x % p for 0 <= x < 2^15: one int16 reduction table per p, which
-    the prime-field matrix kernels gather their int16 results through."""
+    """MOD[x] = x % p for 0 <= x < 2^15: one int16 reduction table per p,
+    which oracle.batch._reduce gathers through on small arrays and where no
+    int16 multiply-shift fits."""
     return (np.arange(NARROW) % p).astype(np.int16)
 
 

@@ -63,16 +63,19 @@ _enum_lock = threading.Lock()
 
 
 def enumerate_matrices(kind: str, n: int, q: int,
-                       enum_bound: int = DEFAULT_ENUM_BOUND) -> tuple:
+                       enum_bound: int = DEFAULT_ENUM_BOUND,
+                       field: FiniteField | None = None) -> tuple:
     """(field, stacked matrices) for the whole group. Cached per (kind, n, q),
-    after the bound check, so a call over the bound fails cached or not."""
+    after the bound check, so a call over the bound fails cached or not.
+    field, when given, is make_field(kind, q) as the caller already built it;
+    a cache hit returns the cached field instead."""
     order = check_enum_bound(kind, n, q, enum_bound)
     key = (kind, n, q)
     with _enum_lock:
         hit = _enum_cache.get(key)
     if hit is not None:
         return hit
-    F = make_field(kind, q)
+    F = field if field is not None else make_field(kind, q)
     if kind in ("GL", "SL"):
         mats = _enumerate_linear(F, n, kind)
     else:
@@ -100,12 +103,12 @@ def _enumerate_linear(F: FiniteField, n: int, kind: str) -> np.ndarray:
 def _bfs_closure(F: FiniteField, kind: str, n: int, q: int, target: int) -> np.ndarray:
     # one fixed stream per group, so every caller gets the same element order
     rng = np.random.default_rng(np.random.SeedSequence([0, n, q, KINDS.index(kind)]))
-    gens = sample_matrices(kind, n, q, 3, rng, allow_enum_draw=False)
+    gens = sample_matrices(kind, n, q, 3, rng, field=F, allow_enum_draw=False)
     for _ in range(8):
         mats = _close(F, gens, target)
         if mats is not None:
             return mats
-        extra = sample_matrices(kind, n, q, 1, rng, allow_enum_draw=False)
+        extra = sample_matrices(kind, n, q, 1, rng, field=F, allow_enum_draw=False)
         gens = np.concatenate([gens, extra])
     raise AssertionError("closure failed to reach the group order")
 
@@ -163,7 +166,7 @@ def sample_matrices(kind: str, n: int, q: int, count: int, rng,
     if kind in ("GL", "SL"):
         return _sample_linear(F, n, count, rng, kind)
     if allow_enum_draw and group_order(kind, n, q) <= ENUM_DRAW_LIMIT:
-        _, mats = enumerate_matrices(kind, n, q)
+        _, mats = enumerate_matrices(kind, n, q, field=F)
         return mats[rng.integers(0, len(mats), count)]
     if kind == "Sp":
         return _sample_sp(F, n, count, rng)

@@ -92,7 +92,7 @@ def brute_spectrum(kind: str, n: int, q: int, *,
     bound = order_bound_fact(n, F.q, F.p)
 
     if mode == "full":
-        F, mats = enumerate_matrices(kind, n, q, enum_bound=enum_bound)
+        F, mats = enumerate_matrices(kind, n, q, enum_bound=enum_bound, field=F)
         rows = mats
         if tau:
             mats = mats[_det_class_mask(F, mats, kind, q, d, order_kind)]

@@ -45,7 +45,7 @@ from groupspec.oracle.field import (
 )
 import groupspec.oracle.groups as oracle_groups
 import groupspec.oracle.orders as oracle_orders
-from groupspec.oracle import brute_request, verify_request
+from groupspec.oracle import TABLE_LIMIT_Q, brute_request, verify_request
 from groupspec.oracle.groups import (
     KINDS,
     _nullspace,
@@ -554,11 +554,25 @@ def test_det_forward_elimination_matches_gauss_jordan(p, m, n):
             assert int(d) == _leibniz_det(F, g)
 
 
+def _plain_ops(F):
+    """(add, mul, msub) like batch._field_ops, but over a prime field in
+    int64 with % p, so that a reference never reduces through the kernel's
+    _reduce; a proper extension keeps the kernel's table gathers."""
+    if F.m > 1:
+        return oracle_batch._field_ops(F)
+    p = F.p
+
+    def wide(a):
+        return np.asarray(a, np.int64)
+    return (lambda a, b: (wide(a) + b) % p, lambda a, b: wide(a) * b % p,
+            lambda a, f, b: (wide(a) - wide(f) * b) % p)
+
+
 # det_inv_batch as it stood eliminating on (B, n, n) stacks, each row
 # operation reading a lane's entries n^2 apart: the reference for the
 # lanes-last elimination, with the same pivot rule.
 def _det_inv_row_major(F, A, need_inv=True):
-    add, mul, msub = oracle_batch._field_ops(F)
+    add, mul, msub = _plain_ops(F)
     M = np.array(A, np.int16 if oracle_batch._narrow(F) else np.int32, copy=True)
     B, n, _ = M.shape
     inv = identity_batch(F, n, B).astype(M.dtype) if need_inv else None
@@ -637,6 +651,128 @@ def test_det_inv_batch_leaves_its_input_alone(need_inv):
                 before = A.copy()
                 det_inv_batch(F, A, need_inv)
                 assert (A == before).all(), (n, B, A.shape)
+
+
+def _first_wrong_quotient(p, m, s):
+    # the least x in [0, 2^15) with (x m) >> s != x // p, or 2^15 if none
+    x = np.arange(1 << 15, dtype=np.int64)
+    wrong = np.flatnonzero((x * m >> s) != x // p)
+    return int(wrong[0]) if len(wrong) else 1 << 15
+
+
+def test_multiply_shift_constants_are_exact_for_every_peak():
+    # every peak a kernel can ask for: n (p-1)^2 < 2^15 for every n (the
+    # int16 products), and 2 (p-1), (p-1)^2 and p^2 - 1 (the elimination's
+    # add, mul and msub) where p^2 <= 2^15; every quotient is checked over
+    # all of [0, peak], and each peak of every table prime gets constants
+    # exactly when some shift passes
+    wrong: dict = {}
+    covered: dict = {}                      # (p, peak) -> reduced in place
+    for p in (p for p in range(3, TABLE_LIMIT_Q + 1) if is_prime(p)):
+        F = FiniteField(p, tables=False)
+        F.MOD = None                        # _reduce must not gather here
+        peaks = {n * (p - 1) ** 2 for n in range(1, ((1 << 15) - 1) // (p - 1) ** 2 + 1)}
+        if p * p <= 1 << 15:
+            peaks |= {2 * (p - 1), (p - 1) ** 2, p * p - 1}
+        for peak in sorted(peaks):
+            got = oracle_batch._barrett(p, peak)
+            passing = []
+            for s in range(16):
+                m = -(-(1 << s) // p)
+                if peak * m >= 1 << 15:
+                    break
+                if (p, m, s) not in wrong:
+                    wrong[p, m, s] = _first_wrong_quotient(p, m, s)
+                if wrong[p, m, s] > peak:
+                    passing.append((m, s))
+            assert got == (passing[0] if passing else None), (p, peak)
+            covered[p, peak] = got is not None
+            if got is None:
+                continue
+            m, s = got
+            assert peak * m < 1 << 15 and wrong[p, m, s] > peak
+            # every x in [0, peak], tiled past REDUCE_MIN, reduced in place
+            x = np.resize(np.arange(peak + 1, dtype=np.int16),
+                          max(peak + 1, oracle_batch.REDUCE_MIN))
+            want = x.astype(np.int64) % p
+            out = oracle_batch._reduce(F, x, peak)
+            assert out is x and out.dtype == np.int16 and (out == want).all(), (p, peak)
+    # what batch.py's docstring says the multiply-shift step covers
+    products = {p: max((n for n in range(1, 1 << 15)
+                        if covered.get((p, n * (p - 1) ** 2))), default=0)
+                for p in (3, 5, 7, 11, 13, 17, 19, 23)}
+    assert products == {3: 47, 5: 10, 7: 5, 11: 1, 13: 2, 17: 0, 19: 1, 23: 0}
+    assert [p for p in range(3, 182) if covered.get((p, (p - 1) ** 2))
+            and covered[p, p * p - 1]] == [3, 5, 7, 11, 13, 19]
+
+
+def test_reduce_gathers_below_the_floor_or_without_constants():
+    F = FiniteField(3)
+    small = np.arange(21, dtype=np.int16)
+    got = oracle_batch._reduce(F, small.copy(), 20)
+    assert got.dtype == np.int16 and (got == small % 3).all()
+    F23 = FiniteField(23)
+    assert oracle_batch._barrett(23, 3 * 22 ** 2) is None
+    x = np.resize(np.arange(3 * 22 ** 2 + 1, dtype=np.int16), 2 * oracle_batch.REDUCE_MIN)
+    got = oracle_batch._reduce(F23, x.copy(), 3 * 22 ** 2)
+    assert got.dtype == np.int16 and (got == x % 23).all()
+
+
+def _reduction_cases(p, rng, floor):
+    """(n, stack) pairs over F_p: every entry p - 1 (the largest sums) and
+    upper triangles of p - 1 (invertible, largest pivots), then random
+    stacks with fewer and more entries than floor, and lanes last."""
+    cases = []
+    for n in range(2, FLOAT_MIN_N + 1):
+        top = np.full((3, n, n), p - 1, np.int16)
+        top[1:] = np.triu(top[1:])
+        cases.append((n, top))
+        for count in (floor // (n * n) - 1, floor // (n * n) + 1, LANE_MIN + 9):
+            cases.append((n, rng.integers(0, p, size=(count, n, n)).astype(np.int16)))
+    return cases
+
+
+@pytest.mark.parametrize("p", sorted({p for p, m in FIELDS if m == 1}))
+def test_reduction_floor_changes_no_byte(monkeypatch, p):
+    # the multiply-shift reduction (floor 0) and the MOD gather (floor 10^9)
+    # give the same bytes as int64 arithmetic with % p, in products (the
+    # float64 path at n = FLOAT_MIN_N included), det_inv_batch and
+    # nullspace_batch
+    F = FiniteField(p)
+    barrett, asked = oracle_batch._barrett, []
+
+    def spy(p, peak):
+        got = barrett(p, peak)
+        asked.append(got)
+        return got
+    monkeypatch.setattr(oracle_batch, "_barrett", spy)
+    cases = _reduction_cases(p, np.random.default_rng(p), oracle_batch.REDUCE_MIN)
+    runs = {}
+    for floor in (0, 10 ** 9):
+        monkeypatch.setattr(oracle_batch, "REDUCE_MIN", floor)
+        asked.clear()
+        out = []
+        for n, A in cases:
+            wide = A.astype(np.int64)
+            prod = mat_mul(F, A, A[::-1])
+            assert prod.dtype == np.int16
+            assert (prod == wide @ wide[::-1] % p).all(), (floor, n, len(A))
+            det, inv, ok = det_inv_batch(F, A)
+            assert (det == _det_inv_row_major(F, A, need_inv=False)[0]).all()
+            eye = np.eye(n, dtype=np.int64)
+            assert (wide[ok] @ inv[ok].astype(np.int64) % p == eye).all()
+            rows = A[:, : n // 2]
+            full = oracle_batch._rref_batch(F, rows)[2] == n // 2
+            basis = nullspace_batch(F, rows[full])
+            kernel = rows[full].astype(np.int64) @ transpose(basis).astype(np.int64)
+            assert (kernel % p == 0).all()
+            out += [prod, det, inv, basis]
+        runs[floor] = b"".join(x.tobytes() for x in out)
+        if floor:
+            assert not asked                  # every reduction gathered
+        elif p in (3, 5, 13):
+            assert any(asked), p              # some reduced without a gather
+    assert runs[0] == runs[10 ** 9]
 
 
 def test_encode_decode_round_trip():
@@ -887,6 +1023,22 @@ def test_enumeration_order_ignores_call_history(monkeypatch):
     monkeypatch.setattr(oracle_groups, "_enum_cache", {})
     brute_spectrum("GU", 3, 3, mode="full", seed=1)
     assert sampled() == fresh
+
+
+@pytest.mark.parametrize("kind, mode", [("GU", "full"), ("SL", "full"), ("SU", "sample")])
+def test_brute_spectrum_builds_one_field(monkeypatch, kind, mode):
+    # on an empty enumeration cache, brute_spectrum, the enumeration and the
+    # closure's generators share the one field that brute_spectrum makes
+    import groupspec.oracle.field as oracle_field
+    build, calls = oracle_field.FiniteField._build_tables, []
+
+    def counted(self):
+        calls.append(self.q)
+        return build(self)
+    monkeypatch.setattr(oracle_field.FiniteField, "_build_tables", counted)
+    monkeypatch.setattr(oracle_groups, "_enum_cache", {})
+    brute_spectrum(kind, 3, 3, mode=mode, samples=64)
+    assert calls == [9 if kind in ("GU", "SU") else 3]
 
 
 @pytest.mark.parametrize("kind, n, q", [("GL", 3, 3), ("GL", 3, 5), ("GU", 3, 3)])
