@@ -71,12 +71,15 @@ def brute_request(kind: str, n: int, q: int, order_kind: str, mode: str,
                   enum_bound: int) -> int:
     """d = gcd(n, q -+ 1), once brute_spectrum can measure order_kind in
     kind_n(q) in mode. Refused in this order: an unknown order kind or mode,
-    a tau wing outside GL or GU, the tau delta wing when d = 1, a sample over
-    a field without tables, a full enumeration past enum_bound."""
+    a dimension below 1, a tau wing outside GL or GU, the tau delta wing
+    when d = 1, a sample over a field without tables, a full enumeration
+    past enum_bound."""
     if order_kind not in ORDER_KINDS:
         raise UsageError(f"unknown order kind {order_kind!r}")
     if mode not in ("full", "sample"):
         raise UsageError("mode must be 'full' or 'sample'")
+    if n < 1:
+        raise UsageError(f"cannot measure matrices of size {n}")
     if order_kind.startswith("tau") and kind not in ("GL", "GU"):
         raise UsageError("tau coset orders are measured inside GL or GU")
     d = math.gcd(n, q + 1 if kind == "GU" else q - 1)

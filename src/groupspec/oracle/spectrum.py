@@ -15,7 +15,12 @@ Both modes measure a tau wing one way: the projective orders of the images
 Y = g g^-T, doubled. A full enumeration measures each distinct Y once: the
 images of all blocks are keyed by encode_batch and deduplicated together
 (GL_3(5): 1,488,000 g, 88,506 distinct Y). Sampled draws repeat too rarely
-for that to pay, so sampling measures the images of each batch as drawn.
+for that to pay, so sampling measures every draw that lies in the wing. A
+block refills until it holds its count of such draws (a det-class mask
+keeps about 1/d of each refill) and then measures them in one tau_images
+and one order pass; GL's rejection sampler hands over the determinants it
+found, so a GL draw is eliminated twice, once for its determinant and once
+for its inverse, and GU draws take one det_batch per refill.
 
 Sampling is block organized: the sample count is split into fixed blocks of
 65536 draws, each fed from its own spawned SeedSequence stream, so results
@@ -33,7 +38,8 @@ from ..coset import graph_coset
 from ..spectra import GroupSpec, divisors, spectrum
 from . import brute_request, verify_request
 from .batch import decode_batch, det_batch, encode_batch
-from .groups import enumerate_matrices, make_field, sample_matrices, sampler_name
+from .groups import (_sample_linear, enumerate_matrices, make_field, sample_matrices,
+                     sampler_name)
 from .orders import order_bound_fact, orders_batch, tau_images
 
 BLOCK = 65536
@@ -60,16 +66,14 @@ def _distinct_tau_images(F, mats, n):
     return decode_batch(keys[first], F.q, n)
 
 
-def _det_class_mask(F, mats, kind: str, q: int, d: int, order_kind: str):
-    """Rows whose coset tau delta^e (P)SL or (P)SU matches the requested wing.
+def _det_class_mask(F, det, kind: str, q: int, d: int, order_kind: str):
+    """Rows whose coset tau delta^e (P)SL or (P)SU matches the requested wing,
+    read off their determinants det.
 
     For GL the determinant exponent is read off the discrete log directly;
     for GU determinants are norm-one elements Lambda^((q-1)e), so the log is
     divided down before reducing mod d = (n, q -+ 1).
     """
-    if order_kind == "tau_coset" and d == 1:
-        return np.ones(len(mats), bool)
-    det = det_batch(F, mats)
     e = F.LOG[det]
     if kind == "GU":
         e = e // (q - 1)
@@ -87,6 +91,8 @@ def brute_spectrum(kind: str, n: int, q: int, *,
     """Attained value set of a matrix group, by full enumeration or sampling."""
     d = brute_request(kind, n, q, order_kind, mode, enum_bound)
     tau = order_kind.startswith("tau")
+    # every det class lies in the wing: no determinant is needed
+    whole = order_kind == "tau_coset" and d == 1
     start = time.monotonic()
     F = make_field(kind, q)
     bound = order_bound_fact(n, F.q, F.p)
@@ -95,7 +101,8 @@ def brute_spectrum(kind: str, n: int, q: int, *,
         F, mats = enumerate_matrices(kind, n, q, enum_bound=enum_bound, field=F)
         rows = mats
         if tau:
-            mats = mats[_det_class_mask(F, mats, kind, q, d, order_kind)]
+            if not whole:
+                mats = mats[_det_class_mask(F, det_batch(F, mats), kind, q, d, order_kind)]
             rows = _distinct_tau_images(F, mats, n)
         attained = set().union(*(_attained(F, rows[lo:lo + BLOCK], bound, order_kind)
                                  for lo in range(0, len(rows), BLOCK)))
@@ -105,20 +112,29 @@ def brute_spectrum(kind: str, n: int, q: int, *,
         blocks = (samples + BLOCK - 1) // BLOCK
         streams = np.random.SeedSequence(seed).spawn(blocks)
 
+        def wing(count: int, rng) -> np.ndarray:
+            """The draws of one refill of count matrices that lie in the wing;
+            GL's rejection sampler hands over the determinants it found."""
+            if kind == "GL":
+                mats, det = _sample_linear(F, n, count, rng, kind)
+            else:
+                mats = sample_matrices(kind, n, q, count, rng, field=F)
+                det = None if whole else det_batch(F, mats)
+            return mats if whole else mats[_det_class_mask(F, det, kind, q, d, order_kind)]
+
         def run_block(i: int) -> set:
             rng = np.random.default_rng(streams[i])
             want = min(BLOCK, samples - i * BLOCK)
-            out: set = set()
+            if not tau:
+                return _attained(F, sample_matrices(kind, n, q, want, rng, field=F),
+                                 bound, order_kind)
+            # refill until want draws lie in the wing, then measure them at once
+            kept: list = []
             got = 0
             while got < want:
-                mats = sample_matrices(kind, n, q, want - got, rng, field=F)
-                if tau:
-                    mats = mats[_det_class_mask(F, mats, kind, q, d, order_kind)]
-                if len(mats):
-                    out |= _attained(F, tau_images(F, mats) if tau else mats,
-                                     bound, order_kind)
-                got += len(mats)
-            return out
+                kept.append(wing(want - got, rng))
+                got += len(kept[-1])
+            return _attained(F, tau_images(F, np.concatenate(kept)), bound, order_kind)
 
         if threads > 1 and blocks > 1:
             # loaded here: concurrent.futures brings logging and queue with it

@@ -997,6 +997,59 @@ def test_enumeration_counts_and_membership():
     assert sp.shape[0] == 51840
 
 
+def _enumerate_by_decoding(F, n, kind):
+    # the enumeration as it was: decode every one of the q^(n^2) keys in
+    # ascending order and keep the rows of the right determinant
+    total, keep = F.q ** (n * n), []
+    for lo in range(0, total, 1 << 16):
+        mats = decode_batch(np.arange(lo, min(total, lo + (1 << 16))), F.q, n)
+        det = det_batch(F, mats)
+        keep.append(mats[det == 1 if kind == "SL" else det != 0])
+    return np.concatenate(keep)
+
+
+@pytest.mark.parametrize("kind, n, q", [
+    (kind, n, q) for n in (1, 2, 3) for q in (3, 5, 7, 9, 13, 23, 25, 27)
+    for kind in ("GL", "SL") if q ** (n * n) <= arith.DEFAULT_ENUM_BOUND])
+def test_cofactor_enumeration_matches_decoding_every_key(monkeypatch, kind, n, q):
+    # the same matrices in the same order, byte for byte: over prime fields
+    # and through mat_mul's Kronecker path over F_9, F_25 and F_27, at n = 1,
+    # whose one prefix and one minor are empty, and with slices that split
+    # the last rows or even one last row's prefixes
+    F = make_field(kind, q)
+    want = _enumerate_by_decoding(F, n, kind)
+    assert len(want) == group_order(kind, n, q)
+    chunks = [oracle_groups.ENUM_CHUNK]
+    if q ** (n * n) <= 30_000:
+        chunks += [q ** n + 1, 5]
+    for chunk in chunks:
+        monkeypatch.setattr(oracle_groups, "ENUM_CHUNK", chunk)
+        got = oracle_groups._enumerate_linear(F, n, kind)
+        assert got.dtype == np.int16 and got.shape == want.shape, chunk
+        assert got.tobytes() == want.tobytes(), chunk
+
+
+def test_enumeration_builds_no_candidate_sized_array(monkeypatch):
+    # SL_2(23): 279,841 candidates, of which only the 2 x 529 cofactor
+    # minors are eliminated; no product holds more than ENUM_CHUNK entries
+    eliminated, products = [], []
+
+    def det_counted(F, A, need_inv=True):
+        eliminated.append(len(A))
+        return det_inv_batch(F, A, need_inv)
+
+    def mul_counted(F, A, B):
+        out = mat_mul(F, A, B)
+        products.append(out.size)
+        return out
+    monkeypatch.setattr(oracle_batch, "det_inv_batch", det_counted)
+    monkeypatch.setattr(oracle_groups, "mat_mul", mul_counted)
+    mats = oracle_groups._enumerate_linear(make_field("SL", 23), 2, "SL")
+    assert len(mats) == 12144
+    assert eliminated == [529, 529]
+    assert sum(products) == 23 ** 4 and max(products) <= oracle_groups.ENUM_CHUNK
+
+
 def test_enumeration_bound_error():
     with pytest.raises(BoundError):
         enumerate_matrices("GL", 4, 5, enum_bound=1000)
@@ -1025,6 +1078,67 @@ def test_enumeration_order_ignores_call_history(monkeypatch):
     assert sampled() == fresh
 
 
+def _tau_wing_per_refill(kind, n, q, order_kind, samples, seed, block):
+    # brute_spectrum's sampled tau wing as it was: each refill's draws get
+    # their own determinants, their own det-class mask and their own order pass
+    d = math.gcd(n, q + 1 if kind == "GU" else q - 1)
+    F = make_field(kind, q)
+    bound = order_bound_fact(n, F.q, F.p)
+    out = set()
+    streams = np.random.SeedSequence(seed).spawn(-(-samples // block))
+    for i, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        want, got = min(block, samples - i * block), 0
+        while got < want:
+            mats = sample_matrices(kind, n, q, want - got, rng, field=F)
+            if order_kind == "tau_delta_coset" or d > 1:
+                e = F.LOG[det_batch(F, mats)]
+                if kind == "GU":
+                    e = e // (q - 1)
+                mats = mats[e % d == (0 if order_kind == "tau_coset" else 1)]
+            if len(mats):
+                out |= set(tau_coset_orders_batch(F, mats, bound).tolist())
+            got += len(mats)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("kind, n, q", [("GL", 3, 7), ("GL", 4, 3), ("GL", 4, 5),
+                                        ("GL", 3, 5), ("GU", 3, 5)])
+def test_sampled_tau_wing_measures_each_block_once(monkeypatch, kind, n, q):
+    # the refills of a block are masked by the determinants the GL sampler
+    # found and measured together; the draws, and so the values, are those
+    # of one order pass per refill
+    import groupspec.oracle.spectrum as oracle_spectrum
+    block, samples = 300, 750                            # three blocks
+    monkeypatch.setattr(oracle_spectrum, "BLOCK", block)
+    names = ("orders_batch", "det_batch", "tau_images", "_sample_linear")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(oracle_spectrum, name, wrapper)
+    for name in names:
+        counted(name, getattr(oracle_spectrum, name))
+    d = math.gcd(n, q + 1 if kind == "GU" else q - 1)
+    for order_kind in ("tau_coset", "tau_delta_coset")[:1 if d == 1 else 2]:
+        for seed in (0, 3, 11):
+            want = _tau_wing_per_refill(kind, n, q, order_kind, samples, seed, block)
+            calls.update(dict.fromkeys(calls, 0))
+            got = brute_spectrum(kind, n, q, mode="sample", order_kind=order_kind,
+                                 samples=samples, seed=seed)
+            assert got["attained"] == want, (order_kind, seed)
+            assert calls["orders_batch"] == calls["tau_images"] == 3, calls
+            if kind == "GL":
+                assert calls["det_batch"] == 0, calls
+                # a mask that drops draws makes a block refill
+                assert calls["_sample_linear"] > 3 or order_kind == "tau_coset" and d == 1
+            else:
+                assert calls["_sample_linear"] == 0
+                assert calls["det_batch"] > 3 or order_kind == "tau_coset" and d == 1
+
+
 @pytest.mark.parametrize("kind, mode", [("GU", "full"), ("SL", "full"), ("SU", "sample")])
 def test_brute_spectrum_builds_one_field(monkeypatch, kind, mode):
     # on an empty enumeration cache, brute_spectrum, the enumeration and the
@@ -1050,14 +1164,23 @@ def test_tau_delta_without_a_second_wing_is_refused(monkeypatch, kind, n, q):
 
     def drawn(*args, **kwargs):
         raise AssertionError("made matrices for an empty wing")
-    monkeypatch.setattr(oracle_spectrum, "sample_matrices", drawn)
-    monkeypatch.setattr(oracle_spectrum, "enumerate_matrices", drawn)
+    for name in ("sample_matrices", "_sample_linear", "enumerate_matrices"):
+        monkeypatch.setattr(oracle_spectrum, name, drawn)
     for mode in ("full", "sample"):
         with pytest.raises(UsageError, match="tau delta coset"):
             brute_spectrum(kind, n, q, mode=mode, order_kind="tau_delta_coset", samples=50)
     if kind == "GL":
         with pytest.raises(UsageError, match="tau delta coset"):
             verify_group(S("PSL", n, q), order_kind="tau_delta_coset", samples=50)
+
+
+def test_a_dimension_below_one_is_refused():
+    # the enumeration used to fail on a reshape and the GL tau wing's draws
+    # would not reach sample_matrices' own check
+    for mode in ("full", "sample"):
+        for kind, order_kind in (("GL", "plain"), ("GL", "tau_coset"), ("SL", "projective")):
+            with pytest.raises(UsageError, match="matrices of size 0"):
+                brute_spectrum(kind, 0, 3, mode=mode, order_kind=order_kind, samples=4)
 
 
 def test_full_verify_checks_the_enumeration_bound_first(monkeypatch):
@@ -1114,7 +1237,7 @@ def test_sampling_past_the_table_bound_computes_no_matrix(monkeypatch):
 
     def computed_too_early(*args, **kwargs):
         raise AssertionError("made matrices before the closed form")
-    for name in ("brute_spectrum", "order_bound_fact", "sample_matrices"):
+    for name in ("brute_spectrum", "order_bound_fact", "sample_matrices", "_sample_linear"):
         monkeypatch.setattr(oracle_spectrum, name, computed_too_early)
     for order_kind in (None, "tau_coset", "tau_delta_coset"):
         with pytest.raises(TableBoundError):
@@ -1185,6 +1308,10 @@ SAMPLER_DIGESTS = {
     ("SU", 3, 5): "a3c1493532b2cbd0f9f334e577f205bd2bdd76b0d40396096ddf58a58980f1bc",
     ("GU", 3, 7): "ffedda3d75aef028bec89ea55574ac2caaf4e4a6d540793566a7d927a95607df",
     ("GU", 3, 9): "02f55e0998b93a9eafcf010cecaee5b0fec5d1feaa77bc29653ed2e0c6a4c377",
+    # recorded before the rejection sampler handed its determinants on
+    ("GL", 4, 3): "50f4f502f23c50aa6efdaa71a69b3e3e1153eb1085a4eaa9f9ad3fdcb5855cfd",
+    ("SL", 5, 3): "d485d2a44d8eb4d254c9209310f76ef80c47c263f698762011e8cba6fc9acc62",
+    ("GL", 2, 23): "63144afbd9fffcde0e21c7c4d3a4526dd78c8952606eb12906d6e9724c27db18",
 }
 
 
