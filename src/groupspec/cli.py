@@ -49,7 +49,7 @@ def parse_group(text: str):
             break
     else:
         raise ParseError(text, k, "unknown family name")
-    token, family, eps, a, b, _ = row
+    token, family, eps, a, b, least = row
     k += len(token)
 
     def skip():
@@ -89,6 +89,8 @@ def parse_group(text: str):
     n, rest = divmod(dim - b, a)
     if rest:
         raise UsageError(f"{token} needs {'odd' if b else 'even'} dimension, got {dim}")
+    if n < least:
+        raise UsageError(f"{token} needs dimension >= {a * least + b}, got {dim}")
     return GroupSpec(family, n, p, m, eps), f"{token}({dim},{q})"
 
 

@@ -39,7 +39,8 @@ from .field import FiniteField
 
 
 # Pollard rho steps that one order_bound_fact may take in all, a few seconds.
-# PSL_72(3), the largest linear n with a closed form over F_3, takes 4,493,408
+# PSL_74(3), the largest linear n with a closed form over F_3, takes 4,757,334
+# from an empty factor memo
 FACTOR_STEPS = 1 << 23
 
 

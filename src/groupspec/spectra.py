@@ -281,7 +281,7 @@ def _partitions(n: int, max_part: int | None = None):
 
 
 # The most lcm values the table of one closed form may make, repeats counted,
-# before the call is refused. PSL_70(3) makes 325,462 and Sp_56(3) 45,201;
+# before the call is refused. PSL_74(3) makes 371,771 and Sp_82(3) 389,865;
 # the count doubles about every 8 added to n for PSL, every 4 for Sp.
 TABLE_LIMIT = 400_000
 
@@ -298,77 +298,80 @@ class TableBoundError(BoundError):
 
 def _check_table_size(n: int) -> None:
     """Refuse, before its base or any term is built, an n whose table must
-    pass TABLE_LIMIT. Every cell holds a value after the layer j = 1, so
-    each layer j >= 2 makes at least one value for each pair (m, c) with
-    c*j <= m <= n: for each c, n - c*j + 1 of them. The sum stops at the
-    limit, after one term for a large n."""
+    pass TABLE_LIMIT. The floor counts distinct values, a floor to the count
+    per class, that the step (j, m) of _lcm_table makes from cells[m - j]
+    with t_a = q^a - e^a, the first term of steps(a) (e = eps, or 1 if
+    signed). q is odd, so by Zsigmondy each i >= 3 has a prime r_i that
+    divides t_a exactly when i | a: one of order i modulo e*q (for e = -1, of
+    order 2i, i/2 or i modulo q). cells[m - j] holds 1^(m-j) and, all signs
+    +, (i, 1^(m-j-i)) for each i in I = {3 <= i <= m - j : j/2 < i < j}. With
+    t_j they give t_j and lcm(t_j, t_i), i in I, which differ: r_i divides
+    lcm(t_j, t_i) but neither t_j nor t_i' for i' < i, as i divides neither j
+    (j/2 < i < j) nor i'. So the step makes at least 1 + |I| values; the sum
+    over m is closed-form per j, and stops at the limit."""
     floor = 0
-    for j in range(2, n + 1):
-        k = n // j
-        floor += k * (n + 1) - j * k * (k + 1) // 2
+    for j in range(1, n + 1):
+        lo, hi, top = max(3, j // 2 + 1), min(j - 1, n - j), n - j
+        floor += top + 1
+        if lo <= hi:
+            floor += (hi - lo + 1) * (hi - lo + 2) // 2 + (top - hi) * (j - lo)
         if floor > TABLE_LIMIT:
             raise TableBoundError(n)
 
 
-def _lcm_table(n: int, cap: int, choices, supports: dict | None = None) -> list:
+def _lcm_table(n: int, cap: int, steps, supports: dict | None = None) -> list:
     """Sets of lcm values over all partitions of every m <= n, by class.
 
     cells[m] maps (number of parts capped at cap, parity of the -1 signs) to the
-    set of lcm values over the partitions of m in that class. choices(j, c)
-    lists the (term, support, parities) a part j taken c times may contribute.
-    The table is filled layer by layer over the part size j; m runs
-    downwards, so the cells read at m - c*j still hold the partitions into
-    parts below j. Given supports, a dict from value to support that starts
-    as {1: 0}, the table enters the support of every value it makes: the
-    support of lcm(v, term) is the union of theirs, so no gcd is needed.
-    Raises TableBoundError once the values made, counted per cell update and
-    compared once per cell, pass TABLE_LIMIT.
+    set of lcm values over the partitions of m in that class. steps(j) lists
+    the (term, support, flip) one copy of a part j may take, flip being its
+    parity. The table is filled layer by layer over the part size j as an
+    unbounded knapsack: m runs upwards, so cells[m - j] already holds the
+    partitions into parts up to j, and each step adds one copy of j. Given
+    supports, a dict from value to support that starts as {1: 0}, the table
+    enters the support of every value it makes: the support of lcm(v, term)
+    is the union of theirs, so no gcd is needed. Raises TableBoundError once
+    the values made, counted per class and step and compared once per cell,
+    pass TABLE_LIMIT.
     """
+    lcm = math.lcm
     cells: list = [{} for _ in range(n + 1)]
     cells[0][(0, 0)] = {1}
     made = 0
     for j in range(1, n + 1):
-        opts = [choices(j, c) for c in range(1, n // j + 1)]
-        for m in range(n, j - 1, -1):
+        step = steps(j)
+        for m in range(j, n + 1):
             cell = cells[m]
-            for c in range(1, m // j + 1):
-                choice = opts[c - 1]
-                for (parts, parity), vals in cells[m - c * j].items():
-                    capped = parts + c if parts + c < cap else cap
-                    for term, support, parities in choice:
-                        if supports is None:
-                            new = {math.lcm(v, term) for v in vals}
-                        else:
-                            new = {math.lcm(v, term): supports[v] | support for v in vals}
-                            supports.update(new)
-                        for extra in parities:
-                            cell.setdefault((capped, parity ^ extra), set()).update(new)
-                        made += len(new)
+            for (parts, parity), vals in cells[m - j].items():
+                capped = parts + 1 if parts < cap else cap
+                for term, support, flip in step:
+                    if supports is None:
+                        new = {lcm(v, term) for v in vals}
+                    else:
+                        new = {lcm(v, term): supports[v] | support for v in vals}
+                        supports.update(new)
+                    key = (capped, parity ^ flip)
+                    old = cell.get(key)
+                    if old is None:
+                        cell[key] = set(new)
+                    else:
+                        old.update(new)
+                    made += len(new)
             if made > TABLE_LIMIT:
                 raise TableBoundError(n)
     return cells
 
 
-def _signed_choices(q: int, base: tuple, track_parity: bool):
-    """Sign choices for a part j of multiplicity c, each term q^j - 1 or q^j + 1.
-
-    All c signs +1 give q^j - 1 (parity 0); all -1 give q^j + 1 (parity c mod 2);
-    both signs, when c >= 2, give their lcm with parity 1 if c = 2 and either
-    parity otherwise. Without track_parity every choice has parity 0. The
-    supports of the two terms are found once per j.
+def _signed_steps(q: int, base: tuple, track_parity: bool):
+    """One copy of a part j takes q^j - 1, or q^j + 1, which flips the parity
+    when track_parity. So a part j taken c times gives q^j - 1 (all copies +,
+    parity 0), q^j + 1 (all -, parity c mod 2) and, for c >= 2, their lcm
+    (mixed, with 1 to c - 1 signs -: parity 1 if c = 2, either if c >= 3).
     """
-    supports: dict = {}
-
-    def choices(j: int, c: int):
+    def steps(j: int) -> tuple:
         plus, minus = q ** j - 1, q ** j + 1
-        if j not in supports:
-            supports[j] = (_support(plus, base), _support(minus, base)) if base else (0, 0)
-        sp, sm = supports[j]
-        opts = [(plus, sp, (0,)), (minus, sm, (c % 2,))]
-        if c >= 2:
-            opts.append((math.lcm(plus, minus), sp | sm, (1,) if c == 2 else (0, 1)))
-        return opts if track_parity else [(term, sup, (0,)) for term, sup, _ in opts]
-    return choices
+        return ((plus, _support(plus, base), 0), (minus, _support(minus, base), int(track_parity)))
+    return steps
 
 
 # The n from which the index of normalize saves more than the base and the
@@ -432,14 +435,8 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
     def term(k: int) -> int:
         return q ** k - eps ** k
 
-    # built as the table reaches part size j: a refused table pays only for
-    # the part sizes it reached
-    opts: dict = {}
-
-    def choices(j: int, c: int) -> tuple:
-        if j not in opts:
-            opts[j] = ((term(j), _support(term(j), base), (0,)),)
-        return opts[j]
+    def steps(j: int) -> tuple:
+        return ((term(j), _support(term(j), base), 0),)
 
     items: dict = {k: [] for k in ("torus", "two_part_torus", "many_part_torus",
                                    "unipotent_torus", "unipotent_many", "unipotent")}
@@ -448,7 +445,7 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
         n2 = n - n1
         div = math.gcd(n // math.gcd(n1, n2), d)
         items["two_part_torus"].append(lcm_list([term(n1), term(n2)]) // div)
-    cells = _lcm_table(n, 3, choices, supports)
+    cells = _lcm_table(n, 3, steps, supports)
     items["many_part_torus"] += cells[n].get((3, 0), ())
     pt, t = 1, 1  # pt = p^(t-1)
     while pt + 2 <= n:
@@ -510,7 +507,7 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
     items: dict = {k: [] for k in ("torus", "many_part_torus",
                                    "unipotent_torus", "unipotent_many", "unipotent")}
     items["torus"] += [(q ** n - 1) // d, (q ** n + 1) // d]
-    cells = _lcm_table(n, 2, _signed_choices(q, base, track_parity=False), supports)
+    cells = _lcm_table(n, 2, _signed_steps(q, base, track_parity=False), supports)
     items["many_part_torus"] += cells[n].get((2, 0), ())
     pt, t = 1, 1
     while True:
@@ -576,7 +573,7 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
                 e = 2 if two_part(a) == two_part(b) else 1
                 items["two_part_torus"].append(lcm_list([a, b]) // e)
         min_parts = 3
-    cells = _lcm_table(n, min_parts, _signed_choices(q, base, track_parity=True), supports)
+    cells = _lcm_table(n, min_parts, _signed_steps(q, base, track_parity=True), supports)
     items["many_part_torus"] += cells[n].get((min_parts, target), ())
     return _sorted_items(items, base, supports)
 

@@ -140,6 +140,19 @@ def test_group_grammar_rejections(group, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("group,message", [
+    ("Omega-(2,3)", "Omega- needs dimension >= 4, got 2"),
+    ("POmega+(2,3)", "POmega+ needs dimension >= 4, got 2"),
+    ("Sp(0,3)", "Sp needs dimension >= 2, got 0"),
+    ("PSL(1,3)", "PSL needs dimension >= 2, got 1"),
+])
+def test_too_small_dimension_is_named_as_written(group, message):
+    # the least dimension, in the grammar's own terms, not GroupSpec's n
+    code, out, err = run_cli("spectrum", group)
+    assert code == 2 and out == b""
+    assert message in err
+
+
 @pytest.mark.parametrize("q", [0, 1, 2, 8, 12, 15])
 def test_bad_q_gets_one_message_everywhere(q, capsys):
     with pytest.raises(UsageError) as want:

@@ -18,7 +18,7 @@ from groupspec.spectra import (
     _coprime_base,
     _lcm_table,
     _partitions,
-    _signed_choices,
+    _signed_steps,
     _support,
     _Supported,
     _symplectic_constants,
@@ -469,21 +469,86 @@ def test_coprime_base_is_pairwise_coprime_and_covers_every_term():
             assert x == 1, (q, d)
 
 
+def _linear_steps(q, eps, base):
+    return lambda j: ((q ** j - eps ** j, _support(q ** j - eps ** j, base), 0),)
+
+
+def _step_tables(q, base):
+    """(cap, steps, track_parity) of every table spectrum_*_items builds:
+    linear and unitary (cap 3), symplectic (cap 2, no parity), and orthogonal
+    with parity (cap 2 for OmegaEven, 3 for POmegaEven)."""
+    return ((3, _linear_steps(q, 1, base), False), (3, _linear_steps(q, -1, base), False),
+            (2, _signed_steps(q, base, track_parity=False), False),
+            (2, _signed_steps(q, base, track_parity=True), True),
+            (3, _signed_steps(q, base, track_parity=True), True))
+
+
 def test_lcm_table_supports_match_gcd():
     for q in BASE_Q:
         p = factorize(q).pairs[0][0]
         for n in range(1, 15):
             base = _coprime_base(p, q, 2 * n)
-            linear = {j: ((t, _support(t, base), (0,)),)
-                      for j in range(1, n + 1) for t in [q ** j - (-1) ** j]}
-            for cap, choices in ((3, lambda j, c: linear[j]),
-                                 (2, _signed_choices(q, base, track_parity=False)),
-                                 (3, _signed_choices(q, base, track_parity=True))):
+            for cap, steps, _ in _step_tables(q, base):
                 supports = {1: 0}
-                for m, cell in enumerate(_lcm_table(n, cap, choices, supports)):
+                for m, cell in enumerate(_lcm_table(n, cap, steps, supports)):
                     for key, vals in cell.items():
                         for v in vals:
                             assert supports[v] == _support(v, base), (q, n, m, key, v)
+
+
+def _reference_lcm_table(n, cap, choices, supports=None):
+    """The lcm table filled a multiplicity at a time, as _lcm_table was
+    first written: for each part j and m running downwards, every c with
+    c*j <= m reads cells[m - c*j], which still holds the parts below j.
+    choices(j, c) lists the (term, support, parities) of j taken c times."""
+    cells = [{} for _ in range(n + 1)]
+    cells[0][(0, 0)] = {1}
+    for j in range(1, n + 1):
+        for m in range(n, j - 1, -1):
+            for c in range(1, m // j + 1):
+                for (parts, parity), vals in cells[m - c * j].items():
+                    capped = min(parts + c, cap)
+                    for term, support, parities in choices(j, c):
+                        new = {math.lcm(v, term) for v in vals}
+                        if supports is not None:
+                            supports.update({math.lcm(v, term): supports[v] | support
+                                             for v in vals})
+                        for extra in parities:
+                            cells[m].setdefault((capped, parity ^ extra), set()).update(new)
+    return cells
+
+
+def _reference_choices(steps, track_parity):
+    """The three sign cases of a part j taken c times, from the terms of one
+    copy: all copies on the first term (parity 0), all on the second (parity
+    c mod 2), or, when c >= 2, both (parity 1 if c = 2, else either)."""
+    def choices(j, c):
+        step = steps(j)
+        if len(step) == 1:
+            return [(step[0][0], step[0][1], (0,))]
+        (plus, sp, _), (minus, sm, _) = step
+        opts = [(plus, sp, (0,)), (minus, sm, (c % 2,))]
+        if c >= 2:
+            opts.append((math.lcm(plus, minus), sp | sm, (1,) if c == 2 else (0, 1)))
+        return opts if track_parity else [(t, s, (0,)) for t, s, _ in opts]
+    return choices
+
+
+def test_lcm_table_matches_the_multiplicity_fill():
+    # a part j taken c times with a sign per copy has the three cases of
+    # _reference_choices; the table adds one copy per step and must give
+    # every cell, class and support of the fill over (j, m, c)
+    for q in SWEEP_Q:
+        p = factorize(q).pairs[0][0]
+        for n in range(1, 15):
+            for base in ((), _coprime_base(p, q, 2 * n)):
+                for k, (cap, steps, track_parity) in enumerate(_step_tables(q, base)):
+                    supports, ref_supports = {1: 0}, {1: 0}
+                    got = _lcm_table(n, cap, steps, supports)
+                    want = _reference_lcm_table(n, cap, _reference_choices(steps, track_parity),
+                                                ref_supports)
+                    assert got == want, (q, n, k, bool(base))
+                    assert supports == ref_supports, (q, n, k, bool(base))
 
 
 @pytest.mark.parametrize("family", list(SWEEP))
@@ -556,6 +621,32 @@ def test_table_bound_reaches_the_coset_spectra():
                  lambda: field_coset_spectrum(200, 9, 1, 0, 2, "plain")):
         with pytest.raises(TableBoundError):
             call()
+
+
+def test_table_floor_is_at_most_the_values_made(monkeypatch):
+    # the floor of _check_table_size is the least limit it admits; every
+    # table, refused at one less, makes at least that many values
+    import groupspec.spectra as spectra
+
+    def floor(n):
+        lo, hi = 0, n ** 3
+        while lo < hi:
+            monkeypatch.setattr(spectra, "TABLE_LIMIT", (lo + hi) // 2)
+            try:
+                _check_table_size(n)
+                hi = (lo + hi) // 2
+            except TableBoundError:
+                lo = (lo + hi) // 2 + 1
+        return lo
+    floors = {n: floor(n) for n in range(1, 21)}
+    assert floors[1] == 1 and floors[20] > 20 * 21 // 2
+    for q in SWEEP_Q + (2187,):
+        for n, least in floors.items():
+            monkeypatch.setattr(spectra, "TABLE_LIMIT", least - 1)
+            for _, steps, _ in _step_tables(q, ()):
+                for cap in (2, 3):
+                    with pytest.raises(TableBoundError):
+                        _lcm_table(n, cap, steps)
 
 
 @pytest.mark.parametrize("family", list(SWEEP))
