@@ -25,7 +25,7 @@ import sys
 
 from .arith import (DEFAULT_ENUM_BOUND, BoundError, UsageError, load_factor_cache,
                     odd_prime_power, save_factor_cache)
-from .spectra import SYMBOLS, GroupSpec, spectrum
+from .spectra import SYMBOLS, GroupSpec, TableBoundError, spectrum
 
 DEFAULTS = {"seed": 0, "threads": 1, "enum_bound": DEFAULT_ENUM_BOUND,
             "samples": 100_000, "cache": None}
@@ -193,9 +193,17 @@ def _piece_lines(pieces) -> list:
 
 
 def cmd_coset_spectrum(args, cfg):
+    spec, shown = parse_group(args.group)
+    try:
+        return _coset_spectrum(args, spec, shown)
+    except TableBoundError as exc:
+        # a coset's closed form is built on the table of another group
+        raise TableBoundError(f"{exc.group}, in a coset of {shown},") from None
+
+
+def _coset_spectrum(args, spec, shown):
     from .coset import (UNSUPPORTED, extension_spectrum, field_coset_spectrum,
                         graph_coset, graph_coset_pgl_even)
-    spec, shown = parse_group(args.group)
     if spec.family not in ("PSL", "PGL"):
         raise UsageError("coset spectra are defined for PSL/PGL/PSU/PGU")
     if args.generator is not None and args.field_k is not None:

@@ -184,8 +184,11 @@ def _verify(spec: GroupSpec, order_kind, mode, **run) -> dict:
     kind, order_kind, mode = verify_request(spec, order_kind, mode, run["enum_bound"])
     coset = order_kind == "tau_coset"
     delta = order_kind == "tau_delta_coset"
-    # module globals, so that tests can replace them
-    formula = graph_coset(spec.n, spec.q) if coset else spectrum(spec)
+    # module globals, so that tests can replace them. The socle's closed form
+    # comes first for every order kind, so a group past its table bound is
+    # refused before any matrix, whichever coset is checked.
+    socle = spectrum(spec)
+    formula = graph_coset(spec.n, spec.q) if coset else socle
     # for eps = -1, q is the hermitian base
     report = brute_spectrum(kind, spec.dimension, spec.q, mode=mode,
                             order_kind=order_kind, **run)

@@ -281,58 +281,89 @@ def _partitions(n: int, max_part: int | None = None):
 
 
 # The most lcm values the table of one closed form may make, repeats counted,
-# before the call is refused. PSL_74(3) makes 371,771 and Sp_82(3) 389,865;
-# the count doubles about every 8 added to n for PSL, every 4 for Sp.
+# before the call is refused. PSL_79(3) makes 390,692 and Sp_94(3) 358,817,
+# the largest over F_3 that answer; the count doubles about every 8 added to
+# n for PSL, a little over every 4 for Sp.
 TABLE_LIMIT = 400_000
 
 
 class TableBoundError(BoundError):
-    """A closed form whose lcm table would make more than TABLE_LIMIT values."""
+    """A closed form whose lcm table would make more than TABLE_LIMIT values.
+
+    group names what the table is of. _check_table_size and _lcm_table know
+    only n and raise it without one; _table raises it again with the spec.
+    """
 
     hint = "no closed form is computed at this size, and no flag raises the bound"
 
-    def __init__(self, n: int):
-        super().__init__(f"the closed-form lcm table for n = {n} passes its "
+    def __init__(self, group=None):
+        self.group = group
+        of = "" if group is None else f" of {group}"
+        super().__init__(f"the closed-form lcm table{of} passes its "
                          f"bound of {TABLE_LIMIT} values")
 
 
 def _check_table_size(n: int) -> None:
     """Refuse, before its base or any term is built, an n whose table must
     pass TABLE_LIMIT. The floor counts distinct values, a floor to the count
-    per class, that the step (j, m) of _lcm_table makes from cells[m - j]
-    with t_a = q^a - e^a, the first term of steps(a) (e = eps, or 1 if
-    signed). q is odd, so by Zsigmondy each i >= 3 has a prime r_i that
-    divides t_a exactly when i | a: one of order i modulo e*q (for e = -1, of
-    order 2i, i/2 or i modulo q). cells[m - j] holds 1^(m-j) and, all signs
-    +, (i, 1^(m-j-i)) for each i in I = {3 <= i <= m - j : j/2 < i < j}. With
-    t_j they give t_j and lcm(t_j, t_i), i in I, which differ: r_i divides
-    lcm(t_j, t_i) but neither t_j nor t_i' for i' < i, as i divides neither j
-    (j/2 < i < j) nor i'. So the step makes at least 1 + |I| values; the sum
-    over m is closed-form per j, and stops at the limit."""
+    per class, that the first pass over j of _lcm_table makes at each m with
+    t_j = q^j - e^j, the first term of steps(j) (e = eps, or 1 if signed).
+    cells[m - j] then holds, all signs +, every partition of r = m - j into
+    distinct parts below j.
+
+    q is odd, so by Zsigmondy each i >= 3 has a prime r_i that divides t_a
+    exactly when i | a: one of order i modulo e*q (for e = -1, of order 2i,
+    i/2 or i modulo q). Let I = {i : lo <= i < j} with lo = max(3, j//2 + 1).
+    An i in I divides neither j nor any part below j but itself, as j/2 < i,
+    so r_i divides lcm(t_j, t_mu) exactly when i is a part of mu: the
+    partitions mu with no part in I, and for each i in I those whose one
+    part in I is i, give different values. The other parts of mu are
+    distinct parts from 1..k, k = min(lo, j) - 1, whose sums are exactly
+    0..w with w = k(k+1)/2. So the step (j, m) makes at least [r <= w] +
+    #{i in I : r - w <= i <= r} values, and summed over m <= n the floor
+    adds min(w, n - j) + 1 and, per i in I with i <= n - j,
+    min(i + w, n - j) - i + 1. It refuses every n from 247, by j = 247 at
+    the latest (j = 71 once n is large), so its cost does not grow with n."""
     floor = 0
     for j in range(1, n + 1):
-        lo, hi, top = max(3, j // 2 + 1), min(j - 1, n - j), n - j
-        floor += top + 1
-        if lo <= hi:
-            floor += (hi - lo + 1) * (hi - lo + 2) // 2 + (top - hi) * (j - lo)
+        top = n - j
+        lo = max(3, j // 2 + 1)
+        k = min(lo, j) - 1
+        w = k * (k + 1) // 2
+        floor += min(w, top) + 1
+        for i in range(lo, min(j, top + 1)):
+            floor += min(i + w, top) - i + 1
         if floor > TABLE_LIMIT:
-            raise TableBoundError(n)
+            raise TableBoundError
 
 
 def _lcm_table(n: int, cap: int, steps, supports: dict | None = None) -> list:
-    """Sets of lcm values over all partitions of every m <= n, by class.
+    """Sets of lcm values over the partitions of every m <= n that hold each
+    part at most once per flip, by class.
 
-    cells[m] maps (number of parts capped at cap, parity of the -1 signs) to the
-    set of lcm values over the partitions of m in that class. steps(j) lists
-    the (term, support, flip) one copy of a part j may take, flip being its
-    parity. The table is filled layer by layer over the part size j as an
-    unbounded knapsack: m runs upwards, so cells[m - j] already holds the
-    partitions into parts up to j, and each step adds one copy of j. Given
+    cells[m] maps (number of parts capped at cap, parity of the flips) to the
+    set of lcm values over those partitions of m in that class. steps(j)
+    lists the (term, support, flip) one copy of a part j may take, flip being
+    its parity. The table is filled layer by layer over the part size j, one
+    0/1 knapsack pass per flip f of steps(j): m runs downwards, so
+    cells[m - j] does not yet hold the copy of j this pass adds, and that
+    copy takes one of the terms of flip f. A later pass over j reads the
+    copies an earlier one added, so j may occur once per flip. Given
     supports, a dict from value to support that starts as {1: 0}, the table
     enters the support of every value it makes: the support of lcm(v, term)
     is the union of theirs, so no gcd is needed. Raises TableBoundError once
-    the values made, counted per class and step and compared once per cell,
+    the values made, counted per class and term and compared once per cell,
     pass TABLE_LIMIT.
+
+    Merge. When every term of steps(j) divides the flip-0 term of
+    steps(2j), two copies of j with the same flip f merge into one copy of
+    2j with flip 0. The lcm keeps or grows, since it divides the new term;
+    the parity is kept, as f + f is even; the number of parts falls by one.
+    Merging while some (j, f) repeats takes every partition of m, with one
+    term per copy, to a partition in the table whose lcm it divides. A
+    caller reads at m the classes of at least c parts, and a merge leaves
+    them only from a partition of exactly c parts with a repeated (j, f):
+    each caller proves what those boundary partitions give.
     """
     lcm = math.lcm
     cells: list = [{} for _ in range(n + 1)]
@@ -340,33 +371,43 @@ def _lcm_table(n: int, cap: int, steps, supports: dict | None = None) -> list:
     made = 0
     for j in range(1, n + 1):
         step = steps(j)
-        for m in range(j, n + 1):
-            cell = cells[m]
-            for (parts, parity), vals in cells[m - j].items():
-                capped = parts + 1 if parts < cap else cap
-                for term, support, flip in step:
-                    if supports is None:
-                        new = {lcm(v, term) for v in vals}
-                    else:
-                        new = {lcm(v, term): supports[v] | support for v in vals}
-                        supports.update(new)
-                    key = (capped, parity ^ flip)
-                    old = cell.get(key)
-                    if old is None:
-                        cell[key] = set(new)
-                    else:
-                        old.update(new)
-                    made += len(new)
-            if made > TABLE_LIMIT:
-                raise TableBoundError(n)
+        for flip in sorted({f for _, _, f in step}):
+            terms = [(term, support) for term, support, f in step if f == flip]
+            for m in range(n, j - 1, -1):
+                cell = cells[m]
+                for (parts, parity), vals in cells[m - j].items():
+                    key = (parts + 1 if parts < cap else cap, parity ^ flip)
+                    for term, support in terms:
+                        if supports is None:
+                            new = {lcm(v, term) for v in vals}
+                        else:
+                            new = {lcm(v, term): supports[v] | support for v in vals}
+                            supports.update(new)
+                        old = cell.get(key)
+                        if old is None:
+                            cell[key] = set(new)
+                        else:
+                            old.update(new)
+                        made += len(new)
+                if made > TABLE_LIMIT:
+                    raise TableBoundError
     return cells
 
 
+def _linear_steps(q: int, eps: int, base: tuple):
+    """One copy of a part j takes t_j = q^j - eps^j, which divides
+    t_2j = q^2j - 1, so _lcm_table's merge holds: a part is taken once."""
+    def steps(j: int) -> tuple:
+        term = q ** j - eps ** j
+        return ((term, _support(term, base), 0),)
+    return steps
+
+
 def _signed_steps(q: int, base: tuple, track_parity: bool):
-    """One copy of a part j takes q^j - 1, or q^j + 1, which flips the parity
-    when track_parity. So a part j taken c times gives q^j - 1 (all copies +,
-    parity 0), q^j + 1 (all -, parity c mod 2) and, for c >= 2, their lcm
-    (mixed, with 1 to c - 1 signs -: parity 1 if c = 2, either if c >= 3).
+    """One copy of a part j takes q^j - 1, or q^j + 1, which flips the
+    parity when track_parity. Both divide q^2j - 1, the flip-0 term of 2j,
+    so _lcm_table's merge holds: a part j is taken once with either sign, or
+    with track_parity once per sign.
     """
     def steps(j: int) -> tuple:
         plus, minus = q ** j - 1, q ** j + 1
@@ -393,10 +434,24 @@ def _index_base(spec: GroupSpec, table: str) -> tuple:
     return _coprime_base(spec.p, spec.q, 2 * spec.n)
 
 
+def _table(spec: GroupSpec, table: str, cap: int, steps) -> tuple:
+    """(base, supports, cells) of spec's lcm table: the coprime base of
+    _index_base, the supports the table fills (None without a base), and
+    _lcm_table over 0..spec.n with the steps steps(base). A table past its
+    bound raises a TableBoundError that names spec."""
+    try:
+        _check_table_size(spec.n)
+        base = _index_base(spec, table)
+        supports = {1: 0} if base else None
+        return base, supports, _lcm_table(spec.n, cap, steps(base), supports)
+    except TableBoundError:
+        raise TableBoundError(spec) from None
+
+
 def _sorted_items(items: dict, base: tuple, supports: dict | None) -> dict:
     """Each kind's values as a sorted, duplicate-free list. With a base they
     are _Supported, their supports read from supports or, for the few values
-    built with a division, found by gcd."""
+    built outside the table, found by gcd."""
     if not base:
         return {kind: sorted(set(vals)) for kind, vals in items.items()}
     out = {}
@@ -417,26 +472,28 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
     """Generator candidates of spectrum_linear, keyed by construction kind.
 
     Each kind's list is sorted and duplicate-free. The torus kinds are lcms of
-    q^k - eps^k over the parts of a partition of n (one part, two parts, three
-    or more); the unipotent kinds are p^t times such an lcm over a partition of
-    n1 = n - p^(t-1) - 1 (one part, two or more), or a bare p-power. One lcm
-    table over 0..n serves many_part_torus and every unipotent level t. From
-    n = _INDEX_FROM_N on, every value carries its support (a _Supported).
-    Debug/test accessor.
+    t_k = q^k - eps^k over the parts of a partition of n (one part, two parts,
+    three or more); the unipotent kinds are p^t times such an lcm over a
+    partition of n1 = n - p^(t-1) - 1 (one part, two or more), or a bare
+    p-power. One lcm table over 0..n serves many_part_torus and every
+    unipotent level t. From n = _INDEX_FROM_N on, every value carries its
+    support (a _Supported). Debug/test accessor.
+
+    The table takes each part once (_linear_steps), and its merge drops no
+    maximal element once the boundary partitions are added back. At n, three
+    or more parts, the boundary is (a, a, n - 2a), and many_part_torus adds
+    lcm(t_a, t_n-2a). At n1, two or more parts, it is (a, a) with n1 = 2a,
+    and unipotent_many adds p^t t_a. Neither need divide a two-part or
+    unipotent torus value, which are divided by d.
     """
     if spec.family not in ("PSL", "PGL"):
         raise UsageError("spectrum_linear covers PSL and PGL only")
-    _check_table_size(spec.n)
     n, p, q, eps = spec.n, spec.p, spec.q, spec.eps
+    base, supports, cells = _table(spec, "linear", 3, lambda base: _linear_steps(q, eps, base))
     d = math.gcd(n, q - eps) if spec.family == "PSL" else 1
-    base = _index_base(spec, "linear")
-    supports = {1: 0} if base else None
 
     def term(k: int) -> int:
         return q ** k - eps ** k
-
-    def steps(j: int) -> tuple:
-        return ((term(j), _support(term(j), base), 0),)
 
     items: dict = {k: [] for k in ("torus", "two_part_torus", "many_part_torus",
                                    "unipotent_torus", "unipotent_many", "unipotent")}
@@ -445,8 +502,10 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
         n2 = n - n1
         div = math.gcd(n // math.gcd(n1, n2), d)
         items["two_part_torus"].append(lcm_list([term(n1), term(n2)]) // div)
-    cells = _lcm_table(n, 3, steps, supports)
     items["many_part_torus"] += cells[n].get((3, 0), ())
+    # the boundary partitions (a, a, n - 2a) and (a, a) of the merge
+    items["many_part_torus"] += [math.lcm(term(a), term(n - 2 * a))
+                                 for a in range(1, (n - 1) // 2 + 1)]
     pt, t = 1, 1  # pt = p^(t-1)
     while pt + 2 <= n:
         n1 = n - pt - 1
@@ -457,6 +516,8 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
             if supports is not None:
                 # bit 0 is p
                 supports.update({p ** t * v: supports[v] | 1 for v in many})
+        if n1 % 2 == 0:
+            items["unipotent_many"].append(p ** t * term(n1 // 2))
         pt *= p
         t += 1
     # p^t occurs exactly when the dimension is p^(t-1) + 1
@@ -491,23 +552,28 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
     """Generator candidates of spectrum_symplectic, keyed by construction kind.
 
     Each kind's list is sorted and duplicate-free. The torus kinds are lcms of
-    q^k - 1 or q^k + 1 over the parts of a partition of n, each part taking
-    either term or, when repeated, both (one part, two or more); the unipotent
-    kinds are p^t times such an lcm over a partition of n1 = n - (p^(t-1) + 1)/2,
-    or 2 p^t. One lcm table over 0..n serves many_part_torus and every
-    unipotent level t. From n = _INDEX_FROM_N on, every value carries its
-    support (a _Supported).
+    q^k - 1 or q^k + 1 over the parts of a partition of n (one part, two or
+    more); the unipotent kinds are p^t times such an lcm over a partition of
+    n1 = n - (p^(t-1) + 1)/2, or 2 p^t. One lcm table over 0..n serves
+    many_part_torus and every unipotent level t. From n = _INDEX_FROM_N on,
+    every value carries its support (a _Supported).
+
+    The table takes each part once, with either sign (_signed_steps), and
+    its merge drops no maximal element. Its boundary at m, two or more
+    parts, is (a, a) with m = 2a and any signs, whose lcm divides
+    (q^2a - 1)/2: q^a -+ 1 times the even q^a +- 1 over 2, and for mixed
+    signs the lcm itself, as gcd(q^a - 1, q^a + 1) = 2. (q^2a - 1)/2 divides
+    the torus value (q^n - 1)/d at m = n and p^t (q^n1 - 1)/c at m = n1, as
+    d, c <= 2. So nothing is added back.
     """
     d, c = _symplectic_constants(spec)
-    _check_table_size(spec.n)
     n, p, q = spec.n, spec.p, spec.q
-    base = _index_base(spec, "symplectic")
-    supports = {1: 0} if base else None
+    base, supports, cells = _table(spec, "symplectic", 2,
+                                   lambda base: _signed_steps(q, base, track_parity=False))
 
     items: dict = {k: [] for k in ("torus", "many_part_torus",
                                    "unipotent_torus", "unipotent_many", "unipotent")}
     items["torus"] += [(q ** n - 1) // d, (q ** n + 1) // d]
-    cells = _lcm_table(n, 2, _signed_steps(q, base, track_parity=False), supports)
     items["many_part_torus"] += cells[n].get((2, 0), ())
     pt, t = 1, 1
     while True:
@@ -546,23 +612,31 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
 
     Each kind's list is sorted and duplicate-free. many_part_torus holds the
     lcms of q^k - 1 or q^k + 1 over partitions of n into two or more parts
-    (OmegaEven) or three or more (POmegaEven), each part taking either term or,
-    when repeated, both, with the number of -1 signs even for eps = +1 and odd
-    for eps = -1. From n = _INDEX_FROM_N on, every value carries its support
-    (a _Supported).
+    (OmegaEven) or three or more (POmegaEven), each part taking either term,
+    with the number of -1 signs even for eps = +1 and odd for eps = -1. From
+    n = _INDEX_FROM_N on, every value carries its support (a _Supported).
+
+    The table takes each part once per sign (_signed_steps with parity), so
+    the mixed pair (a+, a-), whose parity is odd, is kept. Its merge drops no
+    maximal element once the boundary partitions are added back. OmegaEven
+    reads two or more parts: the boundary is (a s, a s) at n = 2a, of even
+    parity, so eps = +1, and q^a - s divides the torus value (q^n - 1)/2. So
+    nothing is added. POmegaEven reads three or more: the boundary is
+    (a s, a s, b s') with 2a + b = n, where s' carries the target parity,
+    so its term is q^b - eps, and many_part_torus adds lcm(q^a - s,
+    q^b - eps) for both s.
     """
     if spec.family not in ("OmegaEven", "POmegaEven"):
         raise UsageError("spectrum_orthogonal_semisimple covers OmegaEven and POmegaEven")
-    _check_table_size(spec.n)
     n, q, eps = spec.n, spec.q, spec.eps
     target = 0 if eps == 1 else 1
-    base = _index_base(spec, "orthogonal")
-    supports = {1: 0} if base else None
+    min_parts = 2 if spec.family == "OmegaEven" else 3
+    base, supports, cells = _table(spec, "orthogonal", min_parts,
+                                   lambda base: _signed_steps(q, base, track_parity=True))
 
     items: dict = {k: [] for k in ("torus", "two_part_torus", "many_part_torus")}
     if spec.family == "OmegaEven":
         items["torus"].append((q ** n - eps) // 2)
-        min_parts = 2
     else:
         items["torus"].append((q ** n - eps) // math.gcd(4, q ** n - eps))
         for n1 in range(1, n):
@@ -572,8 +646,9 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
                 b = q ** n2 - eps * kappa
                 e = 2 if two_part(a) == two_part(b) else 1
                 items["two_part_torus"].append(lcm_list([a, b]) // e)
-        min_parts = 3
-    cells = _lcm_table(n, min_parts, _signed_steps(q, base, track_parity=True), supports)
+        # the boundary partitions (a s, a s, n - 2a) of the merge
+        items["many_part_torus"] += [math.lcm(q ** a - s, q ** (n - 2 * a) - eps)
+                                     for a in range(1, (n - 1) // 2 + 1) for s in (1, -1)]
     items["many_part_torus"] += cells[n].get((min_parts, target), ())
     return _sorted_items(items, base, supports)
 

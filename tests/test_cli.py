@@ -233,7 +233,7 @@ def test_sampling_past_the_table_bound_exits_3_before_any_matrix(monkeypatch, ca
     assert time.perf_counter() - start < 5
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("error: the closed-form lcm table for n = 80 passes its bound of "
+    assert out.err == ("error: the closed-form lcm table of PSL_80(3) passes its bound of "
                        "400000 values (no closed form is computed at this size, and no "
                        "flag raises the bound)\n")
 
@@ -258,6 +258,19 @@ def test_closed_form_beyond_the_table_bound_exits_3(capsys):
         assert out.out == "", argv
         assert "closed-form lcm table" in out.err and "bound" in out.err, argv
         assert "--enum-bound" not in out.err, argv
+
+
+def test_table_bound_names_the_group_as_written(capsys):
+    # a dimension of any size is refused at once, naming the group; a coset
+    # names the group whose table passed the bound and the group written
+    for argv, named in ((["spectrum", "PSL(1000000000,3)"], "of PSL_1000000000(3) passes"),
+                        (["coset-spectrum", "PSL(5000,3)"],
+                         "of POmega+_5000(3), in a coset of PSL(5000,3), passes")):
+        start = time.perf_counter()
+        assert cli.main(argv) == 3, argv
+        assert time.perf_counter() - start < 5, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the closed-form lcm table {named} its bound"), err
 
 
 def test_usage_exit_codes():

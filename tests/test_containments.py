@@ -1,0 +1,97 @@
+"""Subgroup containments between the classical families, as data.
+
+Each row of CONTAINMENTS gives a simple (or projective) group H and a group
+G with H <= G, so every element order of H is one of G: omega(H) is a subset
+of omega(G). Each containment says in its docstring how the centres match, so
+that the projective image of the subgroup is H itself. References: Kleidman
+and Liebeck, *The Subgroup Structure of the Finite Classical Groups* (1990),
+and Taylor, *The Geometry of the Classical Groups* (1992). The closed forms
+answer any q at once, so the rows check the linear, unitary, symplectic and
+odd orthogonal tables against each other at n <= 10 over fields the matrix
+oracle cannot reach.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from groupspec.spectra import GroupSpec, spectrum
+
+S = GroupSpec.from_q
+CONTAINMENT_Q = (3, 5, 7, 9, 11, 25, 27)
+
+
+def symplectic_in_linear(n: int, q: int) -> tuple:
+    """PSp_2n(q) <= PSL_2n(q). Sp_2n(q) <= SL_2n(q), and the scalars of
+    SL_2n(q) that preserve the symplectic form are +-1, so Z(SL_2n(q)) meets
+    Sp_2n(q) in Z(Sp_2n(q)) = <-1>, and Sp_2n(q)Z/Z = PSp_2n(q)."""
+    return S("PSp", n, q), S("PSL", 2 * n, q)
+
+
+def unitary_in_linear_over_q2(n: int, q: int) -> tuple:
+    """PSU_n(q) <= PSL_n(q^2). SU_n(q) <= SL_n(q^2); a scalar x of
+    SL_n(q^2) has x^n = 1, and it lies in SU_n(q) exactly when x^(q+1) = 1
+    too, which is Z(SU_n(q)). So SU_n(q)Z/Z = PSU_n(q)."""
+    return S("PSL", n, q, -1), S("PSL", n, q * q)
+
+
+def linear_in_linear_over_q2(n: int, q: int) -> tuple:
+    """PSL_n(q) <= PSL_n(q^2). SL_n(q) <= SL_n(q^2), and a scalar of
+    SL_n(q^2) lies in SL_n(q) exactly when it lies in F_q, which is
+    Z(SL_n(q)). So SL_n(q)Z/Z = PSL_n(q)."""
+    return S("PSL", n, q), S("PSL", n, q * q)
+
+
+def odd_orthogonal_in_linear(n: int, q: int) -> tuple:
+    """Omega_2n+1(q) <= PSL_2n+1(q). Omega_2n+1(q) <= SL_2n+1(q); a scalar x
+    that preserves the quadratic form has x^2 = 1, and x^(2n+1) = 1, so
+    x = 1: Omega_2n+1(q) meets Z(SL_2n+1(q)) trivially and maps into
+    PSL_2n+1(q) one to one. Its own centre is trivial."""
+    return S("OmegaOdd", n, q), S("PSL", 2 * n + 1, q)
+
+
+def linear_in_projective_general(n: int, q: int) -> tuple:
+    """PSL_n(q) <= PGL_n(q). SL_n(q)Z/Z is the image of SL_n(q) in
+    GL_n(q)/Z, and Z(SL_n(q)) = SL_n(q) & Z, so it is PSL_n(q)."""
+    return S("PSL", n, q), S("PGL", n, q)
+
+
+def unitary_in_projective_general(n: int, q: int) -> tuple:
+    """PSU_n(q) <= PGU_n(q). SU_n(q)Z/Z is the image of SU_n(q) in
+    GU_n(q)/Z, with Z the scalars of GU_n(q), and Z(SU_n(q)) = SU_n(q) & Z,
+    so it is PSU_n(q)."""
+    return S("PSL", n, q, -1), S("PGL", n, q, -1)
+
+
+# (containment, least n); each is checked at least n <= n <= 10
+CONTAINMENTS = (
+    (symplectic_in_linear, 1),
+    (unitary_in_linear_over_q2, 2),
+    (linear_in_linear_over_q2, 2),
+    (odd_orthogonal_in_linear, 1),
+    (linear_in_projective_general, 2),
+    (unitary_in_projective_general, 2),
+)
+
+
+def missing_orders(sub: GroupSpec, group: GroupSpec) -> list:
+    """The maximal element orders of sub that are not element orders of
+    group."""
+    have = spectrum(group)
+    return [g for g in spectrum(sub) if g not in have]
+
+
+@pytest.mark.parametrize("containment,least", CONTAINMENTS,
+                         ids=[row[0].__name__ for row in CONTAINMENTS])
+def test_subgroup_orders_are_orders_of_the_group(containment, least):
+    for n in range(least, 11):
+        for q in CONTAINMENT_Q:
+            sub, group = containment(n, q)
+            assert missing_orders(sub, group) == [], (containment.__name__, str(sub), str(group))
+
+
+def test_a_containment_the_wrong_way_round_is_caught():
+    # PGL_4(3) is not in PSL_4(3): its elements of orders 40, 26 and 24
+    # have none there, so a check that could not fail would pass this too
+    assert missing_orders(S("PGL", 4, 3), S("PSL", 4, 3)) == [40, 26, 24]
+    assert missing_orders(*linear_in_projective_general(4, 3)) == []

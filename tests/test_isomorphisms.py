@@ -7,20 +7,24 @@ so the closed forms of the two sides must agree at every odd prime power
 q < 1000. That checks the linear, symplectic and orthogonal lcm tables
 against each other far beyond the oracle's fields. The even orthogonal closed
 form gives only the p'-part (spectrum_orthogonal_semisimple), so its rows
-compare the p'-part of the other side.
+compare the p'-part of the other side. A side that is a pair of sides stands
+for their direct product, whose element orders are the lcms of pairs.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from groupspec.arith import UsageError, odd_prime_power
-from groupspec.spectra import GroupSpec, spectrum
+from groupspec.spectra import GroupSpec, normalize, spectrum
 
 KL = "Kleidman-Liebeck (1990), §2.9"
 
 # (left, right, part, reference); a side is (family, n, eps, k) for the group
-# over F_{q^k}, and part is "all" for the whole spectrum or "p'" for p'-parts
+# over F_{q^k}, or a pair of sides for their direct product, and part is
+# "all" for the whole spectrum or "p'" for p'-parts
 ISOMORPHISMS = (
     (("PSL", 2, 1, 1), ("PSL", 2, -1, 1), "all", KL + ": L_2(q) = U_2(q)"),
     (("PSL", 2, 1, 1), ("PSp", 1, 1, 1), "all", KL + ": L_2(q) = PSp_2(q)"),
@@ -29,6 +33,8 @@ ISOMORPHISMS = (
     (("POmegaEven", 3, 1, 1), ("PSL", 4, 1, 1), "p'", KL + ": POmega+_6(q) = L_4(q)"),
     (("POmegaEven", 3, -1, 1), ("PSL", 4, -1, 1), "p'", KL + ": POmega-_6(q) = U_4(q)"),
     (("POmegaEven", 2, -1, 1), ("PSL", 2, 1, 2), "p'", KL + ": POmega-_4(q) = L_2(q^2)"),
+    (("POmegaEven", 2, 1, 1), (("PSL", 2, 1, 1), ("PSL", 2, 1, 1)), "p'",
+     KL + ": POmega+_4(q) = L_2(q) x L_2(q)"),
 )
 
 
@@ -46,11 +52,17 @@ def _odd_prime_powers(top: int) -> list:
 ODD_Q = _odd_prime_powers(1000)
 
 
-def _generators(side, q: int, part: str) -> tuple:
+def _spectrum(side, q: int):
+    if isinstance(side[0], tuple):
+        left, right = (_spectrum(s, q) for s in side)
+        return normalize([math.lcm(a, b) for a in left for b in right])
     family, n, eps, k = side
-    spec = GroupSpec.from_q(family, n, q ** k, eps)
-    got = spectrum(spec)
-    return (got if part == "all" else got.restrict_coprime_to(spec.p)).generators
+    return spectrum(GroupSpec.from_q(family, n, q ** k, eps))
+
+
+def _generators(side, q: int, part: str) -> tuple:
+    got = _spectrum(side, q)
+    return (got if part == "all" else got.restrict_coprime_to(odd_prime_power(q)[0])).generators
 
 
 def test_the_sweep_takes_every_odd_prime_power_below_1000():

@@ -17,6 +17,7 @@ from groupspec.spectra import (
     _check_table_size,
     _coprime_base,
     _lcm_table,
+    _linear_steps,
     _partitions,
     _signed_steps,
     _support,
@@ -393,9 +394,11 @@ def test_lcm_table_matches_partition_enumeration(family):
             for eps in signs:
                 spec = S(family, n, q, eps)
                 items, ref = items_fn(spec), reference_fn(spec)
+                # the table drops partitions with a merged repeat, so each
+                # kind makes a subset of the values, with the same maxima
                 assert list(items) == list(ref), spec
                 for kind in ref:
-                    assert set(items[kind]) == set(ref[kind]), (spec, kind)
+                    assert set(items[kind]) <= set(ref[kind]), (spec, kind)
                 pooled = [v for values in ref.values() for v in values]
                 assert spectrum_fn(spec).generators == normalize(pooled).generators, spec
 
@@ -469,10 +472,6 @@ def test_coprime_base_is_pairwise_coprime_and_covers_every_term():
             assert x == 1, (q, d)
 
 
-def _linear_steps(q, eps, base):
-    return lambda j: ((q ** j - eps ** j, _support(q ** j - eps ** j, base), 0),)
-
-
 def _step_tables(q, base):
     """(cap, steps, track_parity) of every table spectrum_*_items builds:
     linear and unitary (cap 3), symplectic (cap 2, no parity), and orthogonal
@@ -534,21 +533,64 @@ def _reference_choices(steps, track_parity):
     return choices
 
 
-def test_lcm_table_matches_the_multiplicity_fill():
-    # a part j taken c times with a sign per copy has the three cases of
-    # _reference_choices; the table adds one copy per step and must give
-    # every cell, class and support of the fill over (j, m, c)
+def _reference_distinct_table(n, cap, steps, supports):
+    """The lcm table listed partition by partition: every set of pairs
+    (j, f), f a flip of steps(j), whose parts j sum to at most n, each pair
+    taking one of the terms of flip f. supports gets the union of the term
+    supports of every value."""
+    pairs = [(j, f) for j in range(1, n + 1) for f in sorted({f for _, _, f in steps(j)})]
+    cells = [{} for _ in range(n + 1)]
+
+    def walk(i, m, parts, parity, value, support):
+        if i == len(pairs):
+            cells[m].setdefault((min(parts, cap), parity), set()).add(value)
+            supports[value] = support
+            return
+        walk(i + 1, m, parts, parity, value, support)
+        j, f = pairs[i]
+        if m + j <= n:
+            for term, term_support, flip in steps(j):
+                if flip == f:
+                    walk(i + 1, m + j, parts + 1, parity ^ f, math.lcm(value, term),
+                         support | term_support)
+    walk(0, 0, 0, 0, 1, 0)
+    return cells
+
+
+def test_lcm_table_matches_distinct_part_enumeration():
+    # the table takes each part at most once per flip, with one of that
+    # flip's terms: every cell, class and support of the listing above
     for q in SWEEP_Q:
         p = factorize(q).pairs[0][0]
         for n in range(1, 15):
             for base in ((), _coprime_base(p, q, 2 * n)):
-                for k, (cap, steps, track_parity) in enumerate(_step_tables(q, base)):
+                for k, (cap, steps, _) in enumerate(_step_tables(q, base)):
                     supports, ref_supports = {1: 0}, {1: 0}
                     got = _lcm_table(n, cap, steps, supports)
-                    want = _reference_lcm_table(n, cap, _reference_choices(steps, track_parity),
-                                                ref_supports)
+                    want = _reference_distinct_table(n, cap, steps, ref_supports)
                     assert got == want, (q, n, k, bool(base))
                     assert supports == ref_supports, (q, n, k, bool(base))
+
+
+@pytest.mark.parametrize("family", list(SWEEP))
+def test_spectra_equal_normalize_of_the_unpruned_table(family, monkeypatch):
+    # the items built on the table that takes a part any number of times
+    # (the multiplicity fill, all sign cases) have the same maxima as those
+    # built on the table that takes it once: the merge and its boundary
+    # partitions drop no maximal element
+    import groupspec.spectra as spectra
+    items_fn, spectrum_fn, _, min_n = SWEEP[family]
+    signs = (1, -1) if family in ("PSL", "PGL", "OmegaEven", "POmegaEven") else (1,)
+    specs = [S(family, n, q, eps) for n in range(min_n, 21) for q in SWEEP_Q for eps in signs]
+    want = {spec: spectrum_fn(spec).generators for spec in specs}
+
+    def unpruned(n, cap, steps, supports=None):
+        track_parity = any(f for _, _, f in steps(1))
+        return _reference_lcm_table(n, cap, _reference_choices(steps, track_parity), supports)
+    monkeypatch.setattr(spectra, "_lcm_table", unpruned)
+    for spec in specs:
+        pooled = [v for values in items_fn(spec).values() for v in values]
+        assert normalize(pooled).generators == want[spec], spec
 
 
 @pytest.mark.parametrize("family", list(SWEEP))
@@ -608,11 +650,12 @@ def test_table_bound_admits_the_large_targets_and_refuses_beyond():
     assert len(spectrum_linear(S("PSL", 70, 3)).generators) == 13646
     assert len(spectrum_symplectic(S("Sp", 28, 3)).generators) == 3145
     for family, n in (("PSL", 200), ("Sp", 56), ("PSL", 5000), ("OmegaOdd", 300),
-                      ("POmegaEven", 2500)):
+                      ("POmegaEven", 2500), ("PSL", 10 ** 9), ("Sp", 10 ** 9)):
         with pytest.raises(TableBoundError) as err:
             spectrum(S(family, n, 3))
         assert isinstance(err.value, BoundError)
-        assert f"n = {n}" in str(err.value) and str(TABLE_LIMIT) in str(err.value)
+        assert str(TABLE_LIMIT) in str(err.value), family
+        assert f"lcm table of {S(family, n, 3)} passes" in str(err.value), family
 
 
 def test_table_bound_reaches_the_coset_spectra():
@@ -647,6 +690,33 @@ def test_table_floor_is_at_most_the_values_made(monkeypatch):
                 for cap in (2, 3):
                     with pytest.raises(TableBoundError):
                         _lcm_table(n, cap, steps)
+
+
+def test_table_floor_counts_the_sets_of_its_proof(monkeypatch):
+    # the floor is the number of pairs ((j, m), A) with A the empty set or
+    # {i}, i in I = range(lo, j), and r - w <= sum(A) <= r, r = m - j, as
+    # the docstring of _check_table_size counts them; here each set is listed
+    import itertools
+
+    import groupspec.spectra as spectra
+
+    class LastFloor:
+        # the limit that _check_table_size compares its running floor with
+        value = None
+
+        def __lt__(self, floor):
+            LastFloor.value = floor
+            return False
+    monkeypatch.setattr(spectra, "TABLE_LIMIT", LastFloor())
+    for n in range(1, 23):
+        want = 0
+        for j in range(1, n + 1):
+            lo = max(3, j // 2 + 1)
+            k = min(lo, j) - 1
+            sums = [sum(a) for size in (0, 1) for a in itertools.combinations(range(lo, j), size)]
+            want += sum(r - k * (k + 1) // 2 <= s <= r for r in range(n - j + 1) for s in sums)
+        _check_table_size(n)
+        assert LastFloor.value == want, n
 
 
 @pytest.mark.parametrize("family", list(SWEEP))
