@@ -348,7 +348,7 @@ def cmd_gamma_check(args, cfg):
     from .oracle.wall import det_square_class, wall_check
     F = FiniteField(p, m)
     h = np.array(rows, np.int16)
-    # one Smith form answers every question but the determinant class
+    # one set of invariant factors answers every question but the determinant class
     wall = wall_check(F, h)
     sq = det_square_class(F, h)
     payload = {

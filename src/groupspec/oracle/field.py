@@ -8,18 +8,23 @@ so matrix arithmetic can be vectorized, and do their scalar arithmetic
 through O(q) Python lists taken from them: mul, inv and pow through exp/log,
 and add in a proper extension through Zech logarithms, 1 + g^k = g^Z(k)
 (Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory, 1990).
-The GU row sampler in oracle.groups reads the same lists (_exp, _log, _zech,
-_neg, _inv) directly, without a method call per element. Only large fields,
-and fields built with tables=False, multiply as polynomials over the prime
-field; so does the table set-up itself, which needs mul and pow before the
-tables exist.
+The GU row sampler in oracle.groups and the Krylov path of oracle.wall read
+the same lists (_exp, _log, _zech, _neg, _inv) directly, without a method
+call per element, through _combine for linear combinations of vectors. Only
+large fields, and fields built with tables=False, multiply as polynomials:
+the product of the two digit lists on plain ints, reduced by the monic
+modulus from the top degree down, with one % per coefficient. So does the
+table set-up itself, which needs mul and pow before the tables exist.
 
 This module also holds the package's one polynomial kit: poly_trim, poly_add,
 poly_neg, poly_mul, poly_divmod, poly_monic, poly_eval, poly_gcd and
 poly_powmod act on little-endian tuples of encodings over any field object
-F. The extension multiply and the irreducibility test run it over the prime
-field; oracle.wall runs it over F_q for the Smith form, and oracle.witness
-over a big extension for minimal polynomials.
+F. Over a prime field, poly_add, poly_neg, poly_mul, poly_divmod and
+poly_monic work on plain ints mod p, one % per coefficient and inverses from
+pow(x, -1, p); over a proper extension they call F's methods per
+coefficient. The irreducibility test runs the kit over the prime field;
+oracle.wall runs it over F_q for the Smith form and the Jordan partitions,
+and oracle.witness over a big extension for minimal polynomials.
 
 The default modulus is the first monic irreducible found when the non-leading
 coefficients (c_0, ..., c_{m-1}) are enumerated lexicographically, so F_9 is
@@ -55,15 +60,21 @@ def poly_trim(c) -> tuple:
 
 
 def poly_add(F, a, b) -> tuple:
-    out = []
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(F.add(x, y))
+    if len(a) < len(b):
+        a, b = b, a
+    if F.m == 1:
+        p = F.p
+        out = [(x + y) % p for x, y in zip(a, b)]
+    else:
+        out = [F.add(x, y) for x, y in zip(a, b)]
+    out += a[len(b):]
     return poly_trim(out)
 
 
 def poly_neg(F, a) -> tuple:
+    if F.m == 1:
+        p = F.p
+        return tuple((-x) % p for x in a)
     return tuple(F.neg(x) for x in a)
 
 
@@ -71,6 +82,14 @@ def poly_mul(F, a, b) -> tuple:
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
+    if F.m == 1:
+        # plain integer products, reduced once per coefficient
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        p = F.p
+        return poly_trim([c % p for c in out])
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -85,14 +104,24 @@ def poly_divmod(F, a, b) -> tuple:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(poly_trim(a))
     db = len(b) - 1
-    ilead = F.inv(b[-1])
     quo = [0] * max(0, len(a) - db)
+    prime = F.m == 1
+    if prime:
+        p = F.p
+        ilead = pow(b[-1], -1, p)
+    else:
+        ilead = F.inv(b[-1])
     while len(a) - 1 >= db and a:
-        c = F.mul(a[-1], ilead)
         shift = len(a) - 1 - db
+        if prime:
+            c = a[-1] * ilead % p
+            for j in range(db + 1):
+                a[shift + j] = (a[shift + j] - c * b[j]) % p
+        else:
+            c = F.mul(a[-1], ilead)
+            for j in range(db + 1):
+                a[shift + j] = F.sub(a[shift + j], F.mul(c, b[j]))
         quo[shift] = c
-        for j in range(db + 1):
-            a[shift + j] = F.sub(a[shift + j], F.mul(c, b[j]))
         while a and a[-1] == 0:
             a.pop()
     return poly_trim(quo), poly_trim(a)
@@ -102,6 +131,10 @@ def poly_monic(F, a) -> tuple:
     a = poly_trim(a)
     if not a or a[-1] == 1:
         return a
+    if F.m == 1:
+        p = F.p
+        inv = pow(a[-1], -1, p)
+        return tuple(inv * x % p for x in a)
     inv = F.inv(a[-1])
     return tuple(F.mul(inv, x) for x in a)
 
@@ -141,6 +174,29 @@ def _mod_table(p):
     return (np.arange(NARROW) % p).astype(np.int16)
 
 
+# --- vectors over a table field: its exp, log and Zech lists ---------------
+
+
+def _combine(F: FiniteField, cs: list, vecs: list, n: int) -> list:
+    """sum_k cs[k] vecs[k] over F, read from its exp, log and Zech lists:
+    x + y = g^lx (1 + g^(ly - lx)) = g^(lx + Z(ly - lx)), a negative index
+    wrapping mod q - 1."""
+    exp, log, zech = F._exp, F._log, F._zech
+    out = [0] * n
+    for c, vec in zip(cs, vecs):
+        if c:
+            lc = log[c]
+            for j, y in enumerate(vec):
+                if y:
+                    t = exp[lc + log[y]]
+                    x = out[j]
+                    if x:
+                        z = zech[log[t] - log[x]]
+                        t = exp[log[x] + z] if z >= 0 else 0
+                    out[j] = t
+    return out
+
+
 # --- the default modulus ----------------------------------------------------
 
 
@@ -177,15 +233,13 @@ class FiniteField:
         if m < 1:
             raise UsageError("m must be positive")
         self.p, self.m, self.q = p, m, p ** m
-        # the coefficient field of the polynomial arithmetic
-        self._prime = FiniteField(p, tables=False) if m > 1 else self
         if modulus is None:
             modulus = _find_modulus(p, m)
         else:
             modulus = poly_trim(modulus)
             if len(modulus) - 1 != m or modulus[-1] != 1:
                 raise UsageError("modulus must be monic of degree m")
-            if m > 1 and not _is_irreducible(self._prime, modulus):
+            if m > 1 and not _is_irreducible(FiniteField(p, tables=False), modulus):
                 raise UsageError("modulus is reducible")
         self.modulus = tuple(modulus)
         self.tables = (self.q <= TABLE_LIMIT_Q) if tables is None else tables
@@ -244,10 +298,24 @@ class FiniteField:
         log = self._log
         if log is not None:
             return self._exp[log[a] + log[b]] if a and b else 0
-        Fp = self._prime
-        prod = poly_divmod(Fp, poly_mul(Fp, self.digits(a), self.digits(b)),
-                           self.modulus)[1]
-        return self.encode(prod)
+        # the digit lists' product on plain ints, reduced by the monic modulus
+        # from the top degree down
+        m, f = self.m, self.modulus
+        da, db = self.digits(a), self.digits(b)
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(da):
+            if x:
+                for j, y in enumerate(db):
+                    prod[i + j] += x * y
+        for k in range(2 * m - 2, m - 1, -1):
+            c = prod[k] % p
+            if c:
+                for j in range(m):
+                    prod[k - m + j] -= c * f[j]
+        e = 0
+        for c in reversed(prod[:m]):
+            e = e * p + c % p
+        return e
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:

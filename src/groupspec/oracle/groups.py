@@ -59,7 +59,7 @@ from ..arith import DEFAULT_ENUM_BOUND, UsageError, odd_prime_power
 from . import KINDS, _check_kind, check_enum_bound, group_order
 from .batch import (_require_tables, decode_batch, det_batch, det_inv_batch,
                     encode_batch, identity_batch, mat_mul, nullspace_batch)
-from .field import FiniteField
+from .field import FiniteField, _combine
 
 ENUM_DRAW_LIMIT = 120_000
 # the most candidate matrices one slice of a GL/SL enumeration holds
@@ -267,26 +267,6 @@ class _Coefficients:
         out = self.buf[self.pos:end]
         self.pos = end
         return out
-
-
-def _combine(F: FiniteField, cs: list, vecs: list, n: int) -> list:
-    """sum_k cs[k] vecs[k] over F, read from its exp, log and Zech lists:
-    x + y = g^lx (1 + g^(ly - lx)) = g^(lx + Z(ly - lx)), a negative index
-    wrapping mod q - 1."""
-    exp, log, zech = F._exp, F._log, F._zech
-    out = [0] * n
-    for c, vec in zip(cs, vecs):
-        if c:
-            lc = log[c]
-            for j, y in enumerate(vec):
-                if y:
-                    t = exp[lc + log[y]]
-                    x = out[j]
-                    if x:
-                        z = zech[log[t] - log[x]]
-                        t = exp[log[x] + z] if z >= 0 else 0
-                    out[j] = t
-    return out
 
 
 def _extend_rref(F: FiniteField, rref: dict, row: list, n: int) -> None:

