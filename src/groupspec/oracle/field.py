@@ -23,8 +23,9 @@ F. Over a prime field, poly_add, poly_neg, poly_mul, poly_divmod and
 poly_monic work on plain ints mod p, one % per coefficient and inverses from
 pow(x, -1, p); over a proper extension they call F's methods per
 coefficient. The irreducibility test runs the kit over the prime field;
-oracle.wall runs it over F_q for the Smith form and the Jordan partitions,
-and oracle.witness over a big extension for minimal polynomials.
+oracle.wall runs it over F_q for the Smith form (its Jordan partitions divide
+by z - lam synthetically), and oracle.witness over a big extension for
+minimal polynomials.
 
 The default modulus is the first monic irreducible found when the non-leading
 coefficients (c_0, ..., c_{m-1}) are enumerated lexicographically, so F_9 is

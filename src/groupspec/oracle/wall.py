@@ -152,16 +152,34 @@ def _smith_factors(F: FiniteField, H: np.ndarray) -> tuple:
 # --- Jordan data, H ~ H^-1 and the membership test -------------------------
 
 
+def _divide_linear(F: FiniteField, d: tuple, lam: int) -> tuple:
+    """(d / (z - lam), d(lam)) by synthetic division: Horner's values at lam,
+    from the top coefficient down, are the quotient's coefficients and the
+    last is the remainder. Over F_p on plain ints, one % per coefficient."""
+    acc, quo = 0, []
+    if F.m == 1:
+        p = F.p
+        for c in reversed(d):
+            acc = (acc * lam + c) % p
+            quo.append(acc)
+    else:
+        for c in reversed(d):
+            acc = F.add(F.mul(acc, lam), c)
+            quo.append(acc)
+    rem = quo.pop()
+    return tuple(reversed(quo)), rem
+
+
 def _jordan_partition(F: FiniteField, facs: tuple, lam: int) -> dict:
-    """{block size: multiplicity} at lam: the power of z - lam in each factor.
-    Each factor divides the next, so the powers never fall along facs: the
-    walk runs from the last factor and stops at the first power 0."""
-    lin = (F.neg(lam), 1)
+    """{block size: multiplicity} at lam: the power of z - lam in each factor,
+    peeled off one synthetic division at a time. Each factor divides the
+    next, so the powers never fall along facs: the walk runs from the last
+    factor and stops at the first power 0."""
     out: dict = {}
     for d in reversed(facs):
         e = 0
         while True:
-            quo, rem = poly_divmod(F, d, lin)
+            quo, rem = _divide_linear(F, d, lam)
             if rem:
                 break
             d, e = quo, e + 1

@@ -303,6 +303,10 @@ class TableBoundError(BoundError):
                          f"bound of {TABLE_LIMIT} values")
 
 
+# the least n that _check_table_size refuses
+_FLOOR_REFUSES_FROM = 247
+
+
 def _check_table_size(n: int) -> None:
     """Refuse, before its base or any term is built, an n whose table must
     pass TABLE_LIMIT. The floor counts distinct values, a floor to the count
@@ -323,7 +327,12 @@ def _check_table_size(n: int) -> None:
     #{i in I : r - w <= i <= r} values, and summed over m <= n the floor
     adds min(w, n - j) + 1 and, per i in I with i <= n - j,
     min(i + w, n - j) - i + 1. It refuses every n from 247, by j = 247 at
-    the latest (j = 71 once n is large), so its cost does not grow with n."""
+    the latest (j = 71 once n is large), so its cost does not grow with n.
+    Each of these terms grows with n and n adds terms, so the floor never
+    falls as n grows: no n below _FLOOR_REFUSES_FROM = 247, the first n it
+    refuses, needs the loop."""
+    if n < _FLOOR_REFUSES_FROM:
+        return
     floor = 0
     for j in range(1, n + 1):
         top = n - j

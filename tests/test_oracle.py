@@ -1057,6 +1057,89 @@ def test_order_tree_layout_follows_the_lane_count(monkeypatch, count):
         assert max(seen[True]) == count and min(seen[True]) >= LANE_MIN
 
 
+# Every (q, n) whose products batch.packed_field packs, and the first it
+# refuses on each side: F_3 at n = 6 and F_5 at n = 2, where n (p-1)^2 has no
+# uint8 multiply-shift, F_9 at n = 5 and F_25 at n = 2, where the Kronecker
+# product leaves int16.
+PACKED = [(3, n) for n in range(1, 6)] + [(5, 1)] + [(9, n) for n in range(1, 5)] + [(25, 1)]
+UNPACKED = [(3, 6), (5, 2), (9, 5), (25, 2)]
+
+
+@pytest.mark.parametrize("q,n", PACKED + UNPACKED)
+@pytest.mark.parametrize("count", [40, LANE_MIN + 64])
+def test_packed_orders_match_the_plain_tree_and_naive_powers(monkeypatch, q, n, count):
+    # conjugates of small order against naive powering, and random elements
+    # against the tree on plain encodings, plain and projective, on both
+    # sides of LANE_MIN; a packed tree multiplies packed stacks only
+    F = make_field("GL", q)
+    packed = oracle_batch.packed_field(F, n)
+    assert (packed is not None) == ((q, n) in PACKED)
+    if packed is not None:
+        assert packed.K.dtype == (np.uint8 if F.m == 1 else np.int16)
+        assert packed.K[0] == 0 and packed.K[1] == 1
+        assert len(set(packed.K.tolist())) == F.q and len(packed.T) <= 1 << 15
+    bound = order_bound_fact(n, F.q, F.p)
+    rng = np.random.default_rng(q * n + count)
+    small = np.concatenate([_special_mats(F, n)[:3], _small_order_conjugates(F, n, count, rng)])
+    wild = sample_matrices("GL", n, q, count, rng)
+    product, fields = oracle_batch.mat_mul, set()
+
+    def spy(G, A, B):
+        fields.add((type(G), A.dtype, B.dtype))
+        return product(G, A, B)
+    monkeypatch.setattr(oracle_batch, "mat_mul", spy)
+    for projective in (False, True):
+        trivial = is_scalar_batch if projective else is_identity_batch
+        got = [orders_batch(F, X, bound, projective) for X in (small, wild)]
+        with monkeypatch.context() as plain:
+            plain.setattr(oracle_orders, "packed_field", lambda F, n: None)
+            want = [orders_batch(F, X, bound, projective) for X in (small, wild)]
+        assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+        assert (got[0] == _naive_orders(F, small, trivial, bound.value)).all()
+    if packed is not None:
+        dtype = packed.K.dtype
+        assert (oracle_batch.PackedField, dtype, dtype) in fields
+
+
+def test_uint8_multiply_shift_constants_are_exact_for_every_peak():
+    # the uint8 constants of a packed prime field, checked like _barrett's
+    # int16 ones: for every table prime and every peak n (p-1)^2 < 2^8, each
+    # shift's quotient over all of [0, peak]; _packing admits exactly the
+    # peaks that get constants, and both its reductions give x mod p
+    admitted = []
+    for p in (p for p in range(3, TABLE_LIMIT_Q + 1) if is_prime(p)):
+        for n in range(1, (1 << 8) // (p - 1) ** 2 + 1):
+            peak = n * (p - 1) ** 2
+            if peak >= 1 << 8:
+                break
+            x = np.arange(peak + 1, dtype=np.int64)
+            passing = []
+            for s in range(9):
+                m = -(-(1 << s) // p)
+                if peak * m >= 1 << 8:
+                    break
+                if ((x * m >> s) == x // p).all():
+                    passing.append((m, s))
+            got = oracle_batch._barrett(p, peak, 1 << 8)
+            assert got == (passing[0] if passing else None), (p, peak)
+            packing = oracle_batch._packing(p, 1, (0, 1), n)
+            assert (packing is not None) == (got is not None), (p, n)
+            if got is None:
+                continue
+            admitted.append((p, n))
+            K, T, shift = packing
+            assert shift == got and T.dtype == np.uint8 and (T == x % p).all()
+            view = oracle_batch.PackedField(FiniteField(p), K, T, shift)
+            for size in (peak + 1, oracle_batch.REDUCE_MIN + peak):
+                tiled = np.resize(x.astype(np.uint8), size)
+                out = view.reduce(tiled.copy())
+                assert out.dtype == np.uint8 and (out == tiled % p).all(), (p, n, size)
+    assert admitted == [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1)]
+    assert oracle_batch._barrett(3, 20, 1 << 8) == (11, 5)
+    # a peak past the limit is refused before any x is checked
+    assert oracle_batch._barrett(2039, 12 * 2038 ** 2, 1 << 8) is None
+
+
 def test_projective_order_divides_matrix_order():
     F = FiniteField(3, 1)
     rng = np.random.default_rng(6)

@@ -670,6 +670,7 @@ def test_table_floor_is_at_most_the_values_made(monkeypatch):
     # the floor of _check_table_size is the least limit it admits; every
     # table, refused at one less, makes at least that many values
     import groupspec.spectra as spectra
+    monkeypatch.setattr(spectra, "_FLOOR_REFUSES_FROM", 0)   # a limit of its own
 
     def floor(n):
         lo, hi = 0, n ** 3
@@ -708,6 +709,7 @@ def test_table_floor_counts_the_sets_of_its_proof(monkeypatch):
             LastFloor.value = floor
             return False
     monkeypatch.setattr(spectra, "TABLE_LIMIT", LastFloor())
+    monkeypatch.setattr(spectra, "_FLOOR_REFUSES_FROM", 0)
     for n in range(1, 23):
         want = 0
         for j in range(1, n + 1):
@@ -719,6 +721,20 @@ def test_table_floor_counts_the_sets_of_its_proof(monkeypatch):
         assert LastFloor.value == want, n
 
 
+def test_table_floor_first_refuses_at_247(monkeypatch):
+    # below its first refusal _check_table_size skips the floor loop; run in
+    # full, the loop passes every n < 247 and refuses 247 and beyond
+    import groupspec.spectra as spectra
+    assert spectra._FLOOR_REFUSES_FROM == 247
+    for skip in (247, 0):
+        monkeypatch.setattr(spectra, "_FLOOR_REFUSES_FROM", skip)
+        for n in range(247):
+            _check_table_size(n)
+        for n in (247, 248, 500, 10 ** 9):
+            with pytest.raises(TableBoundError):
+                _check_table_size(n)
+
+
 @pytest.mark.parametrize("family", list(SWEEP))
 def test_table_floor_refuses_only_tables_that_pass_the_limit(family, monkeypatch):
     # _check_table_size refuses before the table is built, on a lower bound
@@ -726,6 +742,7 @@ def test_table_floor_refuses_only_tables_that_pass_the_limit(family, monkeypatch
     import groupspec.spectra as spectra
     items_fn = SWEEP[family][0]
     monkeypatch.setattr(spectra, "TABLE_LIMIT", 3000)
+    monkeypatch.setattr(spectra, "_FLOOR_REFUSES_FROM", 0)
     refused = []
     for n in range(SWEEP[family][3], 60):
         try:
