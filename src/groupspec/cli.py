@@ -149,6 +149,8 @@ def resolve_settings(args) -> dict:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
             raise UsageError(f"config file {path}: {exc}")
+        if not isinstance(data, dict):
+            raise UsageError(f"config file {path}: not a JSON object")
         for key in DEFAULTS:
             if key in data:
                 cfg[key] = data[key]
@@ -166,11 +168,14 @@ def resolve_settings(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    # type(...) is int: a JSON true is an int to isinstance
     for key in ("threads", "enum_bound", "samples"):
-        if not isinstance(cfg[key], int) or cfg[key] < 1:
+        if type(cfg[key]) is not int or cfg[key] < 1:
             raise UsageError(f"{key} must be a positive integer")
-    if not isinstance(cfg["seed"], int):
+    if type(cfg["seed"]) is not int:
         raise UsageError("seed must be an integer")
+    if cfg["cache"] is not None and not isinstance(cfg["cache"], str):
+        raise UsageError("cache must be a file path")
     return cfg
 
 
@@ -306,10 +311,6 @@ def cmd_verify(args, cfg):
     from .oracle.spectrum import verify_group
     report = verify_group(spec, mode=args.mode, order_kind=args.order_kind,
                           **{k: cfg[k] for k in ("samples", "seed", "enum_bound", "threads")})
-
-    if not args.pretty:
-        # wall clock would break byte-for-byte output stability
-        report.pop("elapsed_s", None)
     payload = {"spec": shown, **report}
     verdict = report["verdict"]
     lines = [f"{verdict}: {report.get('target', shown)} "

@@ -75,7 +75,7 @@ and no field from F_243 on. The product is int16 when its largest entry, n
 times the square of the packed q - 1, is below 2^15 (F_9 up to n = 4, F_25 at
 n = 1) and int32 otherwise. Every other case gathers from the MUL and ADD
 tables, one column of A against one row of B at a time. Elimination over an
-extension gathers from MUL/ADD/SUB. Determinants alone use forward
+extension gathers from MUL, ADD and NEG. Determinants alone use forward
 elimination below each pivot; inverses use the full Gauss-Jordan sweep. Ranks and null spaces share one reduced row echelon
 sweep whose pivot columns differ from lane to lane.
 
@@ -140,8 +140,8 @@ def identity_batch(F: FiniteField, n: int, count: int) -> np.ndarray:
 @functools.cache
 def _kronecker(p: int, m: int, modulus: tuple, n: int):
     """Tables (K, B^m, LO, HI) for n x n products over F_{p^m} by Kronecker
-    substitution, or None when B^m > KRONECKER_LIMIT. Cached per field and n:
-    make_field builds a fresh field object for every call.
+    substitution, or None when B^m > KRONECKER_LIMIT. Cached per (p, m,
+    modulus) and n, so every field object of one modulus shares them.
 
     K[e] is the encoding e = sum d_i p^i read in base B = n m (p-1)^2 + 1.
     A packed product P = hi B^m + lo holds the coefficients of x^0 .. x^(2m-2)
@@ -422,7 +422,8 @@ def _field_ops(F: FiniteField):
 
     Prime fields with p^2 <= 2^15 work in int16 and reduce through _reduce;
     msub adds p (p - 1) to keep its entries in [0, p^2). Wider prime fields use
-    int32 arithmetic mod p. Proper extensions gather from ADD/MUL/SUB."""
+    int32 arithmetic mod p. Proper extensions gather from ADD, MUL and NEG,
+    which msub applies to the factor f rather than to the product."""
     if F.m == 1:
         p = F.p
         if _narrow(F):
@@ -433,7 +434,7 @@ def _field_ops(F: FiniteField):
         return (lambda a, b: (a + b) % p, lambda a, b: a * b % p,
                 lambda a, f, b: (a - f * b) % p)
     return (lambda a, b: F.ADD[a, b], lambda a, b: F.MUL[a, b],
-            lambda a, f, b: F.SUB[a, F.MUL[f, b]])
+            lambda a, f, b: F.ADD[a, F.MUL[F.NEG[f], b]])
 
 
 def det_inv_batch(F: FiniteField, A: np.ndarray, need_inv: bool = True):

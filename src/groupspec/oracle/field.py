@@ -2,12 +2,14 @@
 
 An element is encoded as an integer in [0, q): the value sum c_j p^j stands
 for the polynomial sum c_j x^j over the modulus. Small fields (q <= 2048)
-additionally build full numpy lookup tables (ADD, MUL, INV, ..., and over a
-prime field the int16 reduction table MOD, shared by every field of that p)
-so matrix arithmetic can be vectorized, and do their scalar arithmetic
-through O(q) Python lists taken from them: mul, inv and pow through exp/log,
-and add in a proper extension through Zech logarithms, 1 + g^k = g^Z(k)
-(Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory, 1990).
+additionally build read-only numpy lookup tables (MUL, ADD, NEG, INV, FROB,
+LOG, and over a prime field the int16 reduction table MOD, shared by every
+field of that p), one builder for every m, so matrix arithmetic can be
+vectorized; oracle.groups.make_field shares one such field per (p, m). They
+do their scalar arithmetic through O(q) Python lists taken from the tables:
+mul, inv and pow through exp/log, and add in a proper extension through Zech
+logarithms, 1 + g^k = g^Z(k) (Huber, "Some comments on Zech's logarithms",
+IEEE Trans. Inf. Theory, 1990).
 The GU row sampler in oracle.groups and the Krylov path of oracle.wall read
 the same lists (_exp, _log, _zech, _neg, _inv) directly, without a method
 call per element, through _combine for linear combinations of vectors. Only
@@ -32,7 +34,7 @@ coefficients (c_0, ..., c_{m-1}) are enumerated lexicographically, so F_9 is
 built over x^2 + 1; the search runs once per (p, m). An explicit modulus can
 be passed for cross checks. The primitive element is likewise found once per
 (p, m, modulus) and process, by the first field that asks, with that field's
-own pow; only the integer is cached, never a field or its tables.
+own pow; only the integer is cached here, never a field or its tables.
 """
 
 from __future__ import annotations
@@ -172,7 +174,9 @@ def _mod_table(p):
     """MOD[x] = x % p for 0 <= x < 2^15: one int16 reduction table per p,
     which oracle.batch._reduce gathers through on small arrays and where no
     int16 multiply-shift fits."""
-    return (np.arange(NARROW) % p).astype(np.int16)
+    mod = (np.arange(NARROW) % p).astype(np.int16)
+    mod.flags.writeable = False
+    return mod
 
 
 # --- vectors over a table field: its exp, log and Zech lists ---------------
@@ -368,7 +372,10 @@ class FiniteField:
     # --- numpy lookup tables ---
 
     def _build_tables(self):
-        p, m, q = self.p, self.m, self.q
+        """One way for every m: MUL, INV and FROB from exp and log, ADD and NEG
+        from digit vectors, MUL and ADD 2^18 entries at a time, so no
+        temporary exceeds 2 MiB. All read-only: make_field shares F."""
+        p, q = self.p, self.q
         g = self.primitive
         exp = np.empty(q - 1, np.int16)
         cur = 1
@@ -377,46 +384,35 @@ class FiniteField:
             cur = self.mul(cur, g)
         log = np.full(q, -1, np.int64)
         log[exp] = np.arange(q - 1)
-        self.EXP, self.LOG = exp, log
-
-        idx = (log[1:, None] + log[None, 1:]) % (q - 1)
-        mul = np.zeros((q, q), np.int16)
-        mul[1:, 1:] = exp[idx]
-        self.MUL = mul
-
-        if m == 1:
-            grid = np.arange(q, dtype=np.int64)
-            self.ADD = ((grid[:, None] + grid[None, :]) % p).astype(np.int16)
-            self.NEG = ((-grid) % p).astype(np.int16)
+        exp2 = np.concatenate([exp, exp])      # log a + log b needs no % (q - 1)
+        # int64, as elsewhere: int16 // and % would page in numpy loops that
+        # nothing else runs, about 150 KiB more peak RSS per CLI process
+        enc = np.arange(q)
+        digs = [enc // p ** j % p for j in range(self.m)]
+        mul = np.empty((q, q), np.int16)
+        add = np.empty((q, q), np.int16)
+        step = max(1, (1 << 18) // q)
+        for lo in range(0, q, step):
+            hi = min(q, lo + step)
+            # row and column 0 read exp2 at a log of -1 and are zeroed below,
+            # as is entry 0 of INV and FROB
+            mul[lo:hi] = exp2[log[lo:hi, None] + log]
+            add[lo:hi] = sum((d[lo:hi, None] + d) % p * p ** j for j, d in enumerate(digs))
+        mul[0] = mul[:, 0] = 0
+        self.LOG, self.MUL, self.ADD = log, mul, add
+        self.NEG = sum(-d % p * p ** j for j, d in enumerate(digs)).astype(np.int16)
+        if self.m == 1:
             self.MOD = _mod_table(p)
-        else:
-            digs = np.empty((q, m), np.int64)
-            e = np.arange(q, dtype=np.int64)
-            for j in range(m):
-                digs[:, j] = e % p
-                e //= p
-            weights = p ** np.arange(m, dtype=np.int64)
-            add = np.empty((q, q), np.int16)
-            step = max(1, (1 << 22) // (q * m))
-            for lo in range(0, q, step):
-                hi = min(q, lo + step)
-                block = (digs[lo:hi, None, :] + digs[None, :, :]) % p
-                add[lo:hi] = (block * weights).sum(axis=2).astype(np.int16)
-            self.ADD = add
-            self.NEG = (((-digs) % p) * weights).sum(axis=1).astype(np.int16)
-
-        self.SUB = self.ADD[:, self.NEG]
-        inv = np.zeros(q, np.int16)
-        inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
-        self.INV = inv
-        frob = np.zeros(q, np.int16)
-        frob[1:] = exp[(log[1:] * p) % (q - 1)]
-        self.FROB = frob
+        inv, frob = exp[-log % (q - 1)], exp[log * p % (q - 1)]
+        inv[0] = frob[0] = 0
+        self.INV, self.FROB = inv, frob
+        for table in (log, mul, add, self.NEG, inv, frob):
+            table.flags.writeable = False
 
         # the scalar ops read these lists; doubling exp lets mul skip the
         # reduction of log a + log b, and zech[k] = log(1 + g^k), -1 if zero
         self._exp = exp.tolist() * 2
-        self._zech = log[self.ADD[1, exp]].tolist()
+        self._zech = log[add[1, exp]].tolist()
         self._neg = self.NEG.tolist()
         self._inv = inv.tolist()
         self._frob = frob.tolist()

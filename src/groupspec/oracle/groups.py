@@ -1,5 +1,8 @@
 """The classical matrix groups: orders, enumeration and uniform sampling.
 
+Matrices live over make_field's field, F_q or F_{q^2} for GU and SU, built
+once per (p, m) and process and shared by every caller.
+
 GL and SL are enumerated in ascending order of their encode_batch keys, with
 each determinant read off a cofactor table instead of an elimination. The
 determinant is linear in the last row: det X = sum_c X[n-1, c] C_c(P), where
@@ -50,6 +53,7 @@ enumeration; the report strings name which path was taken.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -67,9 +71,13 @@ ENUM_CHUNK = 1 << 16
 
 
 def make_field(kind: str, q: int) -> FiniteField:
-    """Field the matrices live over: F_q, except F_{q^2} for GU/SU."""
+    """Field the matrices live over: F_q, except F_{q^2} for GU/SU. One
+    object per (p, m) and process, so SL_3(9) and SU_3(3) share F_9."""
     p, m = odd_prime_power(q)
-    return FiniteField(p, 2 * m if kind in ("GU", "SU") else m)
+    return _field(p, 2 * m if kind in ("GU", "SU") else m)
+
+
+_field = functools.cache(FiniteField)           # (p, m) -> the shared field
 
 
 # --- enumeration ------------------------------------------------------------
@@ -80,19 +88,16 @@ _enum_lock = threading.Lock()
 
 
 def enumerate_matrices(kind: str, n: int, q: int,
-                       enum_bound: int = DEFAULT_ENUM_BOUND,
-                       field: FiniteField | None = None) -> tuple:
+                       enum_bound: int = DEFAULT_ENUM_BOUND) -> tuple:
     """(field, stacked matrices) for the whole group. Cached per (kind, n, q),
-    after the bound check, so a call over the bound fails cached or not.
-    field, when given, is make_field(kind, q) as the caller already built it;
-    a cache hit returns the cached field instead."""
+    after the bound check, so a call over the bound fails cached or not."""
     order = check_enum_bound(kind, n, q, enum_bound)
     key = (kind, n, q)
     with _enum_lock:
         hit = _enum_cache.get(key)
     if hit is not None:
         return hit
-    F = field if field is not None else make_field(kind, q)
+    F = make_field(kind, q)
     if kind in ("GL", "SL"):
         mats = _enumerate_linear(F, n, kind)
     else:
@@ -135,12 +140,12 @@ def _enumerate_linear(F: FiniteField, n: int, kind: str) -> np.ndarray:
 def _bfs_closure(F: FiniteField, kind: str, n: int, q: int, target: int) -> np.ndarray:
     # one fixed stream per group, so every caller gets the same element order
     rng = np.random.default_rng(np.random.SeedSequence([0, n, q, KINDS.index(kind)]))
-    gens = sample_matrices(kind, n, q, 3, rng, field=F, allow_enum_draw=False)
+    gens = sample_matrices(kind, n, q, 3, rng, allow_enum_draw=False)
     for _ in range(8):
         mats = _close(F, gens, target)
         if mats is not None:
             return mats
-        extra = sample_matrices(kind, n, q, 1, rng, field=F, allow_enum_draw=False)
+        extra = sample_matrices(kind, n, q, 1, rng, allow_enum_draw=False)
         gens = np.concatenate([gens, extra])
     raise AssertionError("closure failed to reach the group order")
 
@@ -186,19 +191,18 @@ def sampler_name(kind: str, n: int, q: int) -> str:
 
 
 def sample_matrices(kind: str, n: int, q: int, count: int, rng,
-                    field: FiniteField | None = None,
                     allow_enum_draw: bool = True) -> np.ndarray:
     _check_kind(kind, n)
     if n < 1 or count < 0:
         raise UsageError(f"cannot sample {count} matrices of size {n}")
-    F = field if field is not None else make_field(kind, q)
+    F = make_field(kind, q)
     if count == 0:
         return np.zeros((0, n, n), np.int16)
     _require_tables(F)
     if kind in ("GL", "SL"):
         return _sample_linear(F, n, count, rng, kind)[0]
     if allow_enum_draw and group_order(kind, n, q) <= ENUM_DRAW_LIMIT:
-        _, mats = enumerate_matrices(kind, n, q, field=F)
+        _, mats = enumerate_matrices(kind, n, q)
         return mats[rng.integers(0, len(mats), count)]
     if kind == "Sp":
         return _sample_sp(F, n, count, rng)
@@ -370,7 +374,7 @@ def _sample_sp(F: FiniteField, n: int, count: int, rng) -> np.ndarray:
             cvs[i].append(cv)
             cus[i].append(coeffs.take(d, rest))
 
-    ADD, MUL, SUB, NEG = F.ADD, F.MUL, F.SUB, F.NEG
+    ADD, MUL, NEG = F.ADD, F.MUL, F.NEG
     lanes = np.arange(count)
 
     def functional(x):
@@ -388,7 +392,7 @@ def _sample_sp(F: FiniteField, n: int, count: int, rng) -> np.ndarray:
         c0 = F.INV[vals[lanes, j0]]
         u = mat_mul(F, np.array(cus[i], np.int16)[:, None, :], basis)[:, 0]
         fu = mat_mul(F, fv[:, None, :], u[:, :, None])[:, 0, 0]
-        s = MUL[SUB[1, fu], c0]
+        s = MUL[ADD[1, NEG[fu]], c0]
         w = ADD[u, MUL[s[:, None], basis[lanes, j0]]]
         g[:, :, i] = v
         g[:, :, r + i] = w

@@ -29,8 +29,6 @@ are reproducible and independent of the thread count.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..arith import DEFAULT_ENUM_BOUND
@@ -93,12 +91,11 @@ def brute_spectrum(kind: str, n: int, q: int, *,
     tau = order_kind.startswith("tau")
     # every det class lies in the wing: no determinant is needed
     whole = order_kind == "tau_coset" and d == 1
-    start = time.monotonic()
     F = make_field(kind, q)
     bound = order_bound_fact(n, F.q, F.p)
 
     if mode == "full":
-        F, mats = enumerate_matrices(kind, n, q, enum_bound=enum_bound, field=F)
+        F, mats = enumerate_matrices(kind, n, q, enum_bound=enum_bound)
         rows = mats
         if tau:
             if not whole:
@@ -118,7 +115,7 @@ def brute_spectrum(kind: str, n: int, q: int, *,
             if kind == "GL":
                 mats, det = _sample_linear(F, n, count, rng, kind)
             else:
-                mats = sample_matrices(kind, n, q, count, rng, field=F)
+                mats = sample_matrices(kind, n, q, count, rng)
                 det = None if whole else det_batch(F, mats)
             return mats if whole else mats[_det_class_mask(F, det, kind, q, d, order_kind)]
 
@@ -126,7 +123,7 @@ def brute_spectrum(kind: str, n: int, q: int, *,
             rng = np.random.default_rng(streams[i])
             want = min(BLOCK, samples - i * BLOCK)
             if not tau:
-                return _attained(F, sample_matrices(kind, n, q, want, rng, field=F),
+                return _attained(F, sample_matrices(kind, n, q, want, rng),
                                  bound, order_kind)
             # refill until want draws lie in the wing, then measure them at once
             kept: list = []
@@ -153,7 +150,6 @@ def brute_spectrum(kind: str, n: int, q: int, *,
         "samples": used, "seed": seed, "threads": threads,
         "sampler": sampler,
         "attained": sorted(attained),
-        "elapsed_s": round(time.monotonic() - start, 3),
     }
 
 

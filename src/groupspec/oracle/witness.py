@@ -34,6 +34,7 @@ from ..arith import Record, p_power_exponent, r_part
 from ..coset import UNSUPPORTED
 from ..spectra import GroupSpec, _partitions
 from .field import FiniteField, embed_subfield, poly_mul
+from .groups import make_field
 from .orders import order_bound_fact, orders_batch
 
 BIG_FIELD_LIMIT = 1 << 22
@@ -101,7 +102,7 @@ def witness_for_value(spec: GroupSpec, target: int):
     if spec.family not in ("PSL", "PGL") or spec.eps != 1 or target < 1:
         return UNSUPPORTED
     rng = random.Random(f"{spec}:{target}:0")
-    small = FiniteField(spec.p, spec.m)
+    small = make_field("GL", spec.q)
     pt = r_part(target, spec.p)
     if pt == 1:
         found = _semisimple_witness(spec, target, small, rng)
@@ -199,7 +200,7 @@ def _block_diag(blocks, n: int) -> np.ndarray:
 
 def verify_witness(spec: GroupSpec, wit: Witness) -> int:
     """Honest projective order of the witness matrix, via the table oracle."""
-    F = FiniteField(spec.p, spec.m)
+    F = make_field("GL", spec.q)
     bound = order_bound_fact(spec.n, F.q, F.p)
     if wit.group_kind == "SL":
         from .batch import det_batch

@@ -362,6 +362,23 @@ def test_invalid_settings_rejected():
     assert code == 2
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"cache": 5}, "cache"),
+    ({"samples": True}, "samples"),
+    ("seed", "config file"),
+    ([1, 2], "config file"),
+])
+def test_config_file_values_checked_like_flags(tmp_path, config, named):
+    # a config value gets the checks its flag gets: no traceback, no bool
+    # taken for an integer, and a file that is not a JSON object is refused
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli("verify", "PSL(3,3)", "--mode", "sample",
+                             env={"GROUPSPEC_CONFIG": str(path)})
+    assert (code, out) == (2, b"")
+    assert named in err and "Traceback" not in err
+
+
 def test_factor_cache_round_trip(tmp_path):
     # verify factorizes its order bound 312 = 2^3 3 13; the closed forms and
     # the check on q factorize nothing

@@ -113,13 +113,72 @@ def test_field_tables_match_scalar_ops():
         _check_table_field(FiniteField(p, m), FiniteField(p, m, tables=False))
 
 
+# sha256 (first 16 hex digits) over each table's name, dtype, shape and bytes,
+# in this order, recorded before the tables were built blockwise from digit
+# vectors: MUL, ADD, NEG, INV, FROB, LOG, and MOD over a prime field
+_TABLE_DIGESTS = {
+    3: "c0789b0432c97e32", 5: "38094ba8beda270d", 7: "cbd2b8c95c15f5df",
+    9: "d6dca60a71520006", 25: "a24fa34ad8a3f93f", 27: "a8c28d202b22e10b",
+    49: "53ca1b5810534b7c", 81: "a5be7edc099761e9", 125: "14aec68b4ec91e27",
+    243: "b209f37911754cd9", 343: "12da2756fbf15d95", 729: "d04b7a68e64008ea",
+    1021: "59260333f6483ff6", 1849: "649cd1d6df7d995a", 2039: "adba12fb7a111802",
+}
+
+
+def test_field_tables_keep_their_digests():
+    for q, want in _TABLE_DIGESTS.items():
+        F = FiniteField(*odd_prime_power(q))
+        h = hashlib.sha256()
+        for name in ("MUL", "ADD", "NEG", "INV", "FROB", "LOG") + (("MOD",) if F.m == 1 else ()):
+            t = getattr(F, name)
+            h.update(f"{name} {t.dtype} {t.shape}".encode())
+            h.update(t.tobytes())
+        assert h.hexdigest()[:16] == want, q
+
+
+def test_field_tables_are_read_only():
+    # make_field shares one field per (p, m): a stray write must raise, not
+    # corrupt every later call
+    for F in (make_field("GL", 3), make_field("SU", 3)):
+        for name in ("MUL", "ADD", "NEG", "INV", "FROB", "LOG"):
+            with pytest.raises(ValueError):
+                getattr(F, name)[1] = 0
+    with pytest.raises(ValueError):
+        make_field("GL", 5).MOD[0] = 1
+
+
+def test_field_set_up_memory():
+    # MUL and ADD are filled a block of rows at a time: F_2039 keeps 16 MiB
+    # of q x q int16 tables, and its set-up peaked at 103 MiB when they were
+    # built from whole q x q int64 temporaries
+    import tracemalloc
+    FiniteField(2039, tables=False).primitive
+    tracemalloc.start()
+    try:
+        FiniteField(2039)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
+def test_extension_msub_matches_scalar_ops():
+    # msub(a, f, b) = a - f b gathers NEG on the factor f, not on the product
+    for q in (9, 25, 27):
+        F = make_field("GL", q)
+        msub = oracle_batch._field_ops(F)[2]
+        a, f, b = (x.astype(np.int16).ravel() for x in np.indices((q, q, q)))
+        want = [F.sub(x, F.mul(y, z)) for x, y, z in zip(a.tolist(), f.tolist(), b.tolist())]
+        assert msub(a, f, b).tolist() == want
+
+
 def _check_table_field(F, ref):
     p, q = F.p, F.q
     for a in range(q):
         for b in range(q):
             want = ref.add(a, b), ref.sub(a, b), ref.mul(a, b)
             assert (F.add(a, b), F.sub(a, b), F.mul(a, b)) == want
-            assert (F.ADD[a, b], F.SUB[a, b], F.MUL[a, b]) == want
+            assert (F.ADD[a, b], F.ADD[a, F.NEG[b]], F.MUL[a, b]) == want
         assert F.neg(a) == ref.neg(a) == F.NEG[a]
         assert F.frob(a) == ref.frob(a) == F.FROB[a]
         for e in (-q, -2, -1, 0, 1, 2, p, q - 2, q - 1, q, 3 * q + 5):
@@ -212,15 +271,21 @@ def test_table_fields_are_pinned(monkeypatch):
 
 
 def test_witness_fields_are_pinned(monkeypatch):
-    # every field that witness_report builds: (p, m, tables, modulus, primitive)
+    # every field that witness_report builds or takes from make_field:
+    # (p, m, tables, modulus, primitive)
     built = []
 
     class Recorded(FiniteField):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self)
+
+    def small_field(kind, q):
+        built.append(make_field(kind, q))
+        return built[-1]
     monkeypatch.setattr(oracle_field, "_primitives", {})
     monkeypatch.setattr(oracle_witness, "FiniteField", Recorded)
+    monkeypatch.setattr(oracle_witness, "make_field", small_field)
     pinned = {
         (3, 5): [(5, 1, False, (0, 1), 2), (5, 1, True, (0, 1), 2),
                  (5, 2, False, (1, 1, 1), 7), (5, 3, False, (1, 0, 1, 1), 7)],
@@ -983,7 +1048,7 @@ def _small_order_conjugates(F, n, count, rng):
     rest). Their entries lie anywhere in F_q, so products reach the widest
     sums, while their orders stay at most 12 or p^ceil(log_p n), so naive
     powering ends within a few hundred steps even over F_191."""
-    P = sample_matrices("GL", n, F.q, count, rng, field=F)
+    P = sample_matrices("GL", n, F.q, count, rng)
     half, idx = count // 2, np.arange(n)
     D = np.zeros((count, n, n), np.int16)
     perms = rng.permuted(np.tile(idx, (half, 1)), axis=1)
@@ -1331,7 +1396,7 @@ def _tau_wing_per_refill(kind, n, q, order_kind, samples, seed, block):
         rng = np.random.default_rng(stream)
         want, got = min(block, samples - i * block), 0
         while got < want:
-            mats = sample_matrices(kind, n, q, want - got, rng, field=F)
+            mats = sample_matrices(kind, n, q, want - got, rng)
             if order_kind == "tau_delta_coset" or d > 1:
                 e = F.LOG[det_batch(F, mats)]
                 if kind == "GU":
@@ -1382,8 +1447,9 @@ def test_sampled_tau_wing_measures_each_block_once(monkeypatch, kind, n, q):
 
 @pytest.mark.parametrize("kind, mode", [("GU", "full"), ("SL", "full"), ("SU", "sample")])
 def test_brute_spectrum_builds_one_field(monkeypatch, kind, mode):
-    # on an empty enumeration cache, brute_spectrum, the enumeration and the
-    # closure's generators share the one field that brute_spectrum makes
+    # with the field and enumeration caches cleared, brute_spectrum, the
+    # enumeration and the closure's generators share the one field that
+    # make_field builds, and a second call builds none
     import groupspec.oracle.field as oracle_field
     build, calls = oracle_field.FiniteField._build_tables, []
 
@@ -1392,8 +1458,13 @@ def test_brute_spectrum_builds_one_field(monkeypatch, kind, mode):
         return build(self)
     monkeypatch.setattr(oracle_field.FiniteField, "_build_tables", counted)
     monkeypatch.setattr(oracle_groups, "_enum_cache", {})
+    oracle_groups._field.cache_clear()
+    want = [9 if kind in ("GU", "SU") else 3]
     brute_spectrum(kind, 3, 3, mode=mode, samples=64)
-    assert calls == [9 if kind in ("GU", "SU") else 3]
+    assert calls == want
+    brute_spectrum(kind, 3, 3, mode=mode, samples=64)
+    assert calls == want
+    assert make_field("GL", 9) is make_field("SU", 3)
 
 
 @pytest.mark.parametrize("kind, n, q", [("GL", 3, 3), ("GL", 3, 5), ("GU", 3, 3)])
@@ -1732,7 +1803,7 @@ def test_invariant_factors_structure():
     for q in (3, 5, 9):
         F = make_field("GL", q)
         for n in (3, 4):
-            mats = sample_matrices("GL", n, q, 12, rng, field=F)
+            mats = sample_matrices("GL", n, q, 12, rng)
             for H in mats:
                 facs = invariant_factors(F, H)
                 # successive divisibility, last one annihilates H
@@ -1839,7 +1910,7 @@ def _planted_mats(F, n, rng):
         mats.append(np.diag(np.array(diag, np.int16)))
         mats.append(np.diag(np.array([a, a] + [b] * (n - 2), np.int16)))
     D = np.stack(mats)
-    P = sample_matrices("GL", n, F.q, len(D), rng, field=F)
+    P = sample_matrices("GL", n, F.q, len(D), rng)
     _, Pinv, _ = det_inv_batch(F, P)
     return np.concatenate([D, mat_mul(F, P, mat_mul(F, D, Pinv))])
 
@@ -1869,7 +1940,7 @@ def _partitions_by_kernel_ranks(F, mats, lam):
     B, n, _ = mats.shape
     shifted = mats.copy()
     diag = np.arange(n)
-    shifted[:, diag, diag] = F.SUB[shifted[:, diag, diag], np.int16(lam)]
+    shifted[:, diag, diag] = F.ADD[shifted[:, diag, diag], F.NEG[lam]]
     d = [np.zeros(B, np.int64)]
     power = identity_batch(F, n, B)
     for _ in range(n + 1):
@@ -1886,7 +1957,7 @@ def test_partition_at_matches_kernel_ranks():
     for n, q, count in ((3, 3, 120), (4, 3, 40), (3, 9, 40)):
         F = make_field("GL", q)
         cases.append((F, np.concatenate([_special_mats(F, n),
-                                         sample_matrices("GL", n, q, count, rng, field=F)])))
+                                         sample_matrices("GL", n, q, count, rng)])))
     for F, mats in cases:
         blocks = set()
         for lam in (1, F.neg(1), F.primitive):
@@ -1920,7 +1991,7 @@ def test_conjugate_to_inverse_matches_two_smith_forms():
     cases = [enumerate_matrices("GL", 2, 3), enumerate_matrices("GL", 2, 5)]
     for n, q, count in ((3, 3, 120), (4, 3, 40), (3, 9, 40)):
         F = make_field("GL", q)
-        g = sample_matrices("GL", n, q, count, rng, field=F)
+        g = sample_matrices("GL", n, q, count, rng)
         # g g^-T is conjugate to its inverse: every sample case holds both answers
         _, inv, _ = det_inv_batch(F, g[: count // 4])
         cases.append((F, np.concatenate([g, mat_mul(F, g[: count // 4], transpose(inv))])))
