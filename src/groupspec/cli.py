@@ -329,7 +329,7 @@ def cmd_gamma_check(args, cfg):
     q = args.q
     if q is None:
         raise UsageError("gamma-check needs --q")
-    p, m = odd_prime_power(q)
+    odd_prime_power(q)                   # refuses a q that is no odd prime power
     rows = []
     for chunk in args.matrix.split(";"):
         entries = [e for e in re.split(r"[,\s]+", chunk.strip()) if e]
@@ -345,9 +345,9 @@ def cmd_gamma_check(args, cfg):
     from .oracle import require_table_field
     require_table_field(q)
     import numpy as np
-    from .oracle.field import FiniteField
+    from .oracle.groups import make_field
     from .oracle.wall import det_square_class, wall_check
-    F = FiniteField(p, m)
+    F = make_field("GL", q)
     h = np.array(rows, np.int16)
     # one set of invariant factors answers every question but the determinant class
     wall = wall_check(F, h)

@@ -43,19 +43,22 @@ matrices on.
 
 Every int16 result over a prime field, a product or an elimination step
 (add, mul and a - f b + p (p-1), whose entries are at most 2 (p-1), (p-1)^2
-and p^2 - 1), is reduced by _reduce, which knows the largest entry it can be
-given. From REDUCE_MIN = 4096 entries on it divides by p with a multiply and
-a shift (Granlund and Montgomery, "Division by invariant integers using
+and p^2 - 1), and every uint8 product of the packed domain below, is reduced
+by _reduce, the one reduction mod p, which knows the largest entry it can be
+given and takes its limit, 2^15 or 2^8, from the dtype. From
+REDUCE_MIN = 4096 entries on it divides by p with a multiply and a shift
+(Granlund and Montgomery, "Division by invariant integers using
 multiplication", PLDI 1994): x // p = (x m) >> s, then x - p (x // p), four
-in-place int16 ufunc calls. _barrett takes m = ceil(2^s / p) for the least
-shift s that gives the right quotient for every x in [0, peak], checked one
-by one, and keeps it only if peak m < 2^15, so that no intermediate leaves
-int16; its answer is cached per (p, peak). A shift passes for products
-over F_3 up to n = 47, F_5 up to n = 10, F_7 up to n = 5 and F_13 up to
-n = 2, and for the elimination products and msub only over F_3, F_5, F_7,
-F_11, F_13 and F_19. Where none passes, and on arrays below REDUCE_MIN
-entries, the result is instead gathered from the field's table
-MOD[x] = x % p, shared by every field of that p. On a 2-core VM, best of 15,
+in-place ufunc calls. _barrett takes m = ceil(2^s / p) for the least shift s
+that gives the right quotient for every x in [0, peak], checked one by one,
+and keeps it only if peak m is below the limit, so that no intermediate
+leaves the dtype; its answer is cached per (p, peak, limit). In int16 a
+shift passes for products over F_3 up to n = 47, F_5 up to n = 10, F_7 up to
+n = 5 and F_13 up to n = 2, and for the elimination products and msub only
+over F_3, F_5, F_7, F_11, F_13 and F_19. Where none passes, and on arrays
+below REDUCE_MIN entries, the result is instead gathered from a table: the
+field's MOD[x] = x % p, shared by every field of that p, or a packed field's
+T. On a 2-core VM, best of 15,
 the gather took 99 us and the multiply-shift 33 us on 102,400 entries over
 F_3 (peak 20), and 150 against 27 us over F_5; at 1,600 entries the gather
 was 2.2-3.8 us against 2.9-5.3 us, and the two met near 3,200 entries, since
@@ -73,7 +76,11 @@ them. This holds while B^m <= KRONECKER_LIMIT = 2^17: F_9 up to n = 45, F_25
 up to n = 11, F_27 up to n = 4, F_49 up to n = 5, F_81 to F_169 at n = 1 only,
 and no field from F_243 on. The product is int16 when its largest entry, n
 times the square of the packed q - 1, is below 2^15 (F_9 up to n = 4, F_25 at
-n = 1) and int32 otherwise. Every other case gathers from the MUL and ADD
+n = 1) and int32 otherwise. An int16 product decodes in one gather:
+_kronecker tabulates D[P] = ADD[LO[P mod B^m] + HI[P div B^m]] over every
+packed product P, at most 2^15 int16 entries, so the divmod and the LO, HI
+and ADD gathers become D[P]; an int32 product keeps them, since its D would
+be too large. Every other case gathers from the MUL and ADD
 tables, one column of A against one row of B at a time. Elimination over an
 extension gathers from MUL, ADD and NEG. Determinants alone use forward
 elimination below each pivot; inverses use the full Gauss-Jordan sweep. Ranks and null spaces share one reduced row echelon
@@ -86,13 +93,12 @@ the PackedField in place of F, and each product is one integer dot and one
 exact reduction, whose result stays packed. Over F_{p^m} the domain is the
 Kronecker packing K[e], where the packed product is int16 (F_9 up to n = 4,
 F_25 at n = 1): one cached table T of at most 2^15 int16 entries maps each
-packed product P to the packing of its element,
-T = K[ADD[LO[P mod B^m] + HI[P div B^m]]], so the divmod, the LO, HI and ADD
-gathers and the next product's two K gathers of the plain path become one
-gather. Over F_p it is uint8, where n (p-1)^2 < 2^8 and _barrett has
-constants below 2^8 (F_3 up to n = 5, with m = 11 and s = 5 from n = 2, and
-F_5 at n = 1): K is the identity and a product is reduced by the uint8
-multiply-shift, or, below REDUCE_MIN entries, by the table T[x] = x mod p.
+packed product P to the packing of its element, T = K[D], so the D gather
+and the next product's two K gathers of the plain path become one gather.
+Over F_p it is uint8, where n (p-1)^2 < 2^8 and _barrett has constants below
+2^8 (F_3 up to n = 5, with m = 11 and s = 5 from n = 2, and F_5 at n = 1): K
+is the identity and a product is reduced by _reduce, whose table is
+T[x] = x mod p.
 K(0) = 0, K(1) = 1 and K is injective, so is_identity_batch and
 is_scalar_batch read packed stacks unchanged; their identity takes the
 stack's dtype, since an int16 one would promote every comparison. Every
@@ -122,7 +128,7 @@ import operator
 import numpy as np
 
 from ..arith import UsageError
-from .field import KRONECKER_LIMIT, NARROW, FiniteField, poly_divmod
+from .field import KRONECKER_LIMIT, NARROW, FiniteField, _prime_field, poly_divmod
 
 
 def _require_tables(F: FiniteField):
@@ -139,7 +145,7 @@ def identity_batch(F: FiniteField, n: int, count: int) -> np.ndarray:
 
 @functools.cache
 def _kronecker(p: int, m: int, modulus: tuple, n: int):
-    """Tables (K, B^m, LO, HI) for n x n products over F_{p^m} by Kronecker
+    """Tables (K, B^m, LO, HI, D) for n x n products over F_{p^m} by Kronecker
     substitution, or None when B^m > KRONECKER_LIMIT. Cached per (p, m,
     modulus) and n, so every field object of one modulus shares them.
 
@@ -147,7 +153,11 @@ def _kronecker(p: int, m: int, modulus: tuple, n: int):
     A packed product P = hi B^m + lo holds the coefficients of x^0 .. x^(2m-2)
     as its base-B digits. LO[lo] is q times the encoding of the low m digits
     mod p, a row offset into the flattened ADD; HI[hi] is the encoding of the
-    high m - 1 digits mod p, reduced mod the modulus.
+    high m - 1 digits mod p, reduced mod the modulus. Where the packed
+    product is int16, D[P] = ADD[LO[P mod B^m] + HI[P div B^m]] for every P
+    up to the largest, peak, is the one decode table: at most 2^15 int16
+    entries, made by adding the two digit rows mod p. D is None where the
+    product is int32.
     """
     base = n * m * (p - 1) ** 2 + 1
     split = base ** m
@@ -155,27 +165,34 @@ def _kronecker(p: int, m: int, modulus: tuple, n: int):
         return None
 
     def digits(x, radix, count):
-        return [x // radix ** i % radix for i in range(count)]
+        """The base-radix digit rows of x, one column per digit."""
+        return np.stack([x // radix ** i % radix for i in range(count)], axis=-1)
 
     q = p ** m
     assert q * q <= NARROW                 # LO holds q times an encoding
-    K = sum(d * base ** i for i, d in enumerate(digits(np.arange(q), p, m)))
+    K = digits(np.arange(q), p, m) @ base ** np.arange(m)
     # the largest packed product: every digit of both factors p - 1
     peak = n * int(K[q - 1]) ** 2
     assert peak < 1 << 31
     dtype = np.int16 if peak < NARROW else np.int32
-    lo = digits(np.arange(split), base, m)
-    LO = q * sum(d % p * p ** i for i, d in enumerate(lo))
     # x^(m+t) mod the modulus, for t = 0 .. m - 2, as coefficient rows
-    Fp = FiniteField(p, tables=False)
+    Fp = _prime_field(p)
     rows = np.zeros((m - 1, m), np.int64)
     for t in range(m - 1):
         rem = poly_divmod(Fp, (0,) * (m + t) + (1,), modulus)[1]
         rows[t, :len(rem)] = rem
-    hi = np.stack(digits(np.arange(base ** (m - 1)), base, m - 1), axis=1) % p
-    HI = (hi @ rows % p) @ p ** np.arange(m)
-    return (K.astype(dtype), dtype(split),
-            LO.astype(np.int16), HI.astype(np.int16))
+    # the field element of the low and of the high digits, as digit rows
+    lo = digits(np.arange(split), base, m)
+    lo %= p
+    hi = digits(np.arange(base ** (m - 1)), base, m - 1) % p @ rows % p
+    powers = p ** np.arange(m)
+    D = None
+    if dtype is np.int16:
+        P = np.arange(peak + 1)
+        top = P // split
+        D = ((lo[P - top * split] + hi[top]) % p @ powers).astype(np.int16)
+    return (K.astype(dtype), dtype(split), (q * (lo @ powers)).astype(np.int16),
+            (hi @ powers).astype(np.int16), D)
 
 
 # from this many matrices on, mat_mul multiplies lanes last (see above)
@@ -184,8 +201,8 @@ LANE_MIN = 256
 # go through float64 BLAS, exact while n (p-1)^2 < FLOAT_EXACT (see above)
 FLOAT_MIN_N = 8
 FLOAT_EXACT = 1 << 53
-# from this many entries on, an int16 reduction mod p multiplies and shifts
-# instead of gathering from MOD (see above)
+# from this many entries on, a reduction mod p multiplies and shifts
+# instead of gathering from a table (see above)
 REDUCE_MIN = 4096
 
 
@@ -209,19 +226,18 @@ def _barrett(p: int, peak: int, limit: int = NARROW):
         s += 1
 
 
-def _reduce(F: FiniteField, x: np.ndarray, peak: int) -> np.ndarray:
-    """x mod p for a fresh int16 array x over a prime field, whose entries
-    lie in [0, peak] with peak < 2^15; x itself is overwritten and returned
-    when it is reduced in place."""
-    mult = _barrett(F.p, peak) if x.size >= REDUCE_MIN else None
+def _reduce(x: np.ndarray, p: int, peak: int, table: np.ndarray) -> np.ndarray:
+    """x mod p for a fresh uint8 or int16 array x whose entries lie in
+    [0, peak], peak below 2^8 or 2^15 by the dtype: from REDUCE_MIN entries
+    on, where _barrett has constants (m, s) under that limit, in place by
+    x - p ((x m) >> s), and otherwise by the gather table[x], the field's MOD
+    or a packed field's T. m, s and p are Python ints, so no product widens."""
+    mult = None
+    if x.size >= REDUCE_MIN:
+        mult = _barrett(p, peak, 1 << 8 if x.dtype == np.uint8 else NARROW)
     if mult is None:
-        return F.MOD.take(x)
-    return _multiply_shift(x, F.p, *mult)
-
-
-def _multiply_shift(x: np.ndarray, p: int, m: int, s: int) -> np.ndarray:
-    """x mod p in place, for constants (m, s) from _barrett whose limit
-    bounds x's dtype; m, s and p are Python ints, so no product widens."""
+        return table.take(x)
+    m, s = mult
     t = x * m                                  # at most peak m < limit
     t >>= s                                    # x // p
     t *= p
@@ -231,63 +247,50 @@ def _multiply_shift(x: np.ndarray, p: int, m: int, s: int) -> np.ndarray:
 
 @functools.cache
 def _packing(p: int, m: int, modulus: tuple, n: int):
-    """(K, T, shift) for the packed products of n x n stacks over F_{p^m}, or
-    None where products stay plain. K[e] is the packed encoding of e, and
-    T[P] the packed element that a packed product P stands for, for every P
-    up to the largest, peak. Over F_p, when peak = n (p-1)^2 < 2^8 and
-    _barrett has uint8 constants for it: K is the identity in uint8,
-    T[x] = x mod p, and shift holds the constants. Over F_{p^m}, when the
-    Kronecker product of _kronecker is int16: K is its packing and
-    T = K[ADD[LO[P mod B^m] + HI[P div B^m]]], at most 2^15 int16 entries;
-    shift is None."""
+    """(K, T) for the packed products of n x n stacks over F_{p^m}, or None
+    where products stay plain. K[e] is the packed encoding of e, and T[P] the
+    packed element that a packed product P stands for, for every P up to the
+    largest, peak. Over F_p, when peak = n (p-1)^2 < 2^8 and _barrett has
+    uint8 constants for it: K is the identity in uint8 and T[x] = x mod p,
+    the gather of _reduce. Over F_{p^m}, when the Kronecker product of
+    _kronecker is int16: K is its packing and T = K[D], at most 2^15 int16
+    entries."""
     if m == 1:
         peak = n * (p - 1) ** 2
-        shift = _barrett(p, peak, 1 << 8)
-        if shift is None:
+        if _barrett(p, peak, 1 << 8) is None:
             return None
-        return (np.arange(p, dtype=np.uint8),
-                (np.arange(peak + 1) % p).astype(np.uint8), shift)
+        return np.arange(p, dtype=np.uint8), (np.arange(peak + 1) % p).astype(np.uint8)
     kron = _kronecker(p, m, modulus, n)
-    if kron is None or kron[0].dtype != np.int16:
+    if kron is None or kron[4] is None:
         return None
-    K, split, LO, HI = kron
-    P = np.arange(n * int(K[-1]) ** 2 + 1)
-    top = P // split
-    # the encodings of the low and the high digits, added digit by digit:
-    # what the ADD gather of the plain product does
-    low, high = LO[P - top * split] // p ** m, HI[top]
-    e = sum((low // p ** i + high // p ** i) % p * p ** i for i in range(m))
-    return K, K[e], None
+    K, D = kron[0], kron[4]
+    return K, K[D]
 
 
 class PackedField:
     """F with its encodings packed for the products of n x n stacks, made by
     packed_field. encode(X) packs a stack once; mat_mul and mat_pows take
     the view in place of F, and multiply two packed stacks by one integer
-    dot and one exact reduction, reduce, whose result stays packed. K(0) = 0,
-    K(1) = 1 and K is injective, so is_identity_batch and is_scalar_batch
-    read packed stacks unchanged."""
+    dot and one exact reduction, whose result stays packed: _reduce with T
+    as its table over F_p, the gather T[P] over F_{p^m}. K(0) = 0, K(1) = 1
+    and K is injective, so is_identity_batch and is_scalar_batch read packed
+    stacks unchanged."""
 
     tables = True
 
-    def __init__(self, F: FiniteField, K, T, shift):
+    def __init__(self, F: FiniteField, K, T):
         self.p, self.m, self.q = F.p, F.m, F.q
-        self.K, self.T, self.shift = K, T, shift
+        self.K, self.T = K, T
 
     def encode(self, X: np.ndarray) -> np.ndarray:
         return self.K.take(X)
 
-    def reduce(self, P: np.ndarray) -> np.ndarray:
-        """The packed elements of packed products P, in place where P is
-        reduced by the uint8 multiply-shift."""
-        if self.shift is None or P.size < REDUCE_MIN:
-            return self.T.take(P)
-        return _multiply_shift(P, self.p, *self.shift)
-
 
 def packed_field(F: FiniteField, n: int):
-    """The PackedField of F for n x n products, or None where there is none
-    (see the module docstring)."""
+    """The PackedField of F for n x n products, or None where there is none.
+    It admits F_p where n (p-1)^2 < 2^8 and _barrett has uint8 constants
+    (F_3 up to n = 5, F_5 at n = 1), and F_{p^m} where the Kronecker product
+    is int16 (F_9 up to n = 4, F_25 at n = 1); see the module docstring."""
     if not F.tables:
         return None
     found = _packing(F.p, F.m, F.modulus, n)
@@ -328,7 +331,8 @@ def _product(F: FiniteField, A: np.ndarray, B: np.ndarray, lanes_last: bool):
     n = A.shape[1 if lanes_last else -1]       # the inner dimension
     dot = functools.partial(_dot, lanes_last=True) if lanes_last else np.matmul
     if isinstance(F, PackedField):
-        return F.reduce(dot(A, B))
+        P = dot(A, B)
+        return _reduce(P, F.p, len(F.T) - 1, F.T) if F.m == 1 else F.T.take(P)
     if F.m == 1:
         p = F.p
         peak = n * (p - 1) ** 2                # the largest entry of the sum
@@ -336,16 +340,18 @@ def _product(F: FiniteField, A: np.ndarray, B: np.ndarray, lanes_last: bool):
             Af = A.astype(np.float64)
             P = np.matmul(Af, Af if B is A else B.astype(np.float64))
         elif peak < NARROW:
-            return _reduce(F, dot(A, B), peak)
+            return _reduce(dot(A, B), p, peak, F.MOD)
         else:
             P = dot(A.astype(np.int64), B.astype(np.int64))
         if peak < NARROW:
-            return _reduce(F, P.astype(np.int16), peak)
+            return _reduce(P.astype(np.int16), p, peak, F.MOD)
         return (P.astype(np.int64) % p).astype(np.int16)
     kron = _kronecker(F.p, F.m, F.modulus, n)
     if kron is not None:
-        K, split, LO, HI = kron
+        K, split, LO, HI, D = kron
         P = dot(K.take(A), K.take(B))
+        if D is not None:
+            return D.take(P)
         hi = P // split
         P -= hi * split                    # the low m digits
         index = LO.take(P)
@@ -427,10 +433,10 @@ def _field_ops(F: FiniteField):
     if F.m == 1:
         p = F.p
         if _narrow(F):
-            lift = p * (p - 1)
-            return (lambda a, b: _reduce(F, a + b, 2 * (p - 1)),
-                    lambda a, b: _reduce(F, a * b, (p - 1) ** 2),
-                    lambda a, f, b: _reduce(F, a - f * b + lift, p * p - 1))
+            lift, MOD = p * (p - 1), F.MOD
+            return (lambda a, b: _reduce(a + b, p, 2 * (p - 1), MOD),
+                    lambda a, b: _reduce(a * b, p, (p - 1) ** 2, MOD),
+                    lambda a, f, b: _reduce(a - f * b + lift, p, p * p - 1, MOD))
         return (lambda a, b: (a + b) % p, lambda a, b: a * b % p,
                 lambda a, f, b: (a - f * b) % p)
     return (lambda a, b: F.ADD[a, b], lambda a, b: F.MUL[a, b],

@@ -13,21 +13,25 @@ IEEE Trans. Inf. Theory, 1990).
 The GU row sampler in oracle.groups and the Krylov path of oracle.wall read
 the same lists (_exp, _log, _zech, _neg, _inv) directly, without a method
 call per element, through _combine for linear combinations of vectors. Only
-large fields, and fields built with tables=False, multiply as polynomials:
-the product of the two digit lists on plain ints, reduced by the monic
-modulus from the top degree down, with one % per coefficient. So does the
-table set-up itself, which needs mul and pow before the tables exist.
+large fields, and fields built with tables=False, multiply as polynomials,
+through the kit below: poly_mul of the two digit lists over F_p, then
+poly_divmod by the modulus. So does the table set-up itself, which needs mul
+and pow before the tables exist. F_p is _prime_field(p), one tableless field
+per p and process, which the modulus search and check and the Kronecker
+tables of oracle.batch share.
 
 This module also holds the package's one polynomial kit: poly_trim, poly_add,
-poly_neg, poly_mul, poly_divmod, poly_monic, poly_eval, poly_gcd and
+poly_neg, poly_mul, poly_divmod, poly_monic, poly_div_linear, poly_gcd and
 poly_powmod act on little-endian tuples of encodings over any field object
-F. Over a prime field, poly_add, poly_neg, poly_mul, poly_divmod and
-poly_monic work on plain ints mod p, one % per coefficient and inverses from
-pow(x, -1, p); over a proper extension they call F's methods per
-coefficient. The irreducibility test runs the kit over the prime field;
-oracle.wall runs it over F_q for the Smith form (its Jordan partitions divide
-by z - lam synthetically), and oracle.witness over a big extension for
-minimal polynomials.
+F. Over a prime field, poly_add, poly_neg, poly_mul, poly_divmod,
+poly_monic and poly_div_linear work on plain ints mod p, one % per
+coefficient and inverses from pow(x, -1, p); over a proper extension they
+call F's methods per coefficient. poly_div_linear is the one Horner's rule:
+it divides by z - lam and returns the value at lam as the remainder. The
+irreducibility test runs the kit over the prime field; oracle.wall runs it
+over F_q for the Smith form and the Jordan partitions, embed_subfield
+evaluates with poly_div_linear, and oracle.witness runs the kit over a big
+extension for minimal polynomials.
 
 The default modulus is the first monic irreducible found when the non-leading
 coefficients (c_0, ..., c_{m-1}) are enumerated lexicographically, so F_9 is
@@ -142,11 +146,22 @@ def poly_monic(F, a) -> tuple:
     return tuple(F.mul(inv, x) for x in a)
 
 
-def poly_eval(F, a, x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
+def poly_div_linear(F, d, lam: int) -> tuple:
+    """(d / (z - lam), d(lam)) by Horner's rule: its values at lam, from the
+    top coefficient down, are the quotient's coefficients, and the last is
+    d(lam); ((), 0) for the zero polynomial."""
+    acc, quo = 0, []
+    if F.m == 1:
+        p = F.p
+        for c in reversed(d):
+            acc = (acc * lam + c) % p
+            quo.append(acc)
+    else:
+        for c in reversed(d):
+            acc = F.add(F.mul(acc, lam), c)
+            quo.append(acc)
+    rem = quo.pop() if quo else 0
+    return tuple(reversed(quo)), rem
 
 
 def poly_gcd(F, a, b) -> tuple:
@@ -221,7 +236,7 @@ def _is_irreducible(Fp, f):
 def _find_modulus(p, m):
     if m == 1:
         return (0, 1)
-    Fp = FiniteField(p, tables=False)
+    Fp = _prime_field(p)
     for tail in itertools.product(range(p), repeat=m):
         f = tail + (1,)
         if _is_irreducible(Fp, f):
@@ -244,7 +259,7 @@ class FiniteField:
             modulus = poly_trim(modulus)
             if len(modulus) - 1 != m or modulus[-1] != 1:
                 raise UsageError("modulus must be monic of degree m")
-            if m > 1 and not _is_irreducible(FiniteField(p, tables=False), modulus):
+            if m > 1 and not _is_irreducible(_prime_field(p), modulus):
                 raise UsageError("modulus is reducible")
         self.modulus = tuple(modulus)
         self.tables = (self.q <= TABLE_LIMIT_Q) if tables is None else tables
@@ -303,24 +318,10 @@ class FiniteField:
         log = self._log
         if log is not None:
             return self._exp[log[a] + log[b]] if a and b else 0
-        # the digit lists' product on plain ints, reduced by the monic modulus
-        # from the top degree down
-        m, f = self.m, self.modulus
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k] % p
-            if c:
-                for j in range(m):
-                    prod[k - m + j] -= c * f[j]
-        e = 0
-        for c in reversed(prod[:m]):
-            e = e * p + c % p
-        return e
+        # the kit's product of the digit lists over F_p, mod the modulus
+        Fp = _prime_field(p)
+        prod = poly_mul(Fp, self.digits(a), self.digits(b))
+        return self.encode(poly_divmod(Fp, prod, self.modulus)[1])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -422,6 +423,14 @@ class FiniteField:
         return f"FiniteField(p={self.p}, m={self.m})"
 
 
+@functools.cache
+def _prime_field(p: int) -> FiniteField:
+    """F_p without tables, one per p and process: the field the kit runs
+    over for the modulus search and check, tableless products and the
+    Kronecker tables of oracle.batch."""
+    return FiniteField(p, tables=False)
+
+
 def embed_subfield(small: FiniteField, big: FiniteField):
     """Embedding of a subfield: (fwd array, rev dict on the image).
 
@@ -442,12 +451,12 @@ def embed_subfield(small: FiniteField, big: FiniteField):
     root = None
     for k in range(small.q - 1):
         cand = big.pow(lam, k * span)
-        if poly_eval(big, small.modulus, cand) == 0:
+        if poly_div_linear(big, small.modulus, cand)[1] == 0:
             root = cand
             break
     if root is None:
         raise AssertionError("no root of the subfield modulus")  # unreachable
 
-    fwd = [poly_eval(big, small.digits(e), root) for e in range(small.q)]
+    fwd = [poly_div_linear(big, small.digits(e), root)[1] for e in range(small.q)]
     rev = {be: se for se, be in enumerate(fwd)}
     return fwd, rev

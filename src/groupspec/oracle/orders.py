@@ -23,10 +23,9 @@ Y is always an (L, n, n) stack, compacted with Y[live]; batch.mat_mul picks
 the memory layout of each product (lanes last from LANE_MIN = 256 matrices
 on), and the identity and scalar tests read Y through the (n^2, L) view that
 a lanes-last product makes free. Where batch.packed_field has a packed
-domain for (p, m, n) (F_3 up to n = 5 and F_5 at n = 1 in uint8, F_9 up to
-n = 4 and F_25 at n = 1 Kronecker-packed in int16), orders_batch encodes X
-into it once and the whole tree runs there: every product is one integer
-dot and one exact reduction, and the identity and scalar tests hold
+domain for (p, m, n) (its docstring says which it admits), orders_batch
+encodes X into it once and the whole tree runs there: every product is one
+integer dot and one exact reduction, and the identity and scalar tests hold
 unchanged, since the packing keeps 0 and 1.
 """
 

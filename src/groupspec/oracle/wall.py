@@ -39,8 +39,8 @@ import numpy as np
 
 from ..arith import UsageError
 from .batch import det_inv_batch
-from .field import (FiniteField, _combine, poly_add, poly_divmod, poly_monic,
-                    poly_mul, poly_neg, poly_trim)
+from .field import (FiniteField, _combine, poly_add, poly_div_linear, poly_divmod,
+                    poly_monic, poly_mul, poly_neg, poly_trim)
 
 
 # --- invariant factors: one Krylov basis, else the Smith form over F_q[z] ---
@@ -152,34 +152,16 @@ def _smith_factors(F: FiniteField, H: np.ndarray) -> tuple:
 # --- Jordan data, H ~ H^-1 and the membership test -------------------------
 
 
-def _divide_linear(F: FiniteField, d: tuple, lam: int) -> tuple:
-    """(d / (z - lam), d(lam)) by synthetic division: Horner's values at lam,
-    from the top coefficient down, are the quotient's coefficients and the
-    last is the remainder. Over F_p on plain ints, one % per coefficient."""
-    acc, quo = 0, []
-    if F.m == 1:
-        p = F.p
-        for c in reversed(d):
-            acc = (acc * lam + c) % p
-            quo.append(acc)
-    else:
-        for c in reversed(d):
-            acc = F.add(F.mul(acc, lam), c)
-            quo.append(acc)
-    rem = quo.pop()
-    return tuple(reversed(quo)), rem
-
-
 def _jordan_partition(F: FiniteField, facs: tuple, lam: int) -> dict:
     """{block size: multiplicity} at lam: the power of z - lam in each factor,
-    peeled off one synthetic division at a time. Each factor divides the
+    peeled off one poly_div_linear at a time. Each factor divides the
     next, so the powers never fall along facs: the walk runs from the last
     factor and stops at the first power 0."""
     out: dict = {}
     for d in reversed(facs):
         e = 0
         while True:
-            quo, rem = _divide_linear(F, d, lam)
+            quo, rem = poly_div_linear(F, d, lam)
             if rem:
                 break
             d, e = quo, e + 1

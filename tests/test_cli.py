@@ -612,6 +612,22 @@ def test_gamma_check_computes_one_smith_form(monkeypatch, capsys):
         monkeypatch.setattr(wall, "invariant_factors", counted)
 
 
+def test_gamma_check_takes_its_field_from_make_field(monkeypatch, capsys):
+    # gamma-check builds no field of its own: it asks the shared cache
+    import groupspec.oracle.groups as groups
+    real, asked = groups.make_field, []
+
+    def spy(kind, q):
+        asked.append((kind, q))
+        return real(kind, q)
+    monkeypatch.setattr(groups, "make_field", spy)
+    for q, matrix in (("3", "2,1,1;1,0,2;1,0,1"), ("9", "1,2;0,1")):
+        asked.clear()
+        assert cli.main(["gamma-check", "--q", q, matrix]) == 0
+        capsys.readouterr()
+        assert asked == [("GL", int(q))]
+
+
 def test_parse_out_word_forms(capsys):
     assert cli.main(["coset-spectrum", "PSL(3,343)", "--generator", "1"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -7,18 +7,21 @@ that the projective image of the subgroup is H itself. References: Kleidman
 and Liebeck, *The Subgroup Structure of the Finite Classical Groups* (1990),
 and Taylor, *The Geometry of the Classical Groups* (1992). The closed forms
 answer any q at once, so the rows check the linear, unitary, symplectic and
-odd orthogonal tables against each other at n <= 10 over fields the matrix
-oracle cannot reach.
+odd orthogonal tables against each other at n <= 20 over fields the matrix
+oracle cannot reach, and at n <= 6 over fields far past every table: 3^40,
+5^23 and the least prime above 10^29.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from groupspec.arith import is_prime
 from groupspec.spectra import GroupSpec, spectrum
 
 S = GroupSpec.from_q
 CONTAINMENT_Q = (3, 5, 7, 9, 11, 25, 27)
+LARGE_Q = (3 ** 40, 5 ** 23, 10 ** 29 + 319)
 
 
 def symplectic_in_linear(n: int, q: int) -> tuple:
@@ -63,7 +66,8 @@ def unitary_in_projective_general(n: int, q: int) -> tuple:
     return S("PSL", n, q, -1), S("PGL", n, q, -1)
 
 
-# (containment, least n); each is checked at least n <= n <= 10
+# (containment, least n); each is checked at least n <= n <= 20 over
+# CONTAINMENT_Q, and up to n = 6 over LARGE_Q
 CONTAINMENTS = (
     (symplectic_in_linear, 1),
     (unitary_in_linear_over_q2, 2),
@@ -84,10 +88,23 @@ def missing_orders(sub: GroupSpec, group: GroupSpec) -> list:
 @pytest.mark.parametrize("containment,least", CONTAINMENTS,
                          ids=[row[0].__name__ for row in CONTAINMENTS])
 def test_subgroup_orders_are_orders_of_the_group(containment, least):
-    for n in range(least, 11):
+    for n in range(least, 21):
         for q in CONTAINMENT_Q:
             sub, group = containment(n, q)
             assert missing_orders(sub, group) == [], (containment.__name__, str(sub), str(group))
+
+
+@pytest.mark.parametrize("containment,least", CONTAINMENTS,
+                         ids=[row[0].__name__ for row in CONTAINMENTS])
+def test_subgroup_orders_are_orders_of_the_group_at_large_q(containment, least):
+    for n in range(least, 7):
+        for q in LARGE_Q:
+            sub, group = containment(n, q)
+            assert missing_orders(sub, group) == [], (containment.__name__, str(sub), str(group))
+
+
+def test_the_large_prime_is_the_least_above_10_to_the_29():
+    assert [k for k in range(320) if is_prime(10 ** 29 + k)] == [319]
 
 
 def test_a_containment_the_wrong_way_round_is_caught():

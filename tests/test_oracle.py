@@ -40,8 +40,8 @@ from groupspec.oracle.field import (
     _is_irreducible,
     embed_subfield,
     poly_add,
+    poly_div_linear,
     poly_divmod,
-    poly_eval,
     poly_monic,
     poly_mul,
     poly_neg,
@@ -382,6 +382,21 @@ def test_prime_field_poly_kit_matches_the_per_coefficient_kit(p):
             poly_divmod(F, a, ())
 
 
+@pytest.mark.parametrize("q", [3, 13, 9, 25])
+def test_poly_div_linear_divides_by_z_minus_lam(q):
+    # (d / (z - lam), d(lam)) against poly_divmod by z - lam, at every lam;
+    # the zero polynomial gives ((), 0)
+    F = FiniteField(*odd_prime_power(q))
+    rng = random.Random(q)
+    polys = [(1,), (q - 1,)] + [tuple(rng.randrange(q) for _ in range(d)) + (rng.randrange(1, q),)
+                                for d in range(1, 7) for _ in range(3)]
+    for lam in range(q):
+        assert poly_div_linear(F, (), lam) == ((), 0)
+        for d in polys:
+            quo, rem = poly_div_linear(F, d, lam)
+            assert (quo, poly_trim((rem,))) == poly_divmod(F, d, (F.neg(lam), 1)), (d, lam)
+
+
 def test_field_inverse_and_pow():
     F = FiniteField(3, 2)
     for a in range(1, 9):
@@ -574,6 +589,32 @@ def test_mat_mul_matches_gather_loop():
     assert (paths[27, 4], paths[27, 5]) == ("int32", "gather")
     assert (paths[49, 5], paths[49, 6]) == ("int32", "gather")
     assert paths[81, 2] == paths[121, 2] == paths[243, 1] == "gather"
+
+
+def test_kronecker_decode_table_matches_the_lo_hi_add_decode():
+    # every int16 Kronecker packing of a table field: its one decode table D
+    # gives, for every packed product P in [0, peak], what the LO, HI and ADD
+    # gathers give; an int32 packing has no D
+    int16 = []
+    for q in range(9, TABLE_LIMIT_Q + 1, 2):
+        pairs = factorize(q).pairs
+        if len(pairs) != 1 or pairs[0][1] < 2:
+            continue
+        F = FiniteField(*pairs[0])
+        for n in range(1, 50):
+            kron = _kronecker(F.p, F.m, F.modulus, n)
+            if kron is None:
+                break
+            K, split, LO, HI, D = kron
+            if K.dtype == np.int32:
+                assert D is None, (q, n)
+                continue
+            int16.append((q, n))
+            P = np.arange(n * int(K[-1]) ** 2 + 1)
+            want = F.ADD.take(LO[P % split] + HI[P // split])
+            assert D.dtype == np.int16 and len(D) <= 1 << 15
+            assert (D == want).all(), (q, n)
+    assert int16 == [(9, 1), (9, 2), (9, 3), (9, 4), (25, 1)]
 
 
 def test_lane_mul_matches_mat_mul():
@@ -892,8 +933,6 @@ def test_multiply_shift_constants_are_exact_for_every_peak():
     wrong: dict = {}
     covered: dict = {}                      # (p, peak) -> reduced in place
     for p in (p for p in range(3, TABLE_LIMIT_Q + 1) if is_prime(p)):
-        F = FiniteField(p, tables=False)
-        F.MOD = None                        # _reduce must not gather here
         peaks = {n * (p - 1) ** 2 for n in range(1, ((1 << 15) - 1) // (p - 1) ** 2 + 1)}
         if p * p <= 1 << 15:
             peaks |= {2 * (p - 1), (p - 1) ** 2, p * p - 1}
@@ -918,7 +957,7 @@ def test_multiply_shift_constants_are_exact_for_every_peak():
             x = np.resize(np.arange(peak + 1, dtype=np.int16),
                           max(peak + 1, oracle_batch.REDUCE_MIN))
             want = x.astype(np.int64) % p
-            out = oracle_batch._reduce(F, x, peak)
+            out = oracle_batch._reduce(x, p, peak, None)   # no table to gather
             assert out is x and out.dtype == np.int16 and (out == want).all(), (p, peak)
     # what batch.py's docstring says the multiply-shift step covers
     products = {p: max((n for n in range(1, 1 << 15)
@@ -930,14 +969,12 @@ def test_multiply_shift_constants_are_exact_for_every_peak():
 
 
 def test_reduce_gathers_below_the_floor_or_without_constants():
-    F = FiniteField(3)
     small = np.arange(21, dtype=np.int16)
-    got = oracle_batch._reduce(F, small.copy(), 20)
+    got = oracle_batch._reduce(small.copy(), 3, 20, FiniteField(3).MOD)
     assert got.dtype == np.int16 and (got == small % 3).all()
-    F23 = FiniteField(23)
     assert oracle_batch._barrett(23, 3 * 22 ** 2) is None
     x = np.resize(np.arange(3 * 22 ** 2 + 1, dtype=np.int16), 2 * oracle_batch.REDUCE_MIN)
-    got = oracle_batch._reduce(F23, x.copy(), 3 * 22 ** 2)
+    got = oracle_batch._reduce(x.copy(), 23, 3 * 22 ** 2, FiniteField(23).MOD)
     assert got.dtype == np.int16 and (got == x % 23).all()
 
 
@@ -964,8 +1001,8 @@ def test_reduction_floor_changes_no_byte(monkeypatch, p):
     F = FiniteField(p)
     barrett, asked = oracle_batch._barrett, []
 
-    def spy(p, peak):
-        got = barrett(p, peak)
+    def spy(*args):
+        got = barrett(*args)
         asked.append(got)
         return got
     monkeypatch.setattr(oracle_batch, "_barrett", spy)
@@ -1170,7 +1207,8 @@ def test_uint8_multiply_shift_constants_are_exact_for_every_peak():
     # the uint8 constants of a packed prime field, checked like _barrett's
     # int16 ones: for every table prime and every peak n (p-1)^2 < 2^8, each
     # shift's quotient over all of [0, peak]; _packing admits exactly the
-    # peaks that get constants, and both its reductions give x mod p
+    # peaks that get constants, and _reduce on its uint8 products gives
+    # x mod p, by the table T below REDUCE_MIN entries and in place from it
     admitted = []
     for p in (p for p in range(3, TABLE_LIMIT_Q + 1) if is_prime(p)):
         for n in range(1, (1 << 8) // (p - 1) ** 2 + 1):
@@ -1192,15 +1230,23 @@ def test_uint8_multiply_shift_constants_are_exact_for_every_peak():
             if got is None:
                 continue
             admitted.append((p, n))
-            K, T, shift = packing
-            assert shift == got and T.dtype == np.uint8 and (T == x % p).all()
-            view = oracle_batch.PackedField(FiniteField(p), K, T, shift)
+            K, T = packing
+            assert (K == np.arange(p)).all() and K.dtype == np.uint8
+            assert T.dtype == np.uint8 and (T == x % p).all() and len(T) - 1 == peak
             for size in (peak + 1, oracle_batch.REDUCE_MIN + peak):
                 tiled = np.resize(x.astype(np.uint8), size)
-                out = view.reduce(tiled.copy())
+                out = oracle_batch._reduce(tiled.copy(), p, len(T) - 1, T)
                 assert out.dtype == np.uint8 and (out == tiled % p).all(), (p, n, size)
+            big = np.resize(x.astype(np.uint8), oracle_batch.REDUCE_MIN)
+            assert oracle_batch._reduce(big, p, peak, None) is big   # the multiply-shift
     assert admitted == [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1)]
     assert oracle_batch._barrett(3, 20, 1 << 8) == (11, 5)
+    # the limit follows the dtype: a uint8 peak with int16 constants but no
+    # uint8 ones gathers from its table, where x m would wrap in uint8
+    assert oracle_batch._barrett(3, 24, 1 << 8) is None and oracle_batch._barrett(3, 24)
+    x = np.resize(np.arange(25, dtype=np.uint8), oracle_batch.REDUCE_MIN)
+    T = (np.arange(25) % 3).astype(np.uint8)
+    assert (oracle_batch._reduce(x.copy(), 3, 24, T) == x % 3).all()
     # a peak past the limit is refused before any x is checked
     assert oracle_batch._barrett(2039, 12 * 2038 ** 2, 1 << 8) is None
 
@@ -1819,7 +1865,7 @@ def test_invariant_factors_structure():
                 shifted = np.array([[[F.sub(x if i == j else 0, int(H[i, j]))
                                       for j in range(n)] for i in range(n)]
                                     for x in range(q)], np.int16)
-                assert det_batch(F, shifted).tolist() == [poly_eval(F, prod, x)
+                assert det_batch(F, shifted).tolist() == [poly_div_linear(F, prod, x)[1]
                                                           for x in range(q)]
 
 
