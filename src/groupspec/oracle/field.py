@@ -237,7 +237,9 @@ def _find_modulus(p, m):
     if m == 1:
         return (0, 1)
     Fp = _prime_field(p)
-    for tail in itertools.product(range(p), repeat=m):
+    # the tails (c_0, ..., c_{m-1}) in order, less those with c_0 = 0: x
+    # divides each of them, so the first irreducible found is the same
+    for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         f = tail + (1,)
         if _is_irreducible(Fp, f):
             return f

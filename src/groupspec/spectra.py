@@ -9,6 +9,13 @@ kept in descending order). The closed forms cover:
 
 and spectrum(spec) picks the one that covers spec's family. q = p^m is
 always odd here; even q is rejected up front (arith.odd_prime_power).
+
+Each closed form takes lcms of q^j -+ 1 over partitions. Which partitions
+give which lcm does not depend on q, so the partitions are kept once per
+process in three q-free part-set tables (_fill, _part_sets): linear,
+symplectic and orthogonal. A call evaluates at its q only the cells it
+reads (_table, _lcms). Each kind admits n up to _TABLE_MAX_N; a larger n
+raises TableBoundError before anything is built.
 """
 
 from __future__ import annotations
@@ -280,18 +287,24 @@ def _partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-# The most lcm values the table of one closed form may make, repeats counted,
-# before the call is refused. PSL_79(3) makes 390,692 and Sp_94(3) 358,817,
-# the largest over F_3 that answer; the count doubles about every 8 added to
-# n for PSL, a little over every 4 for Sp.
+# The most lcm values a closed form's table of values at one q may make,
+# repeats counted. The part-set tables below do not depend on q, so they
+# cannot count q's values: the bound is set as the largest n of each kind.
 TABLE_LIMIT = 400_000
+
+# The largest n each kind admits. A table of lcm values at one q, filled as
+# _fill fills part sets, makes at most TABLE_LIMIT values at this n (counted
+# per class and term) and more at n + 1, at every odd prime power q < 50, for
+# both signs of the linear kind and for OmegaEven's and POmegaEven's classes
+# of the orthogonal one. PSL_79(3) makes 390,692 values and Sp_94(3) 358,817.
+_TABLE_MAX_N = {"linear": 79, "symplectic": 47, "orthogonal": 41}
 
 
 class TableBoundError(BoundError):
-    """A closed form whose lcm table would make more than TABLE_LIMIT values.
+    """A closed form whose n passes its kind's largest n, _TABLE_MAX_N: its
+    lcm table would make more than TABLE_LIMIT values.
 
-    group names what the table is of. _check_table_size and _lcm_table know
-    only n and raise it without one; _table raises it again with the spec.
+    group names what the table is of; _table raises it with the spec.
     """
 
     hint = "no closed form is computed at this size, and no flag raises the bound"
@@ -303,125 +316,166 @@ class TableBoundError(BoundError):
                          f"bound of {TABLE_LIMIT} values")
 
 
-# the least n that _check_table_size refuses
-_FLOOR_REFUSES_FROM = 247
+def _linear_parts(j: int) -> tuple:
+    """The one element of a part j, as (bit, removed, flip): bit j - 1 for
+    t_j = q^j - eps^j, and the bits of the parts a < j with a | j, whose t_a
+    divides t_j for every q and eps: with Q = eps q, t_k = eps^k (Q^k - 1)."""
+    removed = 0
+    for a in range(1, j):
+        if j % a == 0:
+            removed |= 1 << (a - 1)
+    return ((1 << (j - 1), removed, 0),)
 
 
-def _check_table_size(n: int) -> None:
-    """Refuse, before its base or any term is built, an n whose table must
-    pass TABLE_LIMIT. The floor counts distinct values, a floor to the count
-    per class, that the first pass over j of _lcm_table makes at each m with
-    t_j = q^j - e^j, the first term of steps(j) (e = eps, or 1 if signed).
-    cells[m - j] then holds, all signs +, every partition of r = m - j into
-    distinct parts below j.
+def _signed_parts(j: int, minus_flip: int) -> tuple:
+    """The two elements of a part j, as (bit, removed, flip): (j, +), bit
+    2j - 2, for q^j - 1 with flip 0, and (j, -), bit 2j - 1, for q^j + 1 with
+    flip minus_flip. Each removes the smaller elements whose term divides its
+    own for every odd q:
 
-    q is odd, so by Zsigmondy each i >= 3 has a prime r_i that divides t_a
-    exactly when i | a: one of order i modulo e*q (for e = -1, of order 2i,
-    i/2 or i modulo q). Let I = {i : lo <= i < j} with lo = max(3, j//2 + 1).
-    An i in I divides neither j nor any part below j but itself, as j/2 < i,
-    so r_i divides lcm(t_j, t_mu) exactly when i is a part of mu: the
-    partitions mu with no part in I, and for each i in I those whose one
-    part in I is i, give different values. The other parts of mu are
-    distinct parts from 1..k, k = min(lo, j) - 1, whose sums are exactly
-    0..w with w = k(k+1)/2. So the step (j, m) makes at least [r <= w] +
-    #{i in I : r - w <= i <= r} values, and summed over m <= n the floor
-    adds min(w, n - j) + 1 and, per i in I with i <= n - j,
-    min(i + w, n - j) - i + 1. It refuses every n from 247, by j = 247 at
-    the latest (j = 71 once n is large), so its cost does not grow with n.
-    Each of these terms grows with n and n adds terms, so the floor never
-    falls as n grows: no n below _FLOOR_REFUSES_FROM = 247, the first n it
-    refuses, needs the loop."""
-    if n < _FLOOR_REFUSES_FROM:
-        return
-    floor = 0
-    for j in range(1, n + 1):
-        top = n - j
-        lo = max(3, j // 2 + 1)
-        k = min(lo, j) - 1
-        w = k * (k + 1) // 2
-        floor += min(w, top) + 1
-        for i in range(lo, min(j, top + 1)):
-            floor += min(i + w, top) - i + 1
-        if floor > TABLE_LIMIT:
-            raise TableBoundError
+      (a, +) under (j, +) when a | j, as q^a - 1 divides q^j - 1;
+      (a, -) under (j, +) when 2a | j, as q^a + 1 divides q^2a - 1;
+      (a, -) under (j, -) when j/a is odd, as x + 1 divides x^k + 1 for odd k.
 
-
-def _lcm_table(n: int, cap: int, steps, supports: dict | None = None) -> list:
-    """Sets of lcm values over the partitions of every m <= n that hold each
-    part at most once per flip, by class.
-
-    cells[m] maps (number of parts capped at cap, parity of the flips) to the
-    set of lcm values over those partitions of m in that class. steps(j)
-    lists the (term, support, flip) one copy of a part j may take, flip being
-    its parity. The table is filled layer by layer over the part size j, one
-    0/1 knapsack pass per flip f of steps(j): m runs downwards, so
-    cells[m - j] does not yet hold the copy of j this pass adds, and that
-    copy takes one of the terms of flip f. A later pass over j reads the
-    copies an earlier one added, so j may occur once per flip. Given
-    supports, a dict from value to support that starts as {1: 0}, the table
-    enters the support of every value it makes: the support of lcm(v, term)
-    is the union of theirs, so no gcd is needed. Raises TableBoundError once
-    the values made, counted per class and term and compared once per cell,
-    pass TABLE_LIMIT.
-
-    Merge. When every term of steps(j) divides the flip-0 term of
-    steps(2j), two copies of j with the same flip f merge into one copy of
-    2j with flip 0. The lcm keeps or grows, since it divides the new term;
-    the parity is kept, as f + f is even; the number of parts falls by one.
-    Merging while some (j, f) repeats takes every partition of m, with one
-    term per copy, to a partition in the table whose lcm it divides. A
-    caller reads at m the classes of at least c parts, and a merge leaves
-    them only from a partition of exactly c parts with a repeated (j, f):
-    each caller proves what those boundary partitions give.
+    No (a, +) lies under (j, -): q - 1 divides q^j + 1 only for q = 3.
     """
-    lcm = math.lcm
+    plus = minus = 0
+    for a in range(1, j):
+        if j % a == 0:
+            plus |= 1 << (2 * a - 2)
+            if (j // a) % 2:
+                minus |= 1 << (2 * a - 1)
+            else:
+                plus |= 1 << (2 * a - 1)
+    return ((1 << (2 * j - 2), plus, 0), (1 << (2 * j - 1), minus, minus_flip))
+
+
+# (cap, parts) of each kind's table: linear and unitary; symplectic and odd
+# orthogonal, a part once with either sign; even orthogonal, a part once per
+# sign, the - sign flipping the parity (OmegaEven reads classes 2 and 3).
+_KINDS = {"linear": (3, _linear_parts),
+          "symplectic": (2, lambda j: _signed_parts(j, 0)),
+          "orthogonal": (3, lambda j: _signed_parts(j, 1))}
+
+
+def _fill(n: int, cap: int, parts) -> list:
+    """Part sets over the partitions of every m <= n that hold each part at
+    most once per flip, by class.
+
+    An element is a part with a sign (one sign in the linear kind), and its
+    term is q^j - eps^j, q^j - 1 or q^j + 1. parts(j) lists the (bit,
+    removed, flip) of each element of a part j: removed holds the bits of the
+    smaller elements whose term divides its own for every odd q (and eps),
+    and flip is its parity. A part set is a bitmask of elements: adding an
+    element ORs its bit into the set and clears the bits it removes.
+
+    cells[m] maps (number of parts capped at cap, parity of the flips) to
+    the tuple of part sets of those partitions of m in that class. The table
+    is filled layer by layer over the part size j, one 0/1 knapsack pass per
+    flip f of parts(j): m runs downwards, so cells[m - j] does not yet hold
+    the copy of j this pass adds, and that copy takes one of the elements of
+    flip f. A later pass over j reads the copies an earlier one added, so j
+    may occur once per flip. Cell m is finished once the passes over j = m
+    are, and is stored as tuples from then on; as the passes over j > m
+    never write it, a table over 0..N holds the cells of every smaller one.
+
+    Same values. "Term divides term for every odd q" is a partial order on
+    the elements: an element lies under another only if its part is no
+    larger, and neither element of one part lies under the other. The fill
+    adds parts in increasing j, so the part set of a partition is the set of
+    maximal elements of the elements it takes, and each element it drops
+    divides the term of one it keeps. So at every q the lcm of a partition's
+    terms is the lcm of its part set's terms, equal part sets give equal
+    lcms, and the lcms at q of a class's part sets are exactly the lcm
+    values of the partitions in that class.
+
+    Merge. Every element of a part j lies under the flip-0 element of 2j
+    (q^j - eps^j, q^j - 1 and q^j + 1 divide q^2j - 1), so two copies of j
+    with the same flip f merge into one copy of 2j with flip 0. The lcm
+    keeps or grows, since it divides the new term; the parity is kept, as
+    f + f is even; the number of parts falls by one. Merging while some
+    (j, f) repeats takes every partition of m, with one element per copy, to
+    a partition in the table whose lcm it divides. A caller reads at m the
+    classes of at least c parts, and a merge leaves them only from a
+    partition of exactly c parts with a repeated (j, f): each caller proves
+    what those boundary partitions give.
+    """
     cells: list = [{} for _ in range(n + 1)]
-    cells[0][(0, 0)] = {1}
-    made = 0
+    cells[0][(0, 0)] = (0,)
     for j in range(1, n + 1):
-        step = steps(j)
+        step = parts(j)
         for flip in sorted({f for _, _, f in step}):
-            terms = [(term, support) for term, support, f in step if f == flip]
+            adds = [(bit, ~removed) for bit, removed, f in step if f == flip]
             for m in range(n, j - 1, -1):
                 cell = cells[m]
-                for (parts, parity), vals in cells[m - j].items():
-                    key = (parts + 1 if parts < cap else cap, parity ^ flip)
-                    for term, support in terms:
-                        if supports is None:
-                            new = {lcm(v, term) for v in vals}
-                        else:
-                            new = {lcm(v, term): supports[v] | support for v in vals}
-                            supports.update(new)
-                        old = cell.get(key)
-                        if old is None:
-                            cell[key] = set(new)
-                        else:
-                            old.update(new)
-                        made += len(new)
-                if made > TABLE_LIMIT:
-                    raise TableBoundError
+                for (count, parity), sets in cells[m - j].items():
+                    key = (count + 1 if count < cap else cap, parity ^ flip)
+                    old = cell.get(key)
+                    if old is None:
+                        old = cell[key] = set()
+                    for bit, keep in adds:
+                        old.update([s & keep | bit for s in sets])
+        cells[j] = {key: tuple(sets) for key, sets in cells[j].items()}
     return cells
 
 
-def _linear_steps(q: int, eps: int, base: tuple):
-    """One copy of a part j takes t_j = q^j - eps^j, which divides
-    t_2j = q^2j - 1, so _lcm_table's merge holds: a part is taken once."""
-    def steps(j: int) -> tuple:
-        term = q ** j - eps ** j
-        return ((term, _support(term, base), 0),)
-    return steps
+# each kind's part-set table over 0..N, N the largest n asked so far
+_PART_SETS: dict = {}
 
 
-def _signed_steps(q: int, base: tuple, track_parity: bool):
-    """One copy of a part j takes q^j - 1, or q^j + 1, which flips the
-    parity when track_parity. Both divide q^2j - 1, the flip-0 term of 2j,
-    so _lcm_table's merge holds: a part j is taken once with either sign, or
-    with track_parity once per sign.
-    """
-    def steps(j: int) -> tuple:
-        plus, minus = q ** j - 1, q ** j + 1
-        return ((plus, _support(plus, base), 0), (minus, _support(minus, base), int(track_parity)))
-    return steps
+def _part_sets(kind: str, n: int) -> list:
+    """kind's part-set table over 0..N for some N >= n. It is filled once
+    per process, and filled again over 0..n when a larger n asks; the
+    smaller table is dropped first. At most _TABLE_MAX_N[kind] is asked.
+    Two threads that grow it at once may both fill; each still gets a table
+    over at least its own n."""
+    cells = _PART_SETS.get(kind)
+    if cells is None or len(cells) <= n:
+        cells = _PART_SETS[kind] = None
+        cap, parts = _KINDS[kind]
+        cells = _PART_SETS[kind] = _fill(n, cap, parts)
+    return cells
+
+
+def _terms(kind: str, q: int, eps: int, n: int) -> list:
+    """terms[b + 1] is the term at q of the element at bit b of kind's part
+    sets, for every part j <= n: q^j - eps^j at bit j - 1 (linear), else
+    q^j - 1 at bit 2j - 2 and q^j + 1 at bit 2j - 1. terms[0] is 1."""
+    if kind == "linear":
+        return [1] + [q ** j - eps ** j for j in range(1, n + 1)]
+    terms = [1]
+    for j in range(1, n + 1):
+        x = q ** j
+        terms += (x - 1, x + 1)
+    return terms
+
+
+def _lcms(masks, terms: list, term_supports: list | None, supports: dict | None,
+          memo: dict) -> list:
+    """The lcm of the terms of each part set of masks. memo maps part sets to
+    their lcms and starts as {0: 1}: a part set's lcm is that of the part set
+    without its top bit and the top bit's term, and the cells a closed form
+    reads share most of these prefixes (PSL_79(3) reads 100,900 part sets,
+    41,556 distinct, with 43,466 prefixes in all). With term_supports, the
+    support of each new lcm, the OR of its terms' supports, goes into
+    supports, which starts as {1: 0}."""
+    lcm = math.lcm
+    for mask in set(masks).difference(memo):
+        tops = []
+        rest = mask
+        v = None
+        while v is None:
+            top = rest.bit_length()
+            tops.append(top)
+            rest ^= 1 << (top - 1)
+            v = memo.get(rest)
+        for top in reversed(tops):
+            rest |= 1 << (top - 1)
+            w = lcm(v, terms[top])
+            if supports is not None:
+                supports[w] = supports[v] | term_supports[top]
+            memo[rest] = v = w
+    return list(map(memo.__getitem__, masks))
 
 
 # The n from which the index of normalize saves more than the base and the
@@ -443,18 +497,22 @@ def _index_base(spec: GroupSpec, table: str) -> tuple:
     return _coprime_base(spec.p, spec.q, 2 * spec.n)
 
 
-def _table(spec: GroupSpec, table: str, cap: int, steps) -> tuple:
-    """(base, supports, cells) of spec's lcm table: the coprime base of
-    _index_base, the supports the table fills (None without a base), and
-    _lcm_table over 0..spec.n with the steps steps(base). A table past its
-    bound raises a TableBoundError that names spec."""
-    try:
-        _check_table_size(spec.n)
-        base = _index_base(spec, table)
-        supports = {1: 0} if base else None
-        return base, supports, _lcm_table(spec.n, cap, steps(base), supports)
-    except TableBoundError:
-        raise TableBoundError(spec) from None
+def _table(spec: GroupSpec, kind: str) -> tuple:
+    """(base, supports, cells, lcms) of spec's closed form: the coprime base
+    of _index_base, the supports that lcms fills (None without a base),
+    kind's part-set table (_part_sets) and lcms(masks), the lcms at spec's q
+    and eps of the part sets masks (_lcms). The terms and their supports are
+    built once per call. An n past the kind's largest raises a
+    TableBoundError that names spec before any of these is built."""
+    if spec.n > _TABLE_MAX_N[kind]:
+        raise TableBoundError(spec)
+    base = _index_base(spec, kind)
+    terms = _terms(kind, spec.q, spec.eps, spec.n)
+    term_supports = [_support(t, base) for t in terms] if base else None
+    supports = {1: 0} if base else None
+    memo = {0: 1}
+    cells = _part_sets(kind, spec.n)
+    return base, supports, cells, lambda masks: _lcms(masks, terms, term_supports, supports, memo)
 
 
 def _sorted_items(items: dict, base: tuple, supports: dict | None) -> dict:
@@ -484,11 +542,12 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
     t_k = q^k - eps^k over the parts of a partition of n (one part, two parts,
     three or more); the unipotent kinds are p^t times such an lcm over a
     partition of n1 = n - p^(t-1) - 1 (one part, two or more), or a bare
-    p-power. One lcm table over 0..n serves many_part_torus and every
-    unipotent level t. From n = _INDEX_FROM_N on, every value carries its
-    support (a _Supported). Debug/test accessor.
+    p-power. The linear part-set table serves many_part_torus and every
+    unipotent level t, and only the cells read, at n and at each n1, are
+    evaluated at q and eps. From n = _INDEX_FROM_N on, every value carries
+    its support (a _Supported). Debug/test accessor.
 
-    The table takes each part once (_linear_steps), and its merge drops no
+    The table takes each part once (_linear_parts), and its merge drops no
     maximal element once the boundary partitions are added back. At n, three
     or more parts, the boundary is (a, a, n - 2a), and many_part_torus adds
     lcm(t_a, t_n-2a). At n1, two or more parts, it is (a, a) with n1 = 2a,
@@ -498,7 +557,7 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
     if spec.family not in ("PSL", "PGL"):
         raise UsageError("spectrum_linear covers PSL and PGL only")
     n, p, q, eps = spec.n, spec.p, spec.q, spec.eps
-    base, supports, cells = _table(spec, "linear", 3, lambda base: _linear_steps(q, eps, base))
+    base, supports, cells, lcms = _table(spec, "linear")
     d = math.gcd(n, q - eps) if spec.family == "PSL" else 1
 
     def term(k: int) -> int:
@@ -511,7 +570,7 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
         n2 = n - n1
         div = math.gcd(n // math.gcd(n1, n2), d)
         items["two_part_torus"].append(lcm_list([term(n1), term(n2)]) // div)
-    items["many_part_torus"] += cells[n].get((3, 0), ())
+    items["many_part_torus"] += lcms(cells[n].get((3, 0), ()))
     # the boundary partitions (a, a, n - 2a) and (a, a) of the merge
     items["many_part_torus"] += [math.lcm(term(a), term(n - 2 * a))
                                  for a in range(1, (n - 1) // 2 + 1)]
@@ -519,12 +578,11 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
     while pt + 2 <= n:
         n1 = n - pt - 1
         items["unipotent_torus"].append(p ** t * term(n1) // d)
-        for parts in (2, 3):
-            many = cells[n1].get((parts, 0), ())
-            items["unipotent_many"] += [p ** t * v for v in many]
-            if supports is not None:
-                # bit 0 is p
-                supports.update({p ** t * v: supports[v] | 1 for v in many})
+        many = lcms(cells[n1].get((2, 0), ()) + cells[n1].get((3, 0), ()))
+        items["unipotent_many"] += [p ** t * v for v in many]
+        if supports is not None:
+            # bit 0 is p
+            supports.update({p ** t * v: supports[v] | 1 for v in many})
         if n1 % 2 == 0:
             items["unipotent_many"].append(p ** t * term(n1 // 2))
         pt *= p
@@ -563,11 +621,12 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
     Each kind's list is sorted and duplicate-free. The torus kinds are lcms of
     q^k - 1 or q^k + 1 over the parts of a partition of n (one part, two or
     more); the unipotent kinds are p^t times such an lcm over a partition of
-    n1 = n - (p^(t-1) + 1)/2, or 2 p^t. One lcm table over 0..n serves
-    many_part_torus and every unipotent level t. From n = _INDEX_FROM_N on,
+    n1 = n - (p^(t-1) + 1)/2, or 2 p^t. The symplectic part-set table serves
+    many_part_torus and every unipotent level t, and only the cells read,
+    at n and at each n1, are evaluated at q. From n = _INDEX_FROM_N on,
     every value carries its support (a _Supported).
 
-    The table takes each part once, with either sign (_signed_steps), and
+    The table takes each part once, with either sign (_signed_parts), and
     its merge drops no maximal element. Its boundary at m, two or more
     parts, is (a, a) with m = 2a and any signs, whose lcm divides
     (q^2a - 1)/2: q^a -+ 1 times the even q^a +- 1 over 2, and for mixed
@@ -577,13 +636,12 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
     """
     d, c = _symplectic_constants(spec)
     n, p, q = spec.n, spec.p, spec.q
-    base, supports, cells = _table(spec, "symplectic", 2,
-                                   lambda base: _signed_steps(q, base, track_parity=False))
+    base, supports, cells, lcms = _table(spec, "symplectic")
 
     items: dict = {k: [] for k in ("torus", "many_part_torus",
                                    "unipotent_torus", "unipotent_many", "unipotent")}
     items["torus"] += [(q ** n - 1) // d, (q ** n + 1) // d]
-    items["many_part_torus"] += cells[n].get((2, 0), ())
+    items["many_part_torus"] += lcms(cells[n].get((2, 0), ()))
     pt, t = 1, 1
     while True:
         n1 = n - (pt + 1) // 2
@@ -591,7 +649,7 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
             break
         items["unipotent_torus"] += [p ** t * (q ** n1 - 1) // c,
                                      p ** t * (q ** n1 + 1) // c]
-        many = cells[n1].get((2, 0), ())
+        many = lcms(cells[n1].get((2, 0), ()))
         items["unipotent_many"] += [p ** t * v for v in many]
         if supports is not None:
             # bit 0 is p
@@ -622,10 +680,13 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
     Each kind's list is sorted and duplicate-free. many_part_torus holds the
     lcms of q^k - 1 or q^k + 1 over partitions of n into two or more parts
     (OmegaEven) or three or more (POmegaEven), each part taking either term,
-    with the number of -1 signs even for eps = +1 and odd for eps = -1. From
-    n = _INDEX_FROM_N on, every value carries its support (a _Supported).
+    with the number of -1 signs even for eps = +1 and odd for eps = -1. The
+    orthogonal part-set table counts parts up to 3, so OmegaEven reads its
+    classes 2 and 3 at n, and POmegaEven class 3; only those are evaluated
+    at q. From n = _INDEX_FROM_N on, every value carries its support (a
+    _Supported).
 
-    The table takes each part once per sign (_signed_steps with parity), so
+    The table takes each part once per sign (_signed_parts with parity), so
     the mixed pair (a+, a-), whose parity is odd, is kept. Its merge drops no
     maximal element once the boundary partitions are added back. OmegaEven
     reads two or more parts: the boundary is (a s, a s) at n = 2a, of even
@@ -639,13 +700,12 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
         raise UsageError("spectrum_orthogonal_semisimple covers OmegaEven and POmegaEven")
     n, q, eps = spec.n, spec.q, spec.eps
     target = 0 if eps == 1 else 1
-    min_parts = 2 if spec.family == "OmegaEven" else 3
-    base, supports, cells = _table(spec, "orthogonal", min_parts,
-                                   lambda base: _signed_steps(q, base, track_parity=True))
+    base, supports, cells, lcms = _table(spec, "orthogonal")
 
     items: dict = {k: [] for k in ("torus", "two_part_torus", "many_part_torus")}
     if spec.family == "OmegaEven":
         items["torus"].append((q ** n - eps) // 2)
+        items["many_part_torus"] += lcms(cells[n].get((2, target), ()))
     else:
         items["torus"].append((q ** n - eps) // math.gcd(4, q ** n - eps))
         for n1 in range(1, n):
@@ -658,7 +718,7 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
         # the boundary partitions (a s, a s, n - 2a) of the merge
         items["many_part_torus"] += [math.lcm(q ** a - s, q ** (n - 2 * a) - eps)
                                      for a in range(1, (n - 1) // 2 + 1) for s in (1, -1)]
-    items["many_part_torus"] += cells[n].get((min_parts, target), ())
+    items["many_part_torus"] += lcms(cells[n].get((3, target), ()))
     return _sorted_items(items, base, supports)
 
 

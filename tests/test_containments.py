@@ -9,10 +9,14 @@ and Taylor, *The Geometry of the Classical Groups* (1992). The closed forms
 answer any q at once, so the rows check the linear, unitary, symplectic and
 odd orthogonal tables against each other at n <= 20 over fields the matrix
 oracle cannot reach, and at n <= 6 over fields far past every table: 3^40,
-5^23 and the least prime above 10^29.
+5^23 and the least prime above 10^29. The block-diagonal rows check one
+table against itself at a, b and a + b: Sp_2a(q) x Sp_2b(q) <= Sp_2(a+b)(q),
+and the same for the p'-parts of the even orthogonal groups.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
@@ -101,6 +105,76 @@ def test_subgroup_orders_are_orders_of_the_group_at_large_q(containment, least):
         for q in LARGE_Q:
             sub, group = containment(n, q)
             assert missing_orders(sub, group) == [], (containment.__name__, str(sub), str(group))
+
+
+def symplectic_block_diagonal(a: int, b: int, q: int, signs: tuple) -> tuple:
+    """Sp_2a(q) x Sp_2b(q) <= Sp_2(a+b)(q), block diagonally. The
+    symplectic space of dimension 2(a+b) is the orthogonal sum of two
+    nondegenerate subspaces of dimensions 2a and 2b, and an isometry of each
+    summand, extended by the identity, is one of the whole space. (x, y) has
+    order lcm(|x|, |y|), so each such lcm is an element order of
+    Sp_2(a+b)(q). No centre is divided out on either side."""
+    return S("Sp", a, q), S("Sp", b, q), S("Sp", a + b, q)
+
+
+def orthogonal_block_diagonal(a: int, b: int, q: int, signs: tuple) -> tuple:
+    """Omega^e1_2a(q) x Omega^e2_2b(q) <= Omega^(e1 e2)_2(a+b)(q), block
+    diagonally, for the p'-parts. A quadratic space of dimension 2n has
+    type + exactly when its discriminant is (-1)^n times a square. The
+    discriminant of an orthogonal sum is the product of the summands', so
+    the sum of spaces of types e1 and e2 has type e1 e2. (x, y) has
+    determinant det(x) det(y) and, q being odd, spinor norm theta(x)
+    theta(y), as a product of reflections of each summand is one of the
+    sum. Omega is the kernel of the spinor norm on SO, so (x, y) lies in
+    Omega^(e1 e2)_2(a+b)(q). Its order is lcm(|x|, |y|), prime to p when
+    both are, and the p'-part of a spectrum is its set of orders prime to
+    p. No centre is divided out on either side."""
+    e1, e2 = signs
+    return (S("OmegaEven", a, q, e1), S("OmegaEven", b, q, e2),
+            S("OmegaEven", a + b, q, e1 * e2))
+
+
+def missing_block_orders(left: GroupSpec, right: GroupSpec, group: GroupSpec) -> list:
+    """The lcms of a maximal element order of left and one of right that
+    are not element orders of group, ascending. Every order of left x right
+    divides one of these lcms, so checking them checks every order."""
+    have = spectrum(group)
+    lcms = {math.lcm(x, y) for x in spectrum(left) for y in spectrum(right)}
+    return sorted(v for v in lcms if v not in have)
+
+
+# (block diagonal, least a, the sign pairs (e1, e2)); each is checked for
+# least <= a <= b with a + b <= 12 over CONTAINMENT_Q and a + b <= 6 over
+# LARGE_Q. The rows read the tables of one kind at a, b and a + b at once.
+BLOCK_DIAGONALS = (
+    (symplectic_block_diagonal, 1, ((1, 1),)),
+    (orthogonal_block_diagonal, 2, ((1, 1), (1, -1), (-1, 1), (-1, -1))),
+)
+
+
+@pytest.mark.parametrize("block,least,signs", BLOCK_DIAGONALS,
+                         ids=[row[0].__name__ for row in BLOCK_DIAGONALS])
+def test_block_diagonal_orders_are_orders_of_the_group(block, least, signs):
+    checks = 0
+    for qs, top in ((CONTAINMENT_Q, 12), (LARGE_Q, 6)):
+        for q in qs:
+            for total in range(2 * least, top + 1):
+                for a in range(least, total // 2 + 1):
+                    for pair in signs:
+                        left, right, group = block(a, total - a, q, pair)
+                        assert missing_block_orders(left, right, group) == [], (
+                            block.__name__, str(left), str(right), str(group))
+                        checks += 1
+    assert checks == {"symplectic_block_diagonal": 252 + 27,
+                      "orthogonal_block_diagonal": 700 + 48}[block.__name__]
+
+
+def test_a_block_diagonal_past_the_group_is_caught():
+    # Sp_4(3) x Sp_4(3) is not in Sp_6(3): its elements of orders
+    # lcm(8, 10) = 40, lcm(12, 10) = 60, lcm(18, 8) = 72 and lcm(18, 10) = 90
+    # have none there, so a check that could not fail would pass this too
+    assert missing_block_orders(S("Sp", 2, 3), S("Sp", 2, 3), S("Sp", 3, 3)) == [40, 60, 72, 90]
+    assert missing_block_orders(*symplectic_block_diagonal(2, 2, 3, (1, 1))) == []
 
 
 def test_the_large_prime_is_the_least_above_10_to_the_29():

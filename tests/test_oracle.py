@@ -270,6 +270,18 @@ def test_table_fields_are_pinned(monkeypatch):
     assert hashlib.sha256(repr(primes).encode()).hexdigest() == _PRIME_FIELDS_SHA256
 
 
+def test_find_modulus_skips_the_tails_x_divides():
+    # the search skips the tails with c_0 = 0, which x divides, and finds the
+    # same first irreducible as a walk over every tail
+    find = oracle_field._find_modulus.__wrapped__
+    Fp = oracle_field._prime_field
+    for p, m in ((3, 2), (3, 6), (3, 7), (5, 3), (5, 4), (7, 3), (43, 2)):
+        first = next(tail + (1,) for tail in itertools.product(range(p), repeat=m)
+                     if oracle_field._is_irreducible(Fp(p), tail + (1,)))
+        assert find(p, m) == first, (p, m)
+    assert find(151, 3) == (1, 0, 4, 1)
+
+
 def test_witness_fields_are_pinned(monkeypatch):
     # every field that witness_report builds or takes from make_field:
     # (p, m, tables, modulus, primitive)

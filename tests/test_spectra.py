@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
@@ -9,20 +10,21 @@ import pytest
 from groupspec.arith import BoundError, UsageError, factorize, lcm_list, two_part
 from groupspec.spectra import (
     _INDEX_FROM_N,
+    _KINDS,
+    _TABLE_MAX_N,
     FAMILIES,
     TABLE_LIMIT,
     GroupSpec,
     Spectrum,
     TableBoundError,
-    _check_table_size,
     _coprime_base,
-    _lcm_table,
-    _linear_steps,
+    _lcms,
+    _part_sets,
     _partitions,
-    _signed_steps,
     _support,
     _Supported,
     _symplectic_constants,
+    _terms,
     check_2adj,
     divisors,
     normalize,
@@ -472,14 +474,42 @@ def test_coprime_base_is_pairwise_coprime_and_covers_every_term():
             assert x == 1, (q, d)
 
 
-def _step_tables(q, base):
-    """(cap, steps, track_parity) of every table spectrum_*_items builds:
-    linear and unitary (cap 3), symplectic (cap 2, no parity), and orthogonal
-    with parity (cap 2 for OmegaEven, 3 for POmegaEven)."""
-    return ((3, _linear_steps(q, 1, base), False), (3, _linear_steps(q, -1, base), False),
-            (2, _signed_steps(q, base, track_parity=False), False),
-            (2, _signed_steps(q, base, track_parity=True), True),
-            (3, _signed_steps(q, base, track_parity=True), True))
+def _reference_steps(kind, q, eps, base):
+    """steps(j) of the reference listings: the (term, support, flip) of each
+    element of a part j of kind at q (and eps, linear)."""
+    def steps(j):
+        if kind == "linear":
+            term = q ** j - eps ** j
+            return ((term, _support(term, base), 0),)
+        plus, minus = q ** j - 1, q ** j + 1
+        return ((plus, _support(plus, base), 0),
+                (minus, _support(minus, base), int(kind == "orthogonal")))
+    return steps
+
+
+# (kind, eps, cap) of every table a closed form reads: linear and unitary
+# (cap 3), symplectic (cap 2, no parity), and orthogonal with parity, read
+# with its classes 2 and 3 apart (POmegaEven) or together (OmegaEven, cap 2)
+PART_TABLES = (("linear", 1, 3), ("linear", -1, 3), ("symplectic", 1, 2),
+               ("orthogonal", 1, 3), ("orthogonal", 1, 2))
+
+
+def _evaluated_table(kind, n, q, eps, base, cap):
+    """cells 0..n of kind's part-set table evaluated at q and eps by _lcms,
+    as value sets with the classes capped at cap, and the supports that the
+    evaluation gave (None without a base)."""
+    terms = _terms(kind, q, eps, n)
+    term_supports = [_support(t, base) for t in terms] if base else None
+    supports = {1: 0} if base else None
+    memo = {0: 1}
+    out = []
+    for cell in _part_sets(kind, n)[:n + 1]:
+        values = {}
+        for (count, parity), masks in cell.items():
+            values.setdefault((min(count, cap), parity), set()).update(
+                _lcms(masks, terms, term_supports, supports, memo))
+        out.append(values)
+    return out, supports
 
 
 def test_lcm_table_supports_match_gcd():
@@ -487,50 +517,12 @@ def test_lcm_table_supports_match_gcd():
         p = factorize(q).pairs[0][0]
         for n in range(1, 15):
             base = _coprime_base(p, q, 2 * n)
-            for cap, steps, _ in _step_tables(q, base):
-                supports = {1: 0}
-                for m, cell in enumerate(_lcm_table(n, cap, steps, supports)):
+            for kind, eps, cap in PART_TABLES:
+                cells, supports = _evaluated_table(kind, n, q, eps, base, cap)
+                for m, cell in enumerate(cells):
                     for key, vals in cell.items():
                         for v in vals:
                             assert supports[v] == _support(v, base), (q, n, m, key, v)
-
-
-def _reference_lcm_table(n, cap, choices, supports=None):
-    """The lcm table filled a multiplicity at a time, as _lcm_table was
-    first written: for each part j and m running downwards, every c with
-    c*j <= m reads cells[m - c*j], which still holds the parts below j.
-    choices(j, c) lists the (term, support, parities) of j taken c times."""
-    cells = [{} for _ in range(n + 1)]
-    cells[0][(0, 0)] = {1}
-    for j in range(1, n + 1):
-        for m in range(n, j - 1, -1):
-            for c in range(1, m // j + 1):
-                for (parts, parity), vals in cells[m - c * j].items():
-                    capped = min(parts + c, cap)
-                    for term, support, parities in choices(j, c):
-                        new = {math.lcm(v, term) for v in vals}
-                        if supports is not None:
-                            supports.update({math.lcm(v, term): supports[v] | support
-                                             for v in vals})
-                        for extra in parities:
-                            cells[m].setdefault((capped, parity ^ extra), set()).update(new)
-    return cells
-
-
-def _reference_choices(steps, track_parity):
-    """The three sign cases of a part j taken c times, from the terms of one
-    copy: all copies on the first term (parity 0), all on the second (parity
-    c mod 2), or, when c >= 2, both (parity 1 if c = 2, else either)."""
-    def choices(j, c):
-        step = steps(j)
-        if len(step) == 1:
-            return [(step[0][0], step[0][1], (0,))]
-        (plus, sp, _), (minus, sm, _) = step
-        opts = [(plus, sp, (0,)), (minus, sm, (c % 2,))]
-        if c >= 2:
-            opts.append((math.lcm(plus, minus), sp | sm, (1,) if c == 2 else (0, 1)))
-        return opts if track_parity else [(t, s, (0,)) for t, s, _ in opts]
-    return choices
 
 
 def _reference_distinct_table(n, cap, steps, supports):
@@ -558,23 +550,95 @@ def _reference_distinct_table(n, cap, steps, supports):
 
 
 def test_lcm_table_matches_distinct_part_enumeration():
-    # the table takes each part at most once per flip, with one of that
-    # flip's terms: every cell, class and support of the listing above
+    # the part sets take each part at most once per flip, with one of that
+    # flip's elements: evaluated at q, every cell, class and support of the
+    # listing above
     for q in SWEEP_Q:
         p = factorize(q).pairs[0][0]
         for n in range(1, 15):
             for base in ((), _coprime_base(p, q, 2 * n)):
-                for k, (cap, steps, _) in enumerate(_step_tables(q, base)):
-                    supports, ref_supports = {1: 0}, {1: 0}
-                    got = _lcm_table(n, cap, steps, supports)
-                    want = _reference_distinct_table(n, cap, steps, ref_supports)
-                    assert got == want, (q, n, k, bool(base))
-                    assert supports == ref_supports, (q, n, k, bool(base))
+                for kind, eps, cap in PART_TABLES:
+                    ref_supports = {1: 0}
+                    got, supports = _evaluated_table(kind, n, q, eps, base, cap)
+                    want = _reference_distinct_table(
+                        n, cap, _reference_steps(kind, q, eps, base), ref_supports)
+                    assert got == want, (q, n, kind, eps, cap, bool(base))
+                    if base:
+                        assert supports == ref_supports, (q, n, kind, eps, cap)
+
+
+def test_part_sets_remove_exactly_the_elements_under_every_odd_q():
+    # an element removes a smaller one exactly when that one's term divides
+    # its own at every q tried, for both signs eps of the linear kind; q
+    # runs over SWEEP_Q and the least prime above 10^29
+    qs = SWEEP_Q + (10 ** 29 + 319,)
+    top = 40
+    for kind, (_, parts) in _KINDS.items():
+        signs = (1, -1) if kind == "linear" else (1,)
+        terms = [_terms(kind, q, eps, top) for q in qs for eps in signs]
+        for j in range(1, top + 1):
+            for bit, removed, _ in parts(j):
+                i = bit.bit_length()
+                assert removed < bit, (kind, j)
+                for low in range(1, i):
+                    divides = all(t[i] % t[low] == 0 for t in terms)
+                    assert bool(removed >> (low - 1) & 1) == divides, (kind, j, low)
+
+
+def test_the_part_sets_are_filled_once_and_grown_once(monkeypatch):
+    import groupspec.spectra as spectra
+    fills = []
+
+    def fill(n, cap, parts, _real=spectra._fill):
+        fills.append(n)
+        return _real(n, cap, parts)
+    monkeypatch.setattr(spectra, "_PART_SETS", {})
+    monkeypatch.setattr(spectra, "_fill", fill)
+    for spec in (S("PSL", 10, 3), S("PSL", 10, 5, -1), S("PGL", 8, 7)):
+        spectrum_linear_items(spec)
+    assert fills == [10] and list(spectra._PART_SETS) == ["linear"]
+    spectrum_linear_items(S("PSL", 12, 3))
+    spectrum_linear_items(S("PGL", 9, 5))
+    assert fills == [10, 12] and len(spectra._PART_SETS["linear"]) == 13
+    # a grown table holds the smaller one's cells unchanged
+    assert spectra._PART_SETS["linear"][:11] == spectra._fill(10, *spectra._KINDS["linear"])
+
+
+def _reference_unpruned_part_sets(n, kind):
+    """kind's part sets filled a multiplicity at a time, as the lcm table was
+    first written: for each part j and m running downwards, every c with
+    c*j <= m reads cells[m - c*j], which still holds the parts below j. The
+    c copies of j take the + element, the - element (parity c mod 2 in the
+    orthogonal kind), or, when c >= 2, both (parity 1 if c = 2, else
+    either). A part set here is the set of the elements taken: none is
+    removed, and repeats do not change an lcm."""
+    cap = _KINDS[kind][0]
+    cells = [{} for _ in range(n + 1)]
+    cells[0][(0, 0)] = {0}
+    for j in range(1, n + 1):
+        for m in range(n, j - 1, -1):
+            for c in range(1, m // j + 1):
+                if kind == "linear":
+                    choices = [(1 << (j - 1), (0,))]
+                else:
+                    plus, minus = 1 << (2 * j - 2), 1 << (2 * j - 1)
+                    flip = kind == "orthogonal"
+                    choices = [(plus, (0,)), (minus, (c % 2 if flip else 0,))]
+                    if c >= 2:
+                        both = ((1,) if c == 2 else (0, 1)) if flip else (0,)
+                        choices.append((plus | minus, both))
+                for (parts, parity), sets in cells[m - c * j].items():
+                    capped = min(parts + c, cap)
+                    for bits, parities in choices:
+                        for extra in parities:
+                            cells[m].setdefault((capped, parity ^ extra), set()).update(
+                                s | bits for s in sets)
+    return [{key: tuple(sets) for key, sets in cell.items()} for cell in cells]
 
 
 @pytest.mark.parametrize("family", list(SWEEP))
 def test_spectra_equal_normalize_of_the_unpruned_table(family, monkeypatch):
-    # the items built on the table that takes a part any number of times
+    # the items built on the part sets that take a part any number of times
     # (the multiplicity fill, all sign cases) have the same maxima as those
     # built on the table that takes it once: the merge and its boundary
     # partitions drop no maximal element
@@ -583,14 +647,19 @@ def test_spectra_equal_normalize_of_the_unpruned_table(family, monkeypatch):
     signs = (1, -1) if family in ("PSL", "PGL", "OmegaEven", "POmegaEven") else (1,)
     specs = [S(family, n, q, eps) for n in range(min_n, 21) for q in SWEEP_Q for eps in signs]
     want = {spec: spectrum_fn(spec).generators for spec in specs}
+    kind = TABLE_OF[family]
+    unpruned = _reference_unpruned_part_sets(20, kind)
+    read = []
 
-    def unpruned(n, cap, steps, supports=None):
-        track_parity = any(f for _, _, f in steps(1))
-        return _reference_lcm_table(n, cap, _reference_choices(steps, track_parity), supports)
-    monkeypatch.setattr(spectra, "_lcm_table", unpruned)
+    def part_sets(kind_read, n):
+        assert kind_read == kind and n <= 20
+        read.append(n)
+        return unpruned
+    monkeypatch.setattr(spectra, "_part_sets", part_sets)
     for spec in specs:
         pooled = [v for values in items_fn(spec).values() for v in values]
         assert normalize(pooled).generators == want[spec], spec
+    assert len(read) == len(specs)
 
 
 @pytest.mark.parametrize("family", list(SWEEP))
@@ -666,91 +735,67 @@ def test_table_bound_reaches_the_coset_spectra():
             call()
 
 
-def test_table_floor_is_at_most_the_values_made(monkeypatch):
-    # the floor of _check_table_size is the least limit it admits; every
-    # table, refused at one less, makes at least that many values
-    import groupspec.spectra as spectra
-    monkeypatch.setattr(spectra, "_FLOOR_REFUSES_FROM", 0)   # a limit of its own
-
-    def floor(n):
-        lo, hi = 0, n ** 3
-        while lo < hi:
-            monkeypatch.setattr(spectra, "TABLE_LIMIT", (lo + hi) // 2)
-            try:
-                _check_table_size(n)
-                hi = (lo + hi) // 2
-            except TableBoundError:
-                lo = (lo + hi) // 2 + 1
-        return lo
-    floors = {n: floor(n) for n in range(1, 21)}
-    assert floors[1] == 1 and floors[20] > 20 * 21 // 2
-    for q in SWEEP_Q + (2187,):
-        for n, least in floors.items():
-            monkeypatch.setattr(spectra, "TABLE_LIMIT", least - 1)
-            for _, steps, _ in _step_tables(q, ()):
-                for cap in (2, 3):
-                    with pytest.raises(TableBoundError):
-                        _lcm_table(n, cap, steps)
-
-
-def test_table_floor_counts_the_sets_of_its_proof(monkeypatch):
-    # the floor is the number of pairs ((j, m), A) with A the empty set or
-    # {i}, i in I = range(lo, j), and r - w <= sum(A) <= r, r = m - j, as
-    # the docstring of _check_table_size counts them; here each set is listed
-    import itertools
+@pytest.mark.parametrize("family", list(SWEEP))
+def test_table_bound_refuses_at_once(family, monkeypatch):
+    # the largest n of the family's kind answers; n + 1, 238 and 10^9 are
+    # refused in-process in well under 50 ms each, before the coprime base,
+    # the terms or any part set is built
+    import time
 
     import groupspec.spectra as spectra
+    built = []
 
-    class LastFloor:
-        # the limit that _check_table_size compares its running floor with
-        value = None
+    def fill(n, cap, parts):
+        # empty cells: only the bound is under test here
+        built.append(n)
+        return [{} for _ in range(n + 1)]
+    monkeypatch.setattr(spectra, "_PART_SETS", {})
+    monkeypatch.setattr(spectra, "_fill", fill)
+    items_fn = SWEEP[family][0]
+    largest = _TABLE_MAX_N[TABLE_OF[family]]
+    assert any(items_fn(S(family, largest, 3)).values()) and built == [largest]
+    monkeypatch.setattr(spectra, "_coprime_base", lambda *args: built.append("base"))
+    monkeypatch.setattr(spectra, "_terms", lambda *args: built.append("terms"))
+    for n in (largest + 1, 238, 10 ** 9):
+        spec = S(family, n, 3)
+        start = time.perf_counter()
+        with pytest.raises(TableBoundError):
+            items_fn(spec)
+        assert time.perf_counter() - start < 0.05, spec
+    assert built == [largest]
 
-        def __lt__(self, floor):
-            LastFloor.value = floor
-            return False
-    monkeypatch.setattr(spectra, "TABLE_LIMIT", LastFloor())
-    monkeypatch.setattr(spectra, "_FLOOR_REFUSES_FROM", 0)
-    for n in range(1, 23):
-        want = 0
-        for j in range(1, n + 1):
-            lo = max(3, j // 2 + 1)
-            k = min(lo, j) - 1
-            sums = [sum(a) for size in (0, 1) for a in itertools.combinations(range(lo, j), size)]
-            want += sum(r - k * (k + 1) // 2 <= s <= r for r in range(n - j + 1) for s in sums)
-        _check_table_size(n)
-        assert LastFloor.value == want, n
 
-
-def test_table_floor_first_refuses_at_247(monkeypatch):
-    # below its first refusal _check_table_size skips the floor loop; run in
-    # full, the loop passes every n < 247 and refuses 247 and beyond
-    import groupspec.spectra as spectra
-    assert spectra._FLOOR_REFUSES_FROM == 247
-    for skip in (247, 0):
-        monkeypatch.setattr(spectra, "_FLOOR_REFUSES_FROM", skip)
-        for n in range(247):
-            _check_table_size(n)
-        for n in (247, 248, 500, 10 ** 9):
-            with pytest.raises(TableBoundError):
-                _check_table_size(n)
+@functools.lru_cache(maxsize=None)
+def _values_made_over_f3(kind, cap, n):
+    """The lcm values a table of values over F_3 makes over 0..n: the part
+    sets' fill run on values, each step counting its new values per class
+    and term, repeats across steps counted."""
+    steps = _reference_steps(kind, 3, 1, ())
+    cells = [{} for _ in range(n + 1)]
+    cells[0][(0, 0)] = {1}
+    made = 0
+    for j in range(1, n + 1):
+        step = steps(j)
+        for flip in sorted({f for _, _, f in step}):
+            terms = [term for term, _, f in step if f == flip]
+            for m in range(n, j - 1, -1):
+                for (parts, parity), vals in cells[m - j].items():
+                    key = (min(parts + 1, cap), parity ^ flip)
+                    for term in terms:
+                        new = {math.lcm(v, term) for v in vals}
+                        cells[m].setdefault(key, set()).update(new)
+                        made += len(new)
+    return made
 
 
 @pytest.mark.parametrize("family", list(SWEEP))
-def test_table_floor_refuses_only_tables_that_pass_the_limit(family, monkeypatch):
-    # _check_table_size refuses before the table is built, on a lower bound
-    # of the values it makes: every n it refuses, the running count refuses too
-    import groupspec.spectra as spectra
-    items_fn = SWEEP[family][0]
-    monkeypatch.setattr(spectra, "TABLE_LIMIT", 3000)
-    monkeypatch.setattr(spectra, "_FLOOR_REFUSES_FROM", 0)
-    refused = []
-    for n in range(SWEEP[family][3], 60):
-        try:
-            _check_table_size(n)
-        except TableBoundError:
-            refused.append(n)
-    assert refused and refused == list(range(refused[0], 60))
-    monkeypatch.setattr(spectra, "_check_table_size", lambda n: None)
-    for n in refused[:3]:
-        with pytest.raises(TableBoundError):
-            items_fn(S(family, n, 3, 1))
+def test_table_floor_refuses_only_tables_that_pass_the_limit(family):
+    # the largest n of each kind stands for the values a table at one q may
+    # make: over F_3 a table of values, with the classes the family reads,
+    # makes at most TABLE_LIMIT at that n and more at n + 1. A larger n
+    # makes every value a smaller one does, so every n refused passes.
+    kind = TABLE_OF[family]
+    cap = 2 if family == "OmegaEven" else _KINDS[kind][0]
+    n = _TABLE_MAX_N[kind]
+    made = [_values_made_over_f3(kind, cap, m) for m in (n, n + 1)]
+    assert made[0] <= TABLE_LIMIT < made[1], made
