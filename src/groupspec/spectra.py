@@ -16,6 +16,15 @@ process in three q-free part-set tables (_fill, _part_sets): linear,
 symplectic and orthogonal. A call evaluates at its q only the cells it
 reads (_table, _lcms). Each kind admits n up to _TABLE_MAX_N; a larger n
 raises TableBoundError before anything is built.
+
+normalize cuts the candidates down to their maximal elements. From
+_INDEX_FROM_N on, a closed form hands it (value, support) pairs, a support
+being the bitmask of the elements of a coprime base of q (_coprime_base)
+that share a factor with the value, and normalize tests a value only
+against the kept values whose support holds its own (_indexed_scan). The
+support of a term q^j -+ 1 is read off the orders of the base elements
+modulo q (_term_supports), that of an lcm is the OR of its terms' supports,
+and only the few values built outside the table take gcds (_support).
 """
 
 from __future__ import annotations
@@ -160,38 +169,30 @@ def _check_descending(gens: tuple) -> None:
         raise UsageError("generators must be strictly descending")
 
 
-class _Supported(int):
-    """A spectrum candidate that carries its support: the bitmask of the
-    elements of a base (see _coprime_base) it shares a factor with.
-
-    Compares, hashes and sorts as the plain int. int subclasses cannot take
-    __slots__, so the mask sits in the instance dict.
-    """
-
-
-def _supported(value: int, support: int) -> _Supported:
-    out = _Supported(value)
-    out.support = support
-    return out
-
-
 def normalize(values) -> Spectrum:
     """Antichain of maximal elements of the input under divisibility.
 
-    Scans the distinct values in descending order and keeps each one that
-    divides no value kept so far. When every value carries its support (a
-    _Supported), v is tested only against the kept values whose support
-    holds all of v's: if v | w, each base element sharing a factor with v
-    shares one with w. Plain values are tested against every kept value.
-    Either way the smallest kept values are tried first, and the kept values
-    form an antichain by construction, so the result skips Spectrum's
-    pairwise check.
+    values are positive ints, or a list of (value, support) pairs: the
+    support of a value is the bitmask of the elements of a pairwise coprime
+    base (see _coprime_base) that share a factor with it, so a value listed
+    twice carries one support both times. Either way the distinct values
+    are scanned in descending order, and each one is kept that divides no
+    value kept so far, the smallest kept values tried first. Plain values
+    are tested against every kept value. With pairs, v is tested only
+    against the kept values whose support holds all of v's (_indexed_scan):
+    if v | w, each base element sharing a factor with v shares one with w.
+    The kept values form an antichain by construction, so the result skips
+    Spectrum's pairwise check.
     """
+    if type(values) is list and values and type(values[0]) is tuple:
+        supports = dict(values)
+        vals = sorted(supports, reverse=True)
+        if vals[-1] < 1:
+            raise UsageError("spectrum values must be positive")
+        return Spectrum._from_antichain(tuple(_indexed_scan(vals, supports)))
     vals = sorted(set(values), reverse=True)
     if vals and vals[-1] < 1:
         raise UsageError("spectrum values must be positive")
-    if vals and type(vals[0]) is _Supported and all(type(v) is _Supported for v in vals):
-        return Spectrum._from_antichain(tuple(int(v) for v in _indexed_scan(vals)))
     kept = []
     for v in map(int, vals):
         # the likeliest multiples of v
@@ -203,24 +204,31 @@ def normalize(values) -> Spectrum:
     return Spectrum._from_antichain(tuple(kept))
 
 
-def _indexed_scan(vals: list) -> list:
-    """The values of vals (descending, each a _Supported) that divide no
-    larger one. buckets maps each support bit i to the bitset of the indices
-    in kept of the kept values that have bit i.
+def _indexed_scan(vals: list, supports: dict) -> list:
+    """The values of vals (descending ints) that divide no larger one, where
+    supports maps each value to its support. buckets[i] is the bitset of the
+    indices in kept of the kept values that have support bit i.
 
     Both loops start from the top bit. The high support bits stand for the
-    primes of high order, which few values have, so the candidate set is
-    small after the first AND and often empty before the last. The high
-    candidate bits are the smallest kept values, the likeliest multiples.
+    primes of high order, which few values have, so the candidate set, at
+    first the top bit's bucket, is small and often empty before the last
+    AND. The high candidate bits are the smallest kept values, the
+    likeliest multiples. A value of support 0 is tested against every kept
+    value.
     """
     kept: list = []
-    buckets: dict = {}
+    buckets = [0] * max(supports.values()).bit_length()
     for v in vals:
-        s = v.support
-        cand = (1 << len(kept)) - 1
+        s = supports[v]
+        if s:
+            i = s.bit_length() - 1
+            cand = buckets[i]
+            s ^= 1 << i
+        else:
+            cand = (1 << len(kept)) - 1
         while s and cand:
             i = s.bit_length() - 1
-            cand &= buckets.get(i, 0)
+            cand &= buckets[i]
             s ^= 1 << i
         while cand:
             i = cand.bit_length() - 1
@@ -230,17 +238,18 @@ def _indexed_scan(vals: list) -> list:
         else:
             bit = 1 << len(kept)
             kept.append(v)
-            s = v.support
+            s = supports[v]
             while s:
                 i = s.bit_length() - 1
-                buckets[i] = buckets.get(i, 0) | bit
+                buckets[i] |= bit
                 s ^= 1 << i
     return kept
 
 
 def _coprime_base(p: int, q: int, top: int) -> tuple:
-    """p, then for each e <= top the part of Phi_e(q) prime to e, where that
-    part is not 1. The elements are pairwise coprime; building them factors
+    """(base, orders): base is p, then for each e <= top the part of
+    Phi_e(q) prime to e, where that part is not 1, and orders[i] is the e of
+    base[i + 1]. The elements are pairwise coprime; building them factors
     nothing.
 
     A prime r != p of multiplicative order e modulo q divides Phi_e(q) and
@@ -249,7 +258,7 @@ def _coprime_base(p: int, q: int, top: int) -> tuple:
     primes of order e (Zsigmondy's primitive prime divisors), and every
     prime of p^t (q^j - 1) with j <= top lies in exactly one base element.
     """
-    base = [p]
+    base, orders = [p], []
     for e, x in enumerate(cyclotomic_values(q, top), 1):
         g = math.gcd(x, e)
         while g > 1:
@@ -257,7 +266,8 @@ def _coprime_base(p: int, q: int, top: int) -> tuple:
             g = math.gcd(x, g)
         if x > 1:
             base.append(x)
-    return tuple(base)
+            orders.append(e)
+    return tuple(base), tuple(orders)
 
 
 def _support(x: int, base: tuple) -> int:
@@ -478,6 +488,43 @@ def _lcms(masks, terms: list, term_supports: list | None, supports: dict | None,
     return list(map(memo.__getitem__, masks))
 
 
+def _term_supports(kind: str, eps: int, n: int, orders: tuple) -> list:
+    """The supports of _terms(kind, q, eps, n) over a coprime base of q whose
+    element i + 1 holds the primes of order orders[i] modulo q
+    (_coprime_base), read off the orders without a gcd.
+
+    Let r be a prime of the element of order e: r != p, and q has order e
+    modulo r. Then r | q^j - 1 iff e | j. For odd r, r | q^j + 1 iff
+    q^j = -1 mod r, iff q^2j = 1 and q^j != 1 mod r, as -1 != 1 mod r: iff
+    e | 2j and e does not divide j, which asks e even and j an odd multiple
+    of e/2. The one even prime, 2, has order 1 (q is odd): it lies in the
+    element of order 1, q - 1, and divides every q^j + 1. So the element of
+    order e shares a factor with q^j - 1 iff e | j, and with q^j + 1 iff
+    e = 1 or j is an odd multiple of e/2. p divides no term. A linear term
+    q^j - eps^j is q^j - 1 when eps^j = 1 and q^j + 1 otherwise. The element
+    of order e > 1 sets at most 2n/e bits, that of order 1 2n, so as
+    e <= 2n the masks take O(n log n) steps.
+    """
+    minus = [0] * (n + 1)  # minus[j] is the support of q^j - 1
+    plus = [0] * (n + 1)  # plus[j] that of q^j + 1
+    for i, e in enumerate(orders, 1):
+        bit = 1 << i
+        for j in range(e, n + 1, e):
+            minus[j] |= bit
+        if e == 1:
+            for j in range(1, n + 1):
+                plus[j] |= bit
+        elif e % 2 == 0:
+            for j in range(e // 2, n + 1, e):
+                plus[j] |= bit
+    if kind == "linear":
+        return [0] + [minus[j] if eps ** j == 1 else plus[j] for j in range(1, n + 1)]
+    out = [0]
+    for j in range(1, n + 1):
+        out += (minus[j], plus[j])
+    return out
+
+
 # The n from which the index of normalize saves more than the base and the
 # supports cost, by table. Measured against the plain scan for q in {3, 7, 25}
 # on a 2-core 2.0 GHz VM: the signed symplectic table grows fastest with n,
@@ -486,14 +533,15 @@ _INDEX_FROM_N = {"linear": 24, "symplectic": 13, "orthogonal": 17}
 
 
 def _index_base(spec: GroupSpec, table: str) -> tuple:
-    """The coprime base that indexes spec's candidates, or () below the
-    table's _INDEX_FROM_N.
+    """The coprime base that indexes spec's candidates and the orders of its
+    elements after p (_coprime_base), or ((), ()) below the table's
+    _INDEX_FROM_N.
 
     Every candidate divides p^t times an lcm of terms q^j -+ 1 with j <= n,
     so its primes other than p have order at most 2n modulo q.
     """
     if spec.n < _INDEX_FROM_N[table]:
-        return ()
+        return (), ()
     return _coprime_base(spec.p, spec.q, 2 * spec.n)
 
 
@@ -501,33 +549,50 @@ def _table(spec: GroupSpec, kind: str) -> tuple:
     """(base, supports, cells, lcms) of spec's closed form: the coprime base
     of _index_base, the supports that lcms fills (None without a base),
     kind's part-set table (_part_sets) and lcms(masks), the lcms at spec's q
-    and eps of the part sets masks (_lcms). The terms and their supports are
-    built once per call. An n past the kind's largest raises a
-    TableBoundError that names spec before any of these is built."""
+    and eps of the part sets masks (_lcms). The terms and their supports
+    (_term_supports) are built once per call. An n past the kind's largest
+    raises a TableBoundError that names spec before any of these is built."""
     if spec.n > _TABLE_MAX_N[kind]:
         raise TableBoundError(spec)
-    base = _index_base(spec, kind)
+    base, orders = _index_base(spec, kind)
     terms = _terms(kind, spec.q, spec.eps, spec.n)
-    term_supports = [_support(t, base) for t in terms] if base else None
+    term_supports = _term_supports(kind, spec.eps, spec.n, orders) if base else None
     supports = {1: 0} if base else None
     memo = {0: 1}
     cells = _part_sets(kind, spec.n)
     return base, supports, cells, lambda masks: _lcms(masks, terms, term_supports, supports, memo)
 
 
-def _sorted_items(items: dict, base: tuple, supports: dict | None) -> dict:
-    """Each kind's values as a sorted, duplicate-free list. With a base they
-    are _Supported, their supports read from supports or, for the few values
-    built outside the table, found by gcd."""
-    if not base:
-        return {kind: sorted(set(vals)) for kind, vals in items.items()}
-    out = {}
-    for kind, vals in items.items():
-        vals = sorted(set(vals))
-        for v in vals:
-            if v not in supports:
-                supports[v] = _support(v, base)
-        out[kind] = [_supported(v, supports[v]) for v in vals]
+class _Items(dict):
+    """What a spectrum_*_items call returns: each construction kind's values
+    as a sorted, duplicate-free list of ints. supports is the call's map from
+    values to supports over its coprime base, holding every value listed,
+    or None below _INDEX_FROM_N."""
+
+    __slots__ = ("supports",)
+
+
+def _sorted_items(items: dict, base: tuple, supports: dict | None) -> _Items:
+    """items with each kind's values sorted and duplicate-free, carrying
+    supports. The few values built outside the table, which supports does
+    not hold yet, get their support by gcd."""
+    out = _Items({kind: sorted(set(vals)) for kind, vals in items.items()})
+    if supports is not None:
+        for vals in out.values():
+            supports.update([(v, _support(v, base)) for v in set(vals).difference(supports)])
+    out.supports = supports
+    return out
+
+
+def _candidates(items: _Items) -> list:
+    """normalize's input: the values of every kind of items, as (value,
+    support) pairs when items carries supports."""
+    supports = items.supports
+    if supports is None:
+        return [v for vals in items.values() for v in vals]
+    out: list = []
+    for vals in items.values():
+        out += zip(vals, map(supports.__getitem__, vals))
     return out
 
 
@@ -544,8 +609,8 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
     partition of n1 = n - p^(t-1) - 1 (one part, two or more), or a bare
     p-power. The linear part-set table serves many_part_torus and every
     unipotent level t, and only the cells read, at n and at each n1, are
-    evaluated at q and eps. From n = _INDEX_FROM_N on, every value carries
-    its support (a _Supported). Debug/test accessor.
+    evaluated at q and eps. From n = _INDEX_FROM_N on, the result carries
+    the supports of the values (_Items). Debug/test accessor.
 
     The table takes each part once (_linear_parts), and its merge drops no
     maximal element once the boundary partitions are added back. At n, three
@@ -598,7 +663,7 @@ def spectrum_linear_items(spec: GroupSpec) -> dict:
 def spectrum_linear(spec: GroupSpec) -> Spectrum:
     """Spectrum of PSL_n^eps(q) or PGL_n^eps(q)."""
     items = spectrum_linear_items(spec)
-    return normalize([v for vals in items.values() for v in vals])
+    return normalize(_candidates(items))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +689,7 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
     n1 = n - (p^(t-1) + 1)/2, or 2 p^t. The symplectic part-set table serves
     many_part_torus and every unipotent level t, and only the cells read,
     at n and at each n1, are evaluated at q. From n = _INDEX_FROM_N on,
-    every value carries its support (a _Supported).
+    the result carries the supports of the values (_Items).
 
     The table takes each part once, with either sign (_signed_parts), and
     its merge drops no maximal element. Its boundary at m, two or more
@@ -667,7 +732,7 @@ def spectrum_symplectic_items(spec: GroupSpec) -> dict:
 def spectrum_symplectic(spec: GroupSpec) -> Spectrum:
     """Spectrum of Sp_2n(q), PSp_2n(q) or Omega_{2n+1}(q)."""
     items = spectrum_symplectic_items(spec)
-    return normalize([v for vals in items.values() for v in vals])
+    return normalize(_candidates(items))
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +748,8 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
     with the number of -1 signs even for eps = +1 and odd for eps = -1. The
     orthogonal part-set table counts parts up to 3, so OmegaEven reads its
     classes 2 and 3 at n, and POmegaEven class 3; only those are evaluated
-    at q. From n = _INDEX_FROM_N on, every value carries its support (a
-    _Supported).
+    at q. From n = _INDEX_FROM_N on, the result carries the supports of
+    the values (_Items).
 
     The table takes each part once per sign (_signed_parts with parity), so
     the mixed pair (a+, a-), whose parity is odd, is kept. Its merge drops no
@@ -726,7 +791,7 @@ def spectrum_orthogonal_semisimple_items(spec: GroupSpec) -> dict:
 def spectrum_orthogonal_semisimple(spec: GroupSpec) -> Spectrum:
     """p'-part of the spectrum of Omega_2n^eps(q) or POmega_2n^eps(q)."""
     items = spectrum_orthogonal_semisimple_items(spec)
-    return normalize([v for vals in items.values() for v in vals])
+    return normalize(_candidates(items))
 
 
 def spectrum(spec: GroupSpec) -> Spectrum:

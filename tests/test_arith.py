@@ -240,19 +240,20 @@ def _base_by_order(q: int, top: int) -> dict:
     """{e: element} for the elements after p of spectra's coprime base, keyed
     by the order of q modulo the element."""
     p = factorize(q).primes()[0]
-    base = _coprime_base(p, q, top)
+    base, orders = _coprime_base(p, q, top)
     by_order = {next(e for e in range(1, top + 1) if (q ** e - 1) % x == 0): x
                 for x in base[1:]}
     assert base[0] == p and len(by_order) == len(base) - 1
+    assert tuple(by_order) == orders
     return by_order
 
 
 def test_primitive_prime_divisor_examples():
     # the coprime base holds, for each e, the part of Phi_e(q) made of
     # Zsigmondy's primitive prime divisors; 2^6 - 1 has none
-    assert _coprime_base(3, 3, 4) == (3, 2, 13, 5)
-    assert _coprime_base(2, 2, 6) == (2, 3, 7, 5, 31)
-    assert _coprime_base(5, 5, 1) == (5, 4)
+    assert _coprime_base(3, 3, 4) == ((3, 2, 13, 5), (1, 3, 4))
+    assert _coprime_base(2, 2, 6) == ((2, 3, 7, 5, 31), (2, 3, 4, 5))
+    assert _coprime_base(5, 5, 1) == ((5, 4), (1,))
 
 
 def test_primitive_prime_divisors_are_primitive():

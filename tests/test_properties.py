@@ -6,10 +6,10 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from groupspec.arith import co_pi_part, factorize, pi_part, r_part, two_part
+from groupspec.arith import co_pi_part, factorize, odd_prime_power, pi_part, r_part, two_part
 from groupspec.coset import CosetSpectrum, Piece
 from groupspec.outer import OutElement
-from groupspec.spectra import Spectrum, _support, _supported, normalize
+from groupspec.spectra import Spectrum, _coprime_base, _support, _term_supports, _terms, normalize
 
 settings.register_profile("suite", deadline=None, max_examples=150)
 settings.load_profile("suite")
@@ -94,10 +94,44 @@ def test_normalize_index_matches_plain_scan(values, base):
     # exact supports over any base keep v | w => support(v) <= support(w), so
     # the index may skip only values v cannot divide
     base = tuple(base)
-    supported = [_supported(v, _support(v, base)) for v in values]
-    indexed = normalize(supported)
+    pairs = [(v, _support(v, base)) for v in values]
+    indexed = normalize(pairs)
     assert indexed == normalize(values)
     assert all(type(g) is int for g in indexed.generators)
+
+
+@st.composite
+def closed_form_pairs(draw):
+    """A coprime base and (value, support) pairs made as a closed form makes
+    them: each value p^t times the lcm of some terms q^j -+ 1, j <= n, of one
+    kind, its support the OR of the supports _term_supports reads off the
+    base's orders, with bit 0 (p) when t > 0. Values may repeat."""
+    q = draw(st.sampled_from((3, 5, 7, 9, 25, 27)))
+    n = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(st.sampled_from(("linear", "symplectic", "orthogonal")))
+    eps = draw(st.sampled_from((1, -1)))
+    p = odd_prime_power(q)[0]
+    base, orders = _coprime_base(p, q, 2 * n)
+    terms = _terms(kind, q, eps, n)
+    term_supports = _term_supports(kind, eps, n, orders)
+    picks = st.lists(st.integers(min_value=1, max_value=len(terms) - 1), max_size=4)
+    pairs = []
+    for indices, t in draw(st.lists(st.tuples(picks, st.integers(min_value=0, max_value=2)),
+                                    min_size=1, max_size=30)):
+        value, support = p ** t, int(t > 0)
+        for i in indices:
+            value = math.lcm(value, terms[i])
+            support |= term_supports[i]
+        pairs.append((value, support))
+    return base, pairs
+
+
+@given(closed_form_pairs())
+def test_pairs_with_exact_supports_match_their_ints(case):
+    # the supports are exact, and the pairs give the Spectrum of their ints
+    base, pairs = case
+    assert all(s == _support(v, base) for v, s in pairs)
+    assert normalize(pairs) == normalize([v for v, _ in pairs])
 
 
 @given(st.lists(positive, max_size=40),
@@ -106,7 +140,7 @@ def test_full_check_accepts_what_normalize_builds(values, base, supported):
     # normalize builds its Spectrum without the pairwise antichain test; the
     # public constructor, which runs it, must accept every such result
     if supported:
-        values = [_supported(v, _support(v, tuple(base))) for v in values]
+        values = [(v, _support(v, tuple(base))) for v in values]
     fast = normalize(values)
     assert Spectrum(fast.generators) == fast
 

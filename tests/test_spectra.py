@@ -22,8 +22,8 @@ from groupspec.spectra import (
     _part_sets,
     _partitions,
     _support,
-    _Supported,
     _symplectic_constants,
+    _term_supports,
     _terms,
     check_2adj,
     divisors,
@@ -408,10 +408,11 @@ def test_lcm_table_matches_partition_enumeration(family):
 # ---------------------------------------------------------------------------
 # the support index of normalize against the quadratic scan
 #
-# From _INDEX_FROM_N on, spectrum_*_items hands normalize values that carry
-# their support over a coprime base, and normalize tests each value only
-# against the kept values whose support holds its own. The reference is the
-# plain scan normalize ran before the index.
+# From _INDEX_FROM_N on, spectrum_*_items carries the supports of its values
+# over a coprime base, the closed form hands normalize (value, support) pairs,
+# and normalize tests each value only against the kept values whose support
+# holds its own. The reference is the plain scan normalize ran before the
+# index.
 
 
 def _reference_normalize(values) -> tuple:
@@ -443,8 +444,9 @@ def test_indexed_normalize_matches_quadratic_scan(family):
         for q in INDEX_Q:
             for eps in signs:
                 spec = S(family, n, q, eps)
-                pooled = [v for values in items_fn(spec).values() for v in values]
-                indexed.add(all(type(v) is _Supported for v in pooled))
+                items = items_fn(spec)
+                pooled = [v for values in items.values() for v in values]
+                indexed.add(items.supports is not None)
                 got = spectrum_fn(spec).generators
                 assert got == _reference_normalize(pooled), spec
                 assert all(type(g) is int for g in got), spec
@@ -457,8 +459,11 @@ BASE_Q = (3, 5, 7, 9, 25)
 def test_coprime_base_is_pairwise_coprime_and_covers_every_term():
     for q in BASE_Q:
         p = factorize(q).pairs[0][0]
-        base = _coprime_base(p, q, 40)
-        assert base[0] == p
+        base, orders = _coprime_base(p, q, 40)
+        assert base[0] == p and len(orders) == len(base) - 1
+        assert list(orders) == sorted(set(orders)) and orders[-1] <= 40, q
+        # the element of order e divides Phi_e(q), so q^e - 1
+        assert all((q ** e - 1) % b == 0 for e, b in zip(orders, base[1:])), q
         assert all(b > 1 and b % p for b in base[1:]), q
         for i, a in enumerate(base):
             for b in base[i + 1:]:
@@ -472,6 +477,29 @@ def test_coprime_base_is_pairwise_coprime_and_covers_every_term():
                     x //= g
                     g = math.gcd(x, g)
             assert x == 1, (q, d)
+
+
+TERM_Q = (3, 5, 7, 9, 25, 27, 31, 127, 10 ** 29 + 319)
+
+
+def test_term_supports_match_gcd():
+    # the supports of the terms q^j -+ 1, j <= n, read off the orders of the
+    # base elements, are the gcd supports, for each kind and sign. At 3, 7,
+    # 31 and 127, q + 1 is a power of 2, so the base has no element of order
+    # 2 and q^j + 1 shares a factor only with the element of order 1, q - 1
+    for q in TERM_Q:
+        p = factorize(q).pairs[0][0]
+        assert (2 in _coprime_base(p, q, 2)[1]) == (q not in (3, 7, 31, 127)), q
+        for n in range(1, 41):
+            base, orders = _coprime_base(p, q, 2 * n)
+            gcd_supports: dict = {}
+            for kind in _KINDS:
+                for eps in (1, -1):
+                    terms = _terms(kind, q, eps, n)
+                    for t in set(terms).difference(gcd_supports):
+                        gcd_supports[t] = _support(t, base)
+                    want = [gcd_supports[t] for t in terms]
+                    assert _term_supports(kind, eps, n, orders) == want, (q, n, kind, eps)
 
 
 def _reference_steps(kind, q, eps, base):
@@ -497,9 +525,11 @@ PART_TABLES = (("linear", 1, 3), ("linear", -1, 3), ("symplectic", 1, 2),
 def _evaluated_table(kind, n, q, eps, base, cap):
     """cells 0..n of kind's part-set table evaluated at q and eps by _lcms,
     as value sets with the classes capped at cap, and the supports that the
-    evaluation gave (None without a base)."""
+    evaluation gave (None without a base). base is () or (base, orders) of
+    _coprime_base, whose term supports _term_supports reads off the orders,
+    as a closed form does."""
     terms = _terms(kind, q, eps, n)
-    term_supports = [_support(t, base) for t in terms] if base else None
+    term_supports = _term_supports(kind, eps, n, base[1]) if base else None
     supports = {1: 0} if base else None
     memo = {0: 1}
     out = []
@@ -522,7 +552,7 @@ def test_lcm_table_supports_match_gcd():
                 for m, cell in enumerate(cells):
                     for key, vals in cell.items():
                         for v in vals:
-                            assert supports[v] == _support(v, base), (q, n, m, key, v)
+                            assert supports[v] == _support(v, base[0]), (q, n, m, key, v)
 
 
 def _reference_distinct_table(n, cap, steps, supports):
@@ -561,7 +591,7 @@ def test_lcm_table_matches_distinct_part_enumeration():
                     ref_supports = {1: 0}
                     got, supports = _evaluated_table(kind, n, q, eps, base, cap)
                     want = _reference_distinct_table(
-                        n, cap, _reference_steps(kind, q, eps, base), ref_supports)
+                        n, cap, _reference_steps(kind, q, eps, base and base[0]), ref_supports)
                     assert got == want, (q, n, kind, eps, cap, bool(base))
                     if base:
                         assert supports == ref_supports, (q, n, kind, eps, cap)
@@ -668,14 +698,15 @@ def test_items_carry_gcd_supports_from_the_crossover(family):
     n = _INDEX_FROM_N[TABLE_OF[family]]
     for q in (3, 25):
         spec = S(family, n, q, -1 if family in ("OmegaEven", "POmegaEven") else 1)
-        base = _coprime_base(spec.p, q, 2 * n)
+        base, _ = _coprime_base(spec.p, q, 2 * n)
         items = items_fn(spec)
         assert any(items.values()), spec
         for kind, values in items.items():
             for v in values:
-                assert type(v) is _Supported and v.support == _support(v, base), (spec, kind, v)
-        below = S(family, n - 1, q, spec.eps)
-        assert all(type(v) is int for values in items_fn(below).values() for v in values)
+                assert type(v) is int and items.supports[v] == _support(v, base), (spec, kind, v)
+        below = items_fn(S(family, n - 1, q, spec.eps))
+        assert below.supports is None
+        assert all(type(v) is int for values in below.values() for v in values)
 
 
 def test_spectra_go_through_the_traced_names(monkeypatch):
@@ -683,8 +714,13 @@ def test_spectra_go_through_the_traced_names(monkeypatch):
     # list(values), and wraps each spectrum_*_items by name: the supports
     # must survive both, or a traced run would time the plain scan.
     import groupspec.spectra as spectra
-    seen: dict = {"items": 0, "normalize": []}
+    seen: dict = {"items": 0, "normalize": [], "scans": 0}
     real_normalize = spectra.normalize
+
+    def counted_scan(vals, supports, _real=spectra._indexed_scan):
+        seen["scans"] += 1
+        return _real(vals, supports)
+    monkeypatch.setattr(spectra, "_indexed_scan", counted_scan)
 
     def traced_normalize(values):
         vals = list(values)
@@ -701,14 +737,17 @@ def test_spectra_go_through_the_traced_names(monkeypatch):
                      (spectra.spectrum_symplectic, S("Sp", _INDEX_FROM_N["symplectic"], 3)),
                      (spectra.spectrum_orthogonal_semisimple,
                       S("OmegaEven", _INDEX_FROM_N["orthogonal"], 5, -1))):
-        seen["items"], seen["normalize"] = 0, []
+        seen["items"], seen["normalize"], seen["scans"] = 0, [], 0
         fn.cache_clear()
         got = fn(spec)
         fn.cache_clear()
         assert seen["items"] == 1 and len(seen["normalize"]) == 1, spec
-        vals = seen["normalize"][0]
-        assert vals and all(type(v) is _Supported for v in vals), spec
-        assert got.generators == _reference_normalize(vals), spec
+        assert seen["scans"] == 1, spec
+        pairs = seen["normalize"][0]
+        assert pairs and all(type(pair) is tuple for pair in pairs), spec
+        base, _ = _coprime_base(spec.p, spec.q, 2 * spec.n)
+        assert all(s == _support(v, base) for v, s in pairs), spec
+        assert got.generators == _reference_normalize(v for v, _ in pairs), spec
 
 
 # ---------------------------------------------------------------------------
