@@ -303,16 +303,21 @@ def extension_spectrum(generator):
     """Spectrum of the extension of the socle by a cyclic group of outer
     automorphisms, as the union of the per-coset spectra.
 
-    generator is an OutElement carrying the socle parameters. Returns
-    UNSUPPORTED as soon as one coset has no closed form.
+    generator is an OutElement carrying the socle parameters; its cosets
+    w L are walked by w <- w generator from the identity until w comes back
+    to it. Returns UNSUPPORTED as soon as one coset has no closed form.
     """
     seen = {}
-    for j in range(generator.order()):
-        res = _coset(generator.power(j))
+    w = generator.power(0)
+    while True:
+        res = _coset(w)
         if is_unsupported(res):
             return UNSUPPORTED
         for pc in res.pieces:
             seen[(pc.multiplier, pc.base.generators, pc.constraint)] = pc
+        w = w.mul(generator)
+        if w.is_identity():
+            break
     ordered = sorted(seen.values(), key=lambda pc: (pc.multiplier, pc.constraint,
                                                     pc.base.generators), reverse=True)
     return CosetSpectrum(tuple(ordered), generator.p)

@@ -2,16 +2,39 @@
 
 Out = <delta> x| (<phi> x <tau>) in the linear case, with delta^phi = delta^p and
 delta^tau = delta^-1; in the unitary case tau = phi^m and phi has order 2m.
-Elements are kept in the normal form phi^a tau^c delta^i (c = 0 for unitary).
+Elements are kept in the normal form phi^a tau^c delta^i (c = 0 for unitary),
+and all arithmetic works on their keys (a, c, i): a mod A, with A = m (linear)
+or 2m (unitary), c mod 2 and i mod d = gcd(n, q - eps). Moving delta^i to the
+right past phi^b tau^e turns it into delta^(i p^b (-1)^e), so the one product
+law, _key_mul, is
+
+    (a, c, i) (b, e, j) = (a + b, c + e, (-1)^e p^b i + j).
+
+p is a unit mod d whose order divides A (p^m = eps mod d), so p^b mod d is
+read off one table per socle (_law). Conjugation by the generators fixes
+(a, c) and moves i alone; from the law,
+
+    phi^-1   (a, c, i) phi   = (a, c, p i),
+    tau^-1   (a, c, i) tau   = (a, c, -i),
+    delta^-1 (a, c, i) delta = (a, c, i + 1 - (-1)^c p^a),
+
+the tau image holding on the unitary side too, where tau = phi^m and
+p^m = -1 mod d.
 
 An outer element alpha (more precisely the cyclic group it generates) is called
 admissible when the extension of the socle L by alpha has the same set of
 element orders as L itself. admissible_generators returns the maximal
-admissible cyclic subgroups by their generators.
+admissible cyclic subgroups by their generators, and counts the admissible
+subgroups, all subgroups of those, up to Out-conjugacy. A cyclic group <g> of
+order k has exactly one subgroup of each order dividing k, and <g^e> has
+order k/e, so its subgroups are the <g^e> with e | k; each is every e-th entry
+of the one list g^0, ..., g^(k-1). The classes are the orbits of these key
+sets under the three conjugations above, which generate Out's action.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .arith import (Record, UsageError, co_pi_part, odd_part, p_power_exponent, pi_part,
@@ -21,15 +44,76 @@ from .spectra import GroupSpec
 
 OUT_ENUM_BOUND = 10 ** 5
 
+_SOCLE = ("eps", "n", "p", "m")
+
+
+@functools.lru_cache(maxsize=1024)
+def _law(eps: int, n: int, p: int, m: int) -> tuple:
+    """(d, A, twists) for Out(PSL_n^eps(p^m)): d = gcd(n, q - eps), A the
+    order of phi, twists[b % len(twists)] = p^b mod d over one period of p."""
+    if eps not in (1, -1):
+        raise UsageError("eps must be +1 or -1")
+    d = math.gcd(n, p ** m - eps)
+    twists = [1 % d]
+    while (t := twists[-1] * p % d) != twists[0]:
+        twists.append(t)
+    return d, (m if eps == 1 else 2 * m), tuple(twists)
+
+
+def _key_mul(law: tuple, x: tuple, y: tuple) -> tuple:
+    """The product of two keys: the group law of Out."""
+    d, order, twists = law
+    a, c, i = x
+    b, e, j = y
+    i *= twists[b % len(twists)]
+    return (a + b) % order, c ^ e, (j - i if e else j + i) % d
+
+
+def _key_pow(law: tuple, x: tuple, k: int) -> tuple:
+    out = (0, 0, 0)
+    while k:
+        if k & 1:
+            out = _key_mul(law, out, x)
+        x = _key_mul(law, x, x)
+        k >>= 1
+    return out
+
+
+def _key_powers(law: tuple, x: tuple) -> list:
+    """x^0, x^1, ..., x^(k-1), k the order of x, by successive products."""
+    out, y = [(0, 0, 0)], x
+    while y != (0, 0, 0):
+        out.append(y)
+        y = _key_mul(law, y, x)
+    return out
+
+
+def _conjugations(law: tuple, p: int) -> tuple:
+    """The maps x -> g^-1 x g on keys for g = phi, tau, delta."""
+    d, _, twists = law
+    r = len(twists)
+
+    def by_phi(x):
+        return x[0], x[1], x[2] * p % d
+
+    def by_tau(x):
+        return x[0], x[1], -x[2] % d
+
+    def by_delta(x):
+        a, c, i = x
+        t = twists[a % r]
+        return a, c, (i + 1 + t if c else i + 1 - t) % d
+
+    return by_phi, by_tau, by_delta
+
 
 class OutElement(Record):
     """phi^a tau^c delta^i in Out(PSL_n^eps(q)), q = p^m."""
 
-    __slots__ = ("eps", "n", "p", "m", "a", "c", "i")
+    __slots__ = _SOCLE + ("a", "c", "i")
 
     def __init__(self, eps: int, n: int, p: int, m: int, a: int, c: int = 0, i: int = 0):
-        if eps not in (1, -1):
-            raise UsageError("eps must be +1 or -1")
+        d, order, _ = _law(eps, n, p, m)
         c %= 2
         if eps == -1 and c:
             a, c = a + m, 0  # tau = phi^m on the unitary side
@@ -38,9 +122,9 @@ class OutElement(Record):
         set_(self, "n", n)
         set_(self, "p", p)
         set_(self, "m", m)
-        set_(self, "a", a % (m if eps == 1 else 2 * m))
+        set_(self, "a", a % order)
         set_(self, "c", c)
-        set_(self, "i", i % math.gcd(n, p ** m - eps))
+        set_(self, "i", i % d)
 
     @property
     def q(self) -> int:
@@ -48,21 +132,25 @@ class OutElement(Record):
 
     @property
     def d(self) -> int:
-        return math.gcd(self.n, self.q - self.eps)
+        return self._law()[0]
 
-    def _like(self, a, c, i) -> "OutElement":
-        return OutElement(self.eps, self.n, self.p, self.m, a, c, i)
+    def _law(self) -> tuple:
+        return _law(self.eps, self.n, self.p, self.m)
+
+    def _with_key(self, key: tuple) -> "OutElement":
+        """The element of this group with the normal key (a, c, i)."""
+        out = object.__new__(OutElement)
+        set_ = object.__setattr__
+        for name in _SOCLE:
+            set_(out, name, getattr(self, name))
+        for name, value in zip("aci", key):
+            set_(out, name, value)
+        return out
 
     def mul(self, other: "OutElement") -> "OutElement":
         if (self.eps, self.n, self.p, self.m) != (other.eps, other.n, other.p, other.m):
             raise UsageError("elements live in different groups")
-        d = self.d
-        twist = pow(self.p, other.a, d) if d > 1 else 0
-        if self.eps == 1:
-            sign = -1 if other.c else 1
-            return self._like(self.a + other.a, self.c ^ other.c,
-                              self.i * twist * sign + other.i)
-        return self._like(self.a + other.a, 0, self.i * twist + other.i)
+        return self._with_key(_key_mul(self._law(), self.key(), other.key()))
 
     def __mul__(self, other):
         return self.mul(other)
@@ -73,21 +161,10 @@ class OutElement(Record):
     def power(self, k: int) -> "OutElement":
         if k < 0:
             return self.inverse().power(-k)
-        out = self._like(0, 0, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out.mul(base)
-            base = base.mul(base)
-            k >>= 1
-        return out
+        return self._with_key(_key_pow(self._law(), self.key(), k))
 
     def order(self) -> int:
-        k, x = 1, self
-        while not x.is_identity():
-            x = x.mul(self)
-            k += 1
-        return k
+        return len(_key_powers(self._law(), self.key()))
 
     def inverse(self) -> "OutElement":
         return self.power(self.order() - 1)
@@ -123,56 +200,40 @@ def out_delta(eps: int, n: int, p: int, m: int) -> OutElement:
 
 
 def out_elements(eps: int, n: int, p: int, m: int, bound: int = OUT_ENUM_BOUND) -> list:
-    template = out_identity(eps, n, p, m)
-    d = template.d
+    d, phi_order, _ = _law(eps, n, p, m)
     size = 2 * m * d
     if size > bound:
         raise UsageError(f"|Out| = {size} exceeds the enumeration bound {bound}")
-    phi_order = m if eps == 1 else 2 * m
     taus = (0, 1) if eps == 1 else (0,)
     return [OutElement(eps, n, p, m, a, c, i)
             for a in range(phi_order) for c in taus for i in range(d)]
 
 
 def _subgroup_key(x: OutElement) -> frozenset:
-    out, y = {x.key()}, x
-    while not y.is_identity():
-        y = y.mul(x)
-        out.add(y.key())
-    return frozenset(out)
+    """The keys of <x>."""
+    return frozenset(_key_powers(x._law(), x.key()))
 
 
-def _conjugate_subgroup(sub: frozenset, g: OutElement, lookup: dict) -> frozenset:
-    ginv = g.inverse()
-    return frozenset((ginv.mul(lookup[k]).mul(g)).key() for k in sub)
-
-
-def _orbit(sub: frozenset, gens: list, lookup: dict) -> set:
-    seen = {sub}
-    frontier = [sub]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                t = _conjugate_subgroup(s, g, lookup)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return seen
-
-
-def _class_reps(subs, elems: list) -> list:
+def _class_reps(subs, elems) -> list:
     """The first subgroup of subs met in each Out-conjugacy class, walking
-    subs by size, then by sorted keys; elems is the whole of Out."""
-    lookup = {x.key(): x for x in elems}
+    subs by size, then by sorted keys. subs are frozensets of keys; elems are
+    elements of Out, the first of which names the socle."""
     x = elems[0]
-    conj_gens = [f(x.eps, x.n, x.p, x.m) for f in (out_phi, out_tau, out_delta)]
+    maps = _conjugations(x._law(), x.p)
     reps, seen = [], set()
     for sub in sorted(subs, key=lambda s: (len(s), sorted(s))):
-        if sub not in seen:
-            seen |= _orbit(sub, conj_gens, lookup)
-            reps.append(sub)
+        if sub in seen:
+            continue
+        reps.append(sub)
+        seen.add(sub)
+        frontier = [sub]
+        while frontier:
+            s = frontier.pop()
+            for f in maps:
+                t = frozenset(map(f, s))
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
     return reps
 
 
@@ -220,16 +281,14 @@ def admissible_generators(spec: GroupSpec,
     n, p, m, eps, q = spec.n, spec.p, spec.m, spec.eps, spec.q
     if n < 3:
         raise UsageError("admissibility needs n >= 3")
-    d = math.gcd(n, q - eps)
+    d, phi_order, _ = _law(eps, n, p, m)
     # b: the part of the field automorphism group that acts on the diagonal
     # quotient, i.e. the pi(d)-part of gcd((q - eps)/d, m)
     b = pi_part(math.gcd((q - eps) // d, m), d)
 
-    ident = out_identity(eps, n, p, m)
     phi = out_phi(eps, n, p, m)
     tau = out_tau(eps, n, p, m)
     eta = out_delta(eps, n, p, m).power(odd_part(d))
-    phi_order = m if eps == 1 else 2 * m
     phi_hat = phi.power(phi_order // two_part(b))
     special_psi = (n == 4 and (q + eps) % 12 == 0)
     if special_psi:
@@ -316,7 +375,7 @@ def admissible_generators(spec: GroupSpec,
 
     total = nontrivial = None
     if 2 * m * d <= bound:
-        total, nontrivial = _class_counts(ordered, eps, n, p, m, bound)
+        total, nontrivial = _class_counts(ordered, eps, n, p, m)
 
     return AdmissibilityReport(
         socle=spec, d=d, b=b, eta=eta, phi_hat=phi_hat, psi=psi, tau=tau_res,
@@ -324,13 +383,15 @@ def admissible_generators(spec: GroupSpec,
         class_total=total, class_nontrivial=nontrivial)
 
 
-def _class_counts(gens, eps, n, p, m, bound):
+def _class_counts(gens, eps, n, p, m):
     """Conjugacy classes of admissible subgroups: all subgroups of the maximal
     admissible cyclic groups, counted up to Out-conjugacy."""
-    admissible_subs = {frozenset({out_identity(eps, n, p, m).key()})}
+    one = out_identity(eps, n, p, m)
+    law = one._law()
+    subs = {frozenset({one.key()})}
     for g in gens:
-        order = g.order()
-        for e in range(1, order + 1):
-            admissible_subs.add(_subgroup_key(g.power(e)))
-    count = len(_class_reps(admissible_subs, out_elements(eps, n, p, m, bound)))
+        powers = _key_powers(law, g.key())
+        k = len(powers)
+        subs.update(frozenset(powers[::e]) for e in range(1, k + 1) if k % e == 0)
+    count = len(_class_reps(subs, (one,)))
     return count, count - 1

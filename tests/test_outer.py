@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from groupspec.arith import UsageError
+from groupspec import coset
 from groupspec.coset import extension_spectrum, is_unsupported
 from groupspec.outer import (
     OutElement,
+    _class_counts,
     _class_reps,
+    _conjugations,
+    _key_mul,
+    _key_powers,
+    _law,
     _subgroup_key,
     admissible_generators,
     out_delta,
@@ -207,3 +215,158 @@ def test_admissible_rows_at_their_smallest_socles(n, q, eps, gens, rows, total):
         assert is_unsupported(ext) == (gen.i != 0), str(gen)
         if not is_unsupported(ext):
             assert all(omega.contains(g) for g in ext.maximal_elements())
+
+
+# ---------------------------------------------------------------------------
+# the reports of a sweep, pinned by one digest
+
+
+SWEEP_N = range(3, 17)
+SWEEP_Q = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49,
+           81, 121, 125, 243, 343, 625, 729, 3 ** 8)
+
+
+def _sweep():
+    for n in SWEEP_N:
+        for q in SWEEP_Q:
+            for eps in (1, -1):
+                yield n, q, eps
+
+
+def test_admissibility_reports_keep_their_digest():
+    # recorded when class counting still walked OutElement objects over a
+    # listing of Out; 728 socles
+    h = hashlib.sha256()
+    for n, q, eps in _sweep():
+        rep = admissible_generators(S("PSL", n, q, eps))
+        h.update(json.dumps([n, q, eps, [str(g) for g in rep.generators], list(rep.rows),
+                             rep.class_total, rep.class_nontrivial]).encode())
+    assert h.hexdigest() == "9b98f171e749f5b7d4cc69460c193b9d22abf7e6346f0e3a10718820461b1e11"
+
+
+# ---------------------------------------------------------------------------
+# the key arithmetic against a reference on OutElement objects
+
+
+def _reference_mul(x, y):
+    """x y by the product law written out once more and normalised by
+    OutElement's constructor."""
+    twist = pow(x.p, y.a, x.d) * (-1 if y.c else 1)
+    return OutElement(x.eps, x.n, x.p, x.m, x.a + y.a, x.c + y.c, x.i * twist + y.i)
+
+
+def _reference_class_count(gens, eps, n, p, m):
+    """Out-conjugacy classes of the subgroups of the <g>, g in gens, with the
+    trivial one, by the object walk admissible_generators used before it
+    worked on keys: the subgroup of every power of every generator, walked
+    element by element, and its conjugates by every element of Out when
+    |Out| <= 128, else by phi, tau and delta, through OutElement products."""
+    elems = out_elements(eps, n, p, m)
+    subs = {frozenset({out_identity(eps, n, p, m).key()})}
+    for g in gens:
+        for e in range(1, g.order() + 1):
+            x = y = g.power(e)
+            sub = {x.key()}
+            while not y.is_identity():
+                y = y.mul(x)
+                sub.add(y.key())
+            subs.add(frozenset(sub))
+    by = elems if len(elems) <= 128 else [f(eps, n, p, m) for f in (out_phi, out_tau, out_delta)]
+    pairs = [(h.inverse(), h) for h in by]
+    lookup = {x.key(): x for x in elems}
+    count, seen = 0, set()
+    for sub in subs:
+        if sub in seen:
+            continue
+        count += 1
+        seen.add(sub)
+        frontier = [sub]
+        while frontier:
+            s = frontier.pop()
+            for hinv, h in pairs:
+                t = frozenset(hinv.mul(lookup[k]).mul(h).key() for k in s)
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+    return count
+
+
+def _counts_agree(spec):
+    rep = admissible_generators(spec)
+    want = _reference_class_count(rep.generators, spec.eps, spec.n, spec.p, spec.m)
+    assert (rep.class_total, rep.class_nontrivial) == (want, want - 1), str(spec)
+    assert _class_counts(rep.generators, spec.eps, spec.n, spec.p, spec.m) == (want, want - 1)
+
+
+def test_class_counts_match_the_object_walk_on_the_sweep():
+    for n, q, eps in _sweep():
+        _counts_agree(S("PSL", n, q, eps))
+
+
+@pytest.mark.parametrize("n,p,m", [(12, 7, 24), (32, 17, 16), (16, 5, 16)])
+def test_class_counts_match_the_object_walk_at_large_out(n, p, m):
+    _counts_agree(GroupSpec("PSL", n, p, m, 1))
+
+
+# every (eps, n, p, m) with |Out| <= 64 over p in {3, 5, 7}, n <= 16, m <= 8
+SMALL_OUTS = [(eps, n, p, m) for eps in (1, -1) for n in range(3, 17) for p in (3, 5, 7)
+              for m in range(1, 9) if 2 * m * _law(eps, n, p, m)[0] <= 64]
+
+
+def test_key_product_matches_the_objects_on_every_pair():
+    for eps, n, p, m in SMALL_OUTS:
+        pool = out_elements(eps, n, p, m)
+        law = _law(eps, n, p, m)
+        for x in pool:
+            for y in pool:
+                xy = x.mul(y)
+                assert xy == _reference_mul(x, y)
+                assert xy.key() == _key_mul(law, x.key(), y.key())
+    assert len(SMALL_OUTS) > 100
+
+
+def test_conjugations_are_conjugation_by_phi_tau_delta():
+    for eps, n, p, m in SMALL_OUTS:
+        gens = [f(eps, n, p, m) for f in (out_phi, out_tau, out_delta)]
+        maps = _conjugations(_law(eps, n, p, m), p)
+        for x in out_elements(eps, n, p, m):
+            for g, f in zip(gens, maps):
+                assert f(x.key()) == g.inverse().mul(x).mul(g).key()
+
+
+def test_order_inverse_and_powers_walk_the_cyclic_group():
+    for eps, n, p, m in SMALL_OUTS:
+        law = _law(eps, n, p, m)
+        for x in out_elements(eps, n, p, m):
+            powers = _key_powers(law, x.key())
+            k = x.order()
+            assert len(powers) == len(set(powers)) == k
+            y = out_identity(eps, n, p, m)
+            for key in powers:
+                assert y.key() == key
+                y = y.mul(x)
+            assert y.is_identity()
+            assert x.mul(x.inverse()).is_identity()
+            assert _subgroup_key(x) == frozenset(powers)
+
+
+def test_extension_spectrum_visits_each_coset_once(monkeypatch):
+    visited = []
+    real = coset._coset
+
+    def spy(w):
+        visited.append(w.key())
+        return real(w)
+    monkeypatch.setattr(coset, "_coset", spy)
+    checked = 0
+    for n, q, eps in [(3, 343, 1), (4, 25, 1), (16, 3, -1), (12, 625, 1), (3, 3 ** 8, 1),
+                      (5, 3 ** 8, -1)]:
+        spec = S("PSL", n, q, eps)
+        for g in out_elements(spec.eps, n, spec.p, spec.m):
+            visited.clear()
+            if is_unsupported(extension_spectrum(g)):
+                continue
+            assert sorted(visited) == sorted(_subgroup_key(g)), str(g)
+            assert len(visited) == g.order()
+            checked += 1
+    assert checked > 50
